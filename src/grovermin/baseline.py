@@ -8,10 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import GridLayout
-from .objectives import Objective
-
-#: Exhaustive scans refuse registers past this size.
-MAX_BRUTE_QUBITS = 24
+from .objectives import Objective, check_finite
+from .statevector import check_qubits
 
 
 @dataclass(frozen=True)
@@ -26,15 +24,14 @@ def grid_brute_min(
     objective: Objective, layout: GridLayout, *, values: np.ndarray | None = None
 ) -> GridMinimum:
     """Exact minimum over every grid point; ties break to the lowest index."""
-    if layout.total_qubits > MAX_BRUTE_QUBITS:
-        raise ValueError(
-            f"{layout.total_qubits} qubits exceeds the exhaustive cap of {MAX_BRUTE_QUBITS}"
-        )
+    check_qubits(layout.total_qubits, "exhaustive")
     if values is None:
         values = objective.batch(layout.all_points())
-    values = np.asarray(values, dtype=float)
-    if values.shape != (layout.size,):
-        raise ValueError(f"values must have shape ({layout.size},), got {values.shape}")
+    else:
+        values = np.asarray(values, dtype=float)
+        if values.shape != (layout.size,):
+            raise ValueError(f"values must have shape ({layout.size},), got {values.shape}")
+        check_finite(objective.name, values)
     idx = int(np.argmin(values))  # argmin returns the first (lowest) index on ties
     return GridMinimum(
         index=idx,

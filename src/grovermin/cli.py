@@ -16,6 +16,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,21 +33,28 @@ from .minsearch import (
     StopRule,
     adapted_grover_min,
     run_ensemble,
+    spawn_rngs,
 )
 from .objectives import get_objective
 from .pivot import GrowthConfig, PivotConfig, lj_growth, pivot_grover_search
 from .statevector import (
     MarkedSet,
+    RegisterTooLarge,
     Statevector,
+    check_qubits,
     dense_reference_operators,
     phase_flip,
     uniform_superposition,
 )
 
 MINSEARCH_EXPERIMENTS = ("gp", "lj-trimer")
-EXPERIMENTS = ("appendix-demo", "gp", "lj-trimer", "shubert-pivot", "lj-grow")
 
-_PI = math.pi
+#: The ``growth`` section: GrowthConfig's fields (its pivot has its own
+#: section) plus the atom count handed to lj_growth.
+_GROWTH_DEFAULTS = {
+    "target_atoms": 5,
+    **{k: v for k, v in asdict(GrowthConfig()).items() if k != "pivot"},
+}
 
 DEFAULT_CONFIGS = {
     "appendix-demo": {
@@ -63,7 +71,7 @@ DEFAULT_CONFIGS = {
             {"name": "x1", "lo": -3.2, "hi": 3.0, "qubits": 5},
             {"name": "x2", "lo": -3.2, "hi": 3.0, "qubits": 5},
         ],
-        "stop": {"stall_window": 8, "max_rounds": None, "target": None},
+        "stop": asdict(StopRule()),
         "strict": False,
     },
     "lj-trimer": {
@@ -74,9 +82,9 @@ DEFAULT_CONFIGS = {
         "schedule": "incremental",
         "layout": [
             {"name": "B", "lo": 0.0001, "hi": 2.0, "qubits": 5},
-            {"name": "A", "lo": 0.0001, "hi": _PI, "qubits": 4},
+            {"name": "A", "lo": 0.0001, "hi": math.pi, "qubits": 4},
         ],
-        "stop": {"stall_window": 8, "max_rounds": None, "target": None},
+        "stop": asdict(StopRule()),
         "strict": False,
     },
     "shubert-pivot": {
@@ -86,43 +94,17 @@ DEFAULT_CONFIGS = {
         "runs": 1,
         "box": [[-10.0, 10.0], [-10.0, 10.0]],
         "qubits": 10,
-        "pivot": {
-            "fraction": 0.15,
-            "kT": 50.0,
-            "sigma_scale": 8.0,
-            "sigma_decay": 0.9,
-            "sigma_floor": 1e-4,
-            "stall_generations": 20,
-            "stall_tol": 0.0,
-            "max_generations": 200,
-            "elitism": True,
-        },
+        "pivot": asdict(PivotConfig()),
     },
     "lj-grow": {
         "experiment": "lj-grow",
         "seed": 0,
         "runs": 1,
-        "growth": {
-            "target_atoms": 5,
-            "method": 2,
-            "qubits_per_axis": 5,
-            "bond": None,
-            "trimer_qubits": 10,
-            "mirror_fifth": True,
-        },
-        "pivot": {
-            "fraction": 0.15,
-            "kT": 50.0,
-            "sigma_scale": 8.0,
-            "sigma_decay": 0.9,
-            "sigma_floor": 1e-4,
-            "stall_generations": 20,
-            "stall_tol": 0.0,
-            "max_generations": 200,
-            "elitism": True,
-        },
+        "growth": _GROWTH_DEFAULTS,
+        "pivot": asdict(PivotConfig()),
     },
 }
+EXPERIMENTS = tuple(DEFAULT_CONFIGS)
 
 
 class ConfigError(Exception):
@@ -170,6 +152,7 @@ def load_config(experiment: str, config_path: str | None) -> dict:
 
 
 def build_layout(config: dict) -> GridLayout:
+    """The config's grid; refuses one past the register cap before any point is built."""
     variables = []
     for i, spec in enumerate(config["layout"]):
         try:
@@ -178,18 +161,15 @@ def build_layout(config: dict) -> GridLayout:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"layout[{i}]: {exc}") from exc
-    return GridLayout(variables)
+    layout = GridLayout(variables)
+    check_qubits(layout.total_qubits)
+    return layout
 
 
 def build_stop(config: dict) -> StopRule:
-    stop = config.get("stop", {})
     try:
-        return StopRule(
-            stall_window=stop.get("stall_window"),
-            target=stop.get("target"),
-            max_rounds=stop.get("max_rounds"),
-        )
-    except ValueError as exc:
+        return StopRule(**config["stop"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"stop: {exc}") from exc
 
 
@@ -221,9 +201,9 @@ def build_pivot_config(config: dict) -> PivotConfig:
         raise ConfigError(f"pivot: {exc}") from exc
 
 
-def build_growth_config(config: dict) -> GrowthConfig:
+def build_growth_config(config: dict) -> tuple[GrowthConfig, int]:
     growth = dict(config["growth"])
-    target = growth.pop("target_atoms", 5)
+    target = growth.pop("target_atoms")
     try:
         return GrowthConfig(pivot=build_pivot_config(config), **growth), int(target)
     except (TypeError, ValueError) as exc:
@@ -308,23 +288,7 @@ def pivot_result_json(result, run_id: int, seed: int, config: dict) -> dict:
         "experiment": config["experiment"],
         "box": config["box"],
         "qubits": config["qubits"],
-        "generations": [
-            {
-                "generation": g.generation,
-                "num_pivots": g.num_pivots,
-                "sigma": list(g.sigma),
-                "threshold": g.threshold,
-                "optimal_k": g.optimal_k,
-                "grover_iterations": g.grover_iterations,
-                "rejected_draws": g.rejected_draws,
-                "best_value": g.best_value,
-            }
-            for g in result.generations
-        ],
-        "best_value": result.best_value,
-        "best_point": list(result.best_point),
-        "total_iterations": result.total_iterations,
-        "converged": result.converged,
+        **asdict(result),
     }
 
 
@@ -355,10 +319,6 @@ def growth_result_json(result, run_id: int, seed: int, config: dict) -> dict:
     }
 
 
-def run_rngs(seed: int, runs: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(runs)]
-
-
 def appendix_demo() -> dict:
     """Two-qubit walkthrough: one amplification step pins the lowest corner.
 
@@ -377,10 +337,7 @@ def appendix_demo() -> dict:
     after_flip = phase_flip(state, marked)
     final = iterate(state, marked, 1)
     return {
-        "layout": [
-            {"name": v.name, "lo": v.lo, "hi": v.hi, "qubits": v.qubits}
-            for v in layout.variables
-        ],
+        "layout": [vars(v) for v in layout.variables],
         "grid_points": _jsonable(layout.all_points()),
         "grid_values": _jsonable(objective.batch(layout.all_points())),
         "marked_index": reference.index,
@@ -400,10 +357,9 @@ def _print_matrix(name: str, matrix) -> None:
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.experiment, args.config)
-    config = _apply_flag_overrides(config, args)
+    config = _run_config(args)
     out = Path(args.out) if args.out else None
-    seed = int(config["seed"])
+    seed = config["seed"]
 
     if config["experiment"] == "appendix-demo":
         demo = appendix_demo()
@@ -418,8 +374,7 @@ def cmd_run(args) -> int:
             write_json(out / "appendix_demo.json", demo)
         return 0
 
-    runs = int(config.get("runs", 1))
-    rngs = run_rngs(seed, runs)
+    rngs = spawn_rngs(seed, config["runs"])
 
     if config["experiment"] in MINSEARCH_EXPERIMENTS:
         setup = build_setup(config)
@@ -527,13 +482,7 @@ def cmd_brute(args) -> int:
     objective = get_objective(config["objective"])
     layout = build_layout(config)
     reference = grid_brute_min(objective, layout)
-    payload = {
-        "experiment": config["experiment"],
-        "value": reference.value,
-        "point": list(reference.point),
-        "index": reference.index,
-        "num_evaluations": reference.num_evaluations,
-    }
+    payload = {"experiment": config["experiment"], **vars(reference)}
     print(json.dumps(_jsonable(payload), sort_keys=True))
     if args.out:
         write_json(Path(args.out) / "brute.json", payload)
@@ -545,10 +494,9 @@ def cmd_ensemble(args) -> int:
         raise ConfigError(
             f"ensemble needs a grid experiment, one of {MINSEARCH_EXPERIMENTS}"
         )
-    config = load_config(args.experiment, args.config)
-    config = _apply_flag_overrides(config, args)
-    runs = int(config.get("runs", 1))
-    seed = int(config["seed"])
+    config = _run_config(args)
+    runs = config["runs"]
+    seed = config["seed"]
     setup = build_setup(config)
     stats = run_ensemble(setup, runs, seed)
     print(
@@ -566,15 +514,7 @@ def cmd_ensemble(args) -> int:
             "seed": seed,
             "runs": runs,
             "schedule": config["schedule"],
-            "reference_value": stats.reference_value,
-            "success_fraction": stats.success_fraction,
-            "mean_rounds": stats.mean_rounds,
-            "median_rounds": stats.median_rounds,
-            "mean_total_iterations": stats.mean_total_iterations,
-            "median_total_iterations": stats.median_total_iterations,
-            "mean_iterations_to_best": stats.mean_iterations_to_best,
-            "median_iterations_to_best": stats.median_iterations_to_best,
-            "rounds_histogram": {str(k): v for k, v in stats.rounds_histogram.items()},
+            **{k: v for k, v in vars(stats).items() if k != "results"},
             "runs_detail": [
                 search_result_json(result, run_id, seed, config)
                 for run_id, result in enumerate(stats.results)
@@ -589,17 +529,21 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def _apply_flag_overrides(config: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    if getattr(args, "runs", None) is not None:
-        if "runs" not in config:
-            raise ConfigError(f"experiment {config['experiment']!r} takes no --runs")
-        config["runs"] = args.runs
-    if getattr(args, "schedule", None) is not None:
-        if "schedule" not in config:
-            raise ConfigError(f"experiment {config['experiment']!r} takes no --schedule")
-        config["schedule"] = args.schedule
+def _run_config(args) -> dict:
+    """Defaults, then the config file, then the flags; seed and runs checked once."""
+    config = load_config(args.experiment, args.config)
+    for key in ("seed", "runs", "schedule"):
+        value = getattr(args, key, None)
+        if value is not None:
+            if key not in config:
+                raise ConfigError(f"experiment {config['experiment']!r} takes no --{key}")
+            config[key] = value
+    seed = config["seed"]
+    if not (type(seed) is int and 0 <= seed < 2**64):
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    runs = config.get("runs", 1)
+    if not (type(runs) is int and runs >= 1):
+        raise ConfigError(f"runs must be an integer >= 1, got {runs!r}")
     return config
 
 
@@ -654,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, RegisterTooLarge) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

@@ -29,7 +29,7 @@ def iterate(state: Statevector, marked: MarkedSet, iterations: int) -> Statevect
         amps[mask] = -amps[mask]
         mean = amps.mean()
         np.subtract(2.0 * mean, amps, out=amps)
-    return Statevector(amps, renormalizations=state.renormalizations)
+    return Statevector(amps)
 
 
 def success_probability(num_marked: int, size: int, iterations: int) -> float:

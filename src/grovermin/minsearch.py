@@ -17,8 +17,8 @@ import numpy as np
 
 from .encoding import GridLayout
 from .grover import iterate
-from .objectives import Objective
-from .statevector import MarkedSet, Statevector, sample, uniform_superposition
+from .objectives import Objective, check_finite
+from .statevector import MarkedSet, check_qubits, sample, uniform_superposition
 
 #: Fixed per-round iteration counts of the Baritompa-style schedule.
 BARITOMPA_ENTRIES = (0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 2, 3, 1, 4, 5, 1, 6, 2, 7, 9, 11, 13, 16, 5)
@@ -187,21 +187,23 @@ def adapted_grover_min(
     ``values``: optional precomputed objective values for all indices (they
     are computed once here otherwise).  ``strict`` marks f < M instead of
     f <= M.  ``observer(round, state, mask, threshold)`` is called with each
-    round's pre-measurement state.
+    round's pre-measurement state.  The threshold is the best value measured.
     """
     if objective.arity != layout.arity:
         raise ValueError(
             f"objective {objective.name} has arity {objective.arity}, layout has {layout.arity}"
         )
+    n = layout.total_qubits
+    check_qubits(n)
     if values is None:
         values = objective.batch(layout.all_points())
-    values = np.asarray(values, dtype=float)
-    if values.shape != (layout.size,):
-        raise ValueError(f"values must have shape ({layout.size},), got {values.shape}")
+    else:
+        values = np.asarray(values, dtype=float)
+        if values.shape != (layout.size,):
+            raise ValueError(f"values must have shape ({layout.size},), got {values.shape}")
+        check_finite(objective.name, values)
 
-    n = layout.total_qubits
     threshold = math.inf
-    best_value = math.inf
     best_index = -1
     iterations_to_best = 0
     total_iterations = 0
@@ -246,15 +248,13 @@ def adapted_grover_min(
         total_iterations += k
         if value < threshold:
             stall = 0
-            if value < best_value:
-                best_value = value
-                best_index = idx
-                iterations_to_best = total_iterations
+            best_index = idx
+            iterations_to_best = total_iterations
         else:
             stall += 1
         threshold = new_threshold
 
-        if stop.target is not None and best_value <= stop.target:
+        if stop.target is not None and threshold <= stop.target:
             converged = True
             break
         if stop.stall_window is not None and stall >= stop.stall_window:
@@ -266,7 +266,7 @@ def adapted_grover_min(
     if best_index < 0:
         raise RuntimeError("search ended before any measurement")
     return SearchResult(
-        best_value=best_value,
+        best_value=threshold,
         best_index=best_index,
         best_point=layout.decode(best_index),
         trace=trace,
@@ -302,30 +302,38 @@ class EnsembleStats:
     rounds_histogram: dict[int, int]
 
 
+def spawn_rngs(base_seed: int, n_runs: int) -> list[np.random.Generator]:
+    """Independent generators for runs 0..n_runs-1, split from ``base_seed``.
+
+    Run i's stream does not depend on how many runs follow it.
+    """
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(base_seed).spawn(n_runs)]
+
+
 def run_ensemble(setup: SearchSetup, n_runs: int, base_seed: int) -> EnsembleStats:
     """Run ``n_runs`` searches with seeds split from ``base_seed``.
 
     Success means a run's best value equals the exhaustive grid minimum.
     Objective values over the grid are computed once and shared.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    rngs = spawn_rngs(base_seed, n_runs)
+    check_qubits(setup.layout.total_qubits)
     values = setup.objective.batch(setup.layout.all_points())
     reference = float(values.min())
-    results = []
-    for child in np.random.SeedSequence(base_seed).spawn(n_runs):
-        rng = np.random.default_rng(child)
-        results.append(
-            adapted_grover_min(
-                setup.objective,
-                setup.layout,
-                setup.schedule,
-                setup.stop,
-                rng,
-                values=values,
-                strict=setup.strict,
-            )
+    results = [
+        adapted_grover_min(
+            setup.objective,
+            setup.layout,
+            setup.schedule,
+            setup.stop,
+            rng,
+            values=values,
+            strict=setup.strict,
         )
+        for rng in rngs
+    ]
     rounds = np.array([r.num_rounds for r in results])
     totals = np.array([r.total_iterations for r in results])
     to_best = np.array([r.iterations_to_best for r in results])

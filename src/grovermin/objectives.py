@@ -29,28 +29,45 @@ ENERGY_CAP = 1e12
 class Objective:
     """Named real-valued function of ``arity`` scalar coordinates.
 
-    ``fn`` evaluates one point; ``batch_fn``, when present, evaluates an
-    (npoints, arity) array in one vectorized call.
+    ``batch_fn`` evaluates an (npoints, arity) array in one vectorized call;
+    when it is set, a scalar call is a one-row batch.  ``fn`` evaluates one
+    point and is only needed for objectives that have no ``batch_fn``.
     """
 
     name: str
     arity: int
-    fn: Callable[..., float]
+    fn: Callable[..., float] | None = None
     batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.fn is None and self.batch_fn is None:
+            raise ValueError(f"objective {self.name!r} needs fn or batch_fn")
 
     def __call__(self, *coords: float) -> float:
         if len(coords) != self.arity:
             raise ValueError(f"{self.name} takes {self.arity} coordinates, got {len(coords)}")
-        return float(self.fn(*coords))
+        if self.batch_fn is None:
+            return float(self.fn(*coords))
+        return float(self.batch_fn(np.array([coords], dtype=float))[0])
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        """Values at each row of ``points``, shape (npoints,)."""
+        """Values at each row of ``points``, shape (npoints,); all must be finite."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"expected shape (npoints, {self.arity}), got {pts.shape}")
         if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(pts), dtype=float)
-        return np.array([self.fn(*row) for row in pts], dtype=float)
+            values = np.asarray(self.batch_fn(pts), dtype=float)
+        else:
+            values = np.array([self.fn(*row) for row in pts], dtype=float)
+        return check_finite(self.name, values)
+
+
+def check_finite(name: str, values: np.ndarray) -> np.ndarray:
+    """``values``, or ValueError naming objective ``name`` if any is NaN or infinite."""
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError(f"objective {name!r} gave {bad} non-finite values")
+    return values
 
 
 def gp_eval(x1, x2):
@@ -65,18 +82,16 @@ def gp_eval(x1, x2):
 
 
 def shubert_eval(x1, x2):
-    """Shubert product of two 5-term cosine sums; 18 global minima at -186.7309."""
-    i = np.arange(1, 6)
-    s1 = np.sum(i * np.cos((i + 1) * x1 + i))
-    s2 = np.sum(i * np.cos((i + 1) * x2 + i))
-    return s1 * s2
+    """Shubert product of two 5-term cosine sums; 18 global minima at -186.7309.
 
-
-def _shubert_batch(points: np.ndarray) -> np.ndarray:
+    Scalars or equal-shape arrays; each axis sum broadcasts over the terms.
+    """
     i = np.arange(1, 6)
-    x = points[:, :, None]
-    sums = np.sum(i * np.cos((i + 1) * x + i), axis=-1)
-    return sums[:, 0] * sums[:, 1]
+
+    def axis_sum(x):
+        return np.sum(i * np.cos((i + 1) * np.asarray(x)[..., None] + i), axis=-1)
+
+    return axis_sum(x1) * axis_sum(x2)
 
 
 def lj_pair(r: float) -> float:
@@ -147,10 +162,7 @@ def cluster_energy(geometry: ClusterGeometry, free_pos) -> float:
         raise ValueError(f"free position must be a 3-vector, got shape {pos.shape}")
     if not np.isfinite(pos).all():
         raise ValueError("free position must be finite")
-    r = np.linalg.norm(geometry.fixed_atoms - pos, axis=1)
-    if np.any(r <= CONTACT_EPS):
-        return ENERGY_CAP
-    return geometry.fixed_energy + float(np.sum(_lj(r)))
+    return float(_free_atom_batch(geometry, pos[None, :])[0])
 
 
 def build_fixed_core(num_fixed: int, bond: float) -> ClusterGeometry:
@@ -174,10 +186,6 @@ def build_fixed_core(num_fixed: int, bond: float) -> ClusterGeometry:
     return ClusterGeometry(np.array(atoms))
 
 
-def _trimer_shared_bond(b, a):
-    return trimer_energy(b, b, a)
-
-
 def _trimer_shared_batch(points: np.ndarray) -> np.ndarray:
     b = points[:, 0]
     a = points[:, 1]
@@ -187,12 +195,10 @@ def _trimer_shared_batch(points: np.ndarray) -> np.ndarray:
     return out
 
 
-GOLDSTEIN_PRICE = Objective(
-    "gp", 2, gp_eval, lambda pts: gp_eval(pts[:, 0], pts[:, 1])
-)
-SHUBERT = Objective("shubert", 2, shubert_eval, _shubert_batch)
+GOLDSTEIN_PRICE = Objective("gp", 2, batch_fn=lambda pts: gp_eval(pts[:, 0], pts[:, 1]))
+SHUBERT = Objective("shubert", 2, batch_fn=lambda pts: shubert_eval(pts[:, 0], pts[:, 1]))
 #: Three-atom energy with both bonds tied to one grid variable: f(B, A).
-LJ_TRIMER = Objective("lj-trimer", 2, _trimer_shared_bond, _trimer_shared_batch)
+LJ_TRIMER = Objective("lj-trimer", 2, batch_fn=_trimer_shared_batch)
 
 
 def free_atom_objective(geometry: ClusterGeometry, pin_x: float | None = None) -> Objective:
@@ -202,24 +208,15 @@ def free_atom_objective(geometry: ClusterGeometry, pin_x: float | None = None) -
     held at that value; otherwise it takes (x, y, z).
     """
     if pin_x is None:
-        def fn(x, y, z):
-            return cluster_energy(geometry, (x, y, z))
-
-        def batch_fn(pts):
-            return _free_atom_batch(geometry, pts)
-
-        return Objective("lj-grow-xyz", 3, fn, batch_fn)
+        return Objective("lj-grow-xyz", 3, batch_fn=lambda pts: _free_atom_batch(geometry, pts))
 
     x0 = float(pin_x)
 
-    def fn2(y, z):
-        return cluster_energy(geometry, (x0, y, z))
-
-    def batch_fn2(pts):
+    def batch_fn(pts):
         full = np.column_stack([np.full(len(pts), x0), pts[:, 0], pts[:, 1]])
         return _free_atom_batch(geometry, full)
 
-    return Objective("lj-grow-yz", 2, fn2, batch_fn2)
+    return Objective("lj-grow-yz", 2, batch_fn=batch_fn)
 
 
 def _free_atom_batch(geometry: ClusterGeometry, positions: np.ndarray) -> np.ndarray:

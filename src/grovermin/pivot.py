@@ -26,7 +26,7 @@ from .objectives import (
     build_fixed_core,
     free_atom_objective,
 )
-from .statevector import MarkedSet, uniform_superposition
+from .statevector import MarkedSet, check_qubits, uniform_superposition
 
 Box = list[tuple[float, float]]
 
@@ -273,6 +273,7 @@ def pivot_grover_search(
     converged=False.
     """
     box = _check_box(box, objective.arity)
+    check_qubits(qubits)
     n = 1 << qubits
     probes = generate_probes(box, n, rng, objective)
     i = int(np.argmin(probes.values))

@@ -27,6 +27,16 @@ DRIFT_TOL = 1e-10
 MAX_DENSE_QUBITS = 6
 
 
+class RegisterTooLarge(ValueError):
+    """A register or grid past ``MAX_QUBITS``, refused before any 2**n allocation."""
+
+
+def check_qubits(num_qubits: int, cap: str = "register") -> None:
+    """Raise RegisterTooLarge if ``num_qubits`` exceeds ``MAX_QUBITS``."""
+    if num_qubits > MAX_QUBITS:
+        raise RegisterTooLarge(f"{num_qubits} qubits exceeds the {cap} cap of {MAX_QUBITS}")
+
+
 class Statevector:
     """Amplitudes of an ``num_qubits``-qubit register.
 
@@ -34,14 +44,11 @@ class Statevector:
     the qubit string ``|q_{n-1} ... q_0>``; the first (leftmost) register
     qubit is the most significant bit.  Amplitudes are stored as complex
     doubles even though every state produced here is real.
-
-    ``renormalizations`` counts how many times sampling had to renormalize
-    the vector because accumulated float drift exceeded ``DRIFT_TOL``.
     """
 
-    __slots__ = ("num_qubits", "amplitudes", "renormalizations")
+    __slots__ = ("num_qubits", "amplitudes")
 
-    def __init__(self, amplitudes: Iterable[complex], *, renormalizations: int = 0):
+    def __init__(self, amplitudes: Iterable[complex]):
         amps = np.asarray(amplitudes, dtype=np.complex128)
         if amps.ndim != 1:
             raise ValueError("amplitudes must be one-dimensional")
@@ -58,7 +65,6 @@ class Statevector:
             raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
         self.num_qubits = n
         self.amplitudes = amps
-        self.renormalizations = renormalizations
 
     @property
     def size(self) -> int:
@@ -72,7 +78,7 @@ class Statevector:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def copy(self) -> "Statevector":
-        return Statevector(self.amplitudes.copy(), renormalizations=self.renormalizations)
+        return Statevector(self.amplitudes.copy())
 
     def __repr__(self) -> str:
         return f"Statevector(num_qubits={self.num_qubits})"
@@ -137,21 +143,21 @@ def phase_flip(state: Statevector, marked: MarkedSet) -> Statevector:
     _check_compatible(state, marked)
     amps = state.amplitudes.copy()
     amps[marked.mask] = -amps[marked.mask]
-    return Statevector(amps, renormalizations=state.renormalizations)
+    return Statevector(amps)
 
 
 def diffusion(state: Statevector) -> Statevector:
     """Invert every amplitude about the mean: a_i -> 2*mean - a_i."""
     amps = state.amplitudes
     new = 2.0 * amps.mean() - amps
-    return Statevector(new, renormalizations=state.renormalizations)
+    return Statevector(new)
 
 
 def sample(state: Statevector, rng: np.random.Generator) -> int:
     """Draw one basis index with probability |a_i|^2.
 
-    Renormalizes first (bumping ``state.renormalizations``) if the squared
-    norm has drifted more than ``DRIFT_TOL`` from 1.
+    Renormalizes the state in place first if the squared norm has drifted
+    more than ``DRIFT_TOL`` from 1.
     """
     amps = state.amplitudes
     if not np.isfinite(amps).all():
@@ -159,7 +165,6 @@ def sample(state: Statevector, rng: np.random.Generator) -> int:
     norm_sq = float(np.vdot(amps, amps).real)
     if abs(norm_sq - 1.0) > DRIFT_TOL:
         amps /= np.sqrt(norm_sq)
-        state.renormalizations += 1
     probs = np.abs(amps) ** 2
     probs /= probs.sum()
     return int(rng.choice(probs.shape[0], p=probs))

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from grovermin.baseline import MAX_BRUTE_QUBITS, grid_brute_min, refine_min
+from grovermin.baseline import grid_brute_min, refine_min
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
 from grovermin.objectives import GOLDSTEIN_PRICE, LJ_TRIMER, Objective
+from grovermin.statevector import MAX_QUBITS
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
 TRIMER_LAYOUT = GridLayout(
@@ -48,11 +49,17 @@ def test_grid_accepts_precomputed_values():
         grid_brute_min(GOLDSTEIN_PRICE, GP_LAYOUT, values=values[:-1])
 
 
+def test_grid_rejects_non_finite_values():
+    values = np.full(GP_LAYOUT.size, np.nan)
+    with pytest.raises(ValueError, match="objective 'gp' gave 1024 non-finite values"):
+        grid_brute_min(GOLDSTEIN_PRICE, GP_LAYOUT, values=values)
+
+
 def test_grid_refuses_oversized_register():
     wide = GridLayout(
         [VariableSpec("a", 0.0, 1.0, 13), VariableSpec("b", 0.0, 1.0, 12)]
     )
-    assert wide.total_qubits == MAX_BRUTE_QUBITS + 1
+    assert wide.total_qubits == MAX_QUBITS + 1
     with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
         grid_brute_min(GOLDSTEIN_PRICE, wide)
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import grovermin.cli as cli
+import grovermin.pivot as pivot
 from grovermin.cli import main
+from grovermin.encoding import GridLayout
 from grovermin.minsearch import NumericFailure, RoundRecord, SearchTrace
-from grovermin.objectives import get_objective
+from grovermin.objectives import Objective, get_objective
 
 RUN_KEYS = {
     "run_id",
@@ -25,6 +27,45 @@ RUN_KEYS = {
     "converged",
 }
 ROUND_KEYS = {"round", "iterations", "extended", "index", "point", "value", "threshold"}
+ENSEMBLE_KEYS = {
+    "experiment",
+    "seed",
+    "runs",
+    "schedule",
+    "reference_value",
+    "success_fraction",
+    "mean_rounds",
+    "median_rounds",
+    "mean_total_iterations",
+    "median_total_iterations",
+    "mean_iterations_to_best",
+    "median_iterations_to_best",
+    "rounds_histogram",
+    "runs_detail",
+}
+PIVOT_RUN_KEYS = {
+    "run_id",
+    "seed",
+    "experiment",
+    "box",
+    "qubits",
+    "generations",
+    "best_value",
+    "best_point",
+    "total_iterations",
+    "converged",
+}
+GENERATION_KEYS = {
+    "generation",
+    "num_pivots",
+    "sigma",
+    "threshold",
+    "optimal_k",
+    "grover_iterations",
+    "rejected_draws",
+    "best_value",
+}
+LAYOUT_KEYS = {"name", "lo", "hi", "qubits"}
 
 
 def read_json(path):
@@ -176,6 +217,7 @@ def test_ensemble_gp_artifacts(tmp_path, capsys):
     assert out.startswith("experiment=gp runs=5 success_fraction=")
 
     payload = read_json(tmp_path / "ensemble.json")
+    assert set(payload) == ENSEMBLE_KEYS
     assert payload["runs"] == 5
     assert payload["seed"] == 7
     assert payload["reference_value"] == 3.0
@@ -215,6 +257,7 @@ def test_appendix_demo_stdout_and_artifact(tmp_path, capsys):
     assert "G|s>   = [1.0, 0.0, 0.0, 0.0]" in out
 
     demo = read_json(tmp_path / "appendix_demo.json")
+    assert [set(v) for v in demo["layout"]] == [LAYOUT_KEYS, LAYOUT_KEYS]
     assert demo["marked_index"] == 0
     assert demo["marked_point"] == [-3.2, -3.2]
     assert demo["uniform"] == [0.5, 0.5, 0.5, 0.5]
@@ -233,6 +276,8 @@ def test_run_shubert_pivot_artifact(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("experiment=shubert-pivot run=0 best=")
     result = read_json(tmp_path / "run_000.json")
+    assert set(result) == PIVOT_RUN_KEYS
+    assert all(set(g) == GENERATION_KEYS for g in result["generations"])
     assert result["experiment"] == "shubert-pivot"
     assert result["qubits"] == 10
     assert result["box"] == [[-10.0, 10.0], [-10.0, 10.0]]
@@ -337,6 +382,83 @@ def test_runs_flag_rejected_where_unsupported(capsys):
 def test_schedule_flag_rejected_where_unsupported(capsys):
     assert main(["run", "shubert-pivot", "--schedule", "baritompa"]) == 2
     assert "takes no --schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ensemble", "gp", "--runs", "0"], "runs must be an integer >= 1, got 0"),
+        (["run", "gp", "--runs", "0"], "runs must be an integer >= 1, got 0"),
+        (["run", "gp", "--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
+        (["run", "gp", "--seed", str(2**64)], f"seed must be an integer in [0, 2**64), got {2**64}"),
+    ],
+)
+def test_bad_runs_or_seed_flag_exits_2(argv, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"runs": 0}, "runs must be an integer >= 1, got 0"),
+        ({"runs": True}, "runs must be an integer >= 1, got True"),
+        ({"seed": -1}, "seed must be an integer in [0, 2**64), got -1"),
+        ({"seed": 1.5}, "seed must be an integer in [0, 2**64), got 1.5"),
+    ],
+)
+def test_bad_runs_or_seed_in_config_exits_2(override, message, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(override))
+    for command in ("run", "ensemble"):
+        assert main([command, "gp", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_largest_seed_is_accepted(capsys):
+    assert main(["run", "gp", "--seed", str(2**64 - 1)]) == 0
+    assert "experiment=gp run=0" in capsys.readouterr().out
+
+
+@pytest.fixture
+def refuse_allocation(monkeypatch):
+    """Every call that would build a full grid or probe set fails the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the register check")
+
+    monkeypatch.setattr(GridLayout, "all_points", refuse)
+    monkeypatch.setattr(Objective, "batch", refuse)
+    monkeypatch.setattr(pivot, "generate_probes", refuse)
+
+
+WIDE_GP = {
+    "layout": [
+        {"name": "x1", "lo": -3.2, "hi": 3.0, "qubits": 13},
+        {"name": "x2", "lo": -3.2, "hi": 3.0, "qubits": 13},
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "argv, override, qubits",
+    [
+        (["run", "gp"], WIDE_GP, 26),
+        (["ensemble", "gp"], WIDE_GP, 26),
+        (["brute", "gp"], WIDE_GP, 26),
+        (["run", "shubert-pivot"], {"qubits": 30}, 30),
+        (["run", "lj-grow"], {"growth": {"bond": 1.0, "qubits_per_axis": 13}}, 26),
+    ],
+)
+def test_oversized_register_exits_2_before_allocating(
+    argv, override, qubits, tmp_path, capsys, refuse_allocation
+):
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps(override))
+    assert main(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {qubits} qubits exceeds the register cap of 24\n"
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):

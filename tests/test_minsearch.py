@@ -16,8 +16,10 @@ from grovermin.minsearch import (
     StopRule,
     adapted_grover_min,
     run_ensemble,
+    spawn_rngs,
 )
 from grovermin.objectives import GOLDSTEIN_PRICE, Objective
+from grovermin.statevector import RegisterTooLarge
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
 
@@ -444,3 +446,42 @@ def test_run_ensemble_validates_n_runs():
     )
     with pytest.raises(ValueError, match="n_runs"):
         run_ensemble(setup, 0, base_seed=0)
+
+
+def test_spawn_rngs_splits_the_base_seed():
+    rngs = spawn_rngs(123, 3)
+    for child, rng in zip(np.random.SeedSequence(123).spawn(3), rngs):
+        assert rng.integers(1 << 62) == np.random.default_rng(child).integers(1 << 62)
+    # run i's stream does not depend on the number of runs
+    assert spawn_rngs(5, 1)[0].random() == spawn_rngs(5, 4)[0].random()
+    with pytest.raises(ValueError, match="n_runs"):
+        spawn_rngs(0, 0)
+
+
+def test_oversized_grid_refused_before_evaluation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the register check")
+
+    monkeypatch.setattr(GridLayout, "all_points", refuse)
+    monkeypatch.setattr(Objective, "batch", refuse)
+    wide = square_layout(["x", "y"], -3.2, 3.0, 13)
+    stop = StopRule(stall_window=8)
+    with pytest.raises(RegisterTooLarge, match="26 qubits exceeds the register cap of 24"):
+        adapted_grover_min(GOLDSTEIN_PRICE, wide, Schedule("baritompa"), stop, np.random.default_rng(0))
+    setup = SearchSetup(GOLDSTEIN_PRICE, wide, Schedule("baritompa"), stop)
+    with pytest.raises(RegisterTooLarge, match="26 qubits"):
+        run_ensemble(setup, 2, base_seed=0)
+
+
+def test_non_finite_values_rejected():
+    values = GOLDSTEIN_PRICE.batch(GP_LAYOUT.all_points())
+    values[[3, 40]] = [np.nan, np.inf]
+    with pytest.raises(ValueError, match="objective 'gp' gave 2 non-finite values"):
+        adapted_grover_min(
+            GOLDSTEIN_PRICE,
+            GP_LAYOUT,
+            Schedule("baritompa"),
+            StopRule(stall_window=8),
+            np.random.default_rng(0),
+            values=values,
+        )

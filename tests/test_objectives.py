@@ -253,6 +253,44 @@ def test_objective_without_batch_fn_falls_back():
     np.testing.assert_array_equal(obj.batch([[1.0, 2.0], [3.0, 4.0]]), [3.0, 7.0])
 
 
+def test_objective_needs_fn_or_batch_fn():
+    with pytest.raises(ValueError, match="'empty' needs fn or batch_fn"):
+        Objective("empty", 2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        GOLDSTEIN_PRICE,
+        SHUBERT,
+        LJ_TRIMER,
+        free_atom_objective(build_fixed_core(4, 1.0)),
+        free_atom_objective(build_fixed_core(3, 1.0), pin_x=0.0),
+    ],
+    ids=lambda obj: obj.name,
+)
+def test_scalar_call_equals_batch_row_exactly(obj):
+    rng = np.random.default_rng(29)
+    pts = rng.uniform(0.05, 2.0, size=(64, obj.arity))
+    for row, value in zip(pts, obj.batch(pts)):
+        assert obj(*row) == value
+
+
+def test_shubert_eval_scalar_equals_array_exactly():
+    rng = np.random.default_rng(3)
+    x1, x2 = rng.uniform(-10.0, 10.0, size=(2, 50))
+    assert [shubert_eval(a, b) for a, b in zip(x1, x2)] == list(shubert_eval(x1, x2))
+
+
+def test_batch_rejects_non_finite_values():
+    holes = Objective("holes", 1, batch_fn=lambda p: np.where(p[:, 0] > 0, np.nan, p[:, 0]))
+    with pytest.raises(ValueError, match="objective 'holes' gave 2 non-finite values"):
+        holes.batch([[-1.0], [1.0], [2.0]])
+    scalar = Objective("pole", 1, lambda t: 1.0 / t if t else math.inf)
+    with pytest.raises(ValueError, match="objective 'pole' gave 1 non-finite values"):
+        scalar.batch([[0.0], [1.0]])
+
+
 def test_registry_lookup():
     assert get_objective("gp") is GOLDSTEIN_PRICE
     assert get_objective("shubert") is SHUBERT

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grovermin.grover import optimal_iterations, success_probability
+import grovermin.pivot as pivot
 from grovermin.objectives import ClusterGeometry, GOLDSTEIN_PRICE, Objective, lj_pair
 from grovermin.pivot import (
     GROWTH_BOX_XYZ,
@@ -363,6 +364,21 @@ def test_search_box_arity_checked():
         pivot_grover_search(
             GOLDSTEIN_PRICE, [(-1.0, 1.0)], 6, PivotConfig(), np.random.default_rng(0)
         )
+
+
+def test_search_refuses_oversized_register_before_probing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the register check")
+
+    monkeypatch.setattr(pivot, "generate_probes", refuse)
+    with pytest.raises(ValueError, match="30 qubits exceeds the register cap of 24"):
+        pivot_grover_search(SPHERE, GP_BOX, 30, PivotConfig(), np.random.default_rng(0))
+
+
+def test_search_over_nan_region_is_rejected():
+    holes = Objective("holes", 2, batch_fn=lambda p: np.where(p[:, 0] > 0, np.nan, p[:, 1]))
+    with pytest.raises(ValueError, match="objective 'holes' gave .* non-finite values"):
+        pivot_grover_search(holes, GP_BOX, 6, PivotConfig(), np.random.default_rng(0))
 
 
 def test_growth_config_validation():

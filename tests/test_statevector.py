@@ -33,7 +33,6 @@ def test_uniform_two_qubits_exact():
     np.testing.assert_array_equal(state.amplitudes, np.full(4, 0.5))
     assert state.num_qubits == 2
     assert state.size == 4
-    assert state.renormalizations == 0
 
 
 def test_uniform_one_qubit():
@@ -166,7 +165,6 @@ def test_copy_is_independent():
     dup = state.copy()
     dup.amplitudes[0] = 0.0
     assert state.amplitudes[0] == 0.5
-    assert dup.renormalizations == state.renormalizations
 
 
 def test_probabilities_sum_to_one():
@@ -225,10 +223,7 @@ def test_sample_renormalizes_on_drift():
     state = Statevector(amps)
     rng = np.random.default_rng(0)
     sample(state, rng)
-    assert state.renormalizations == 1
     assert abs(state.norm_squared() - 1.0) <= DRIFT_TOL
-    sample(state, rng)
-    assert state.renormalizations == 1  # no further drift, no second bump
 
 
 def test_sample_rejects_non_finite_state():
