@@ -39,7 +39,6 @@ from .objectives import get_objective
 from .pivot import GrowthConfig, PivotConfig, lj_growth, pivot_grover_search
 from .statevector import (
     MarkedSet,
-    RegisterTooLarge,
     Statevector,
     check_qubits,
     dense_reference_operators,
@@ -107,8 +106,8 @@ DEFAULT_CONFIGS = {
 EXPERIMENTS = tuple(DEFAULT_CONFIGS)
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A config value the CLI refuses itself; like every ValueError, it exits 2."""
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -117,11 +116,32 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in out:
             raise ConfigError(f"unknown config key {where!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
+        if not isinstance(out[key], dict):
+            out[key] = value
+        elif isinstance(value, dict):
             out[key] = _merge(out[key], value, where)
         else:
-            out[key] = value
+            raise ConfigError(f"{where} must be an object, got {value!r}")
     return out
+
+
+def _integer(where: str, value, bits: int | None = None) -> int:
+    """``value`` if a JSON integer >= 1 (in [0, 2**bits) given ``bits``); never truncated."""
+    if bits is None:
+        ok, span = type(value) is int and value >= 1, ">= 1"
+    else:
+        ok, span = type(value) is int and 0 <= value < 2**bits, f"in [0, 2**{bits})"
+    if not ok:
+        raise ConfigError(f"{where} must be an integer {span}, got {value!r}")
+    return value
+
+
+def _build(section: str, cls, fields: dict, **extra):
+    """``cls(**fields, **extra)``, with the TypeError of a wrong JSON type made a ConfigError."""
+    try:
+        return cls(**fields, **extra)
+    except TypeError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def load_config(experiment: str, config_path: str | None) -> dict:
@@ -156,21 +176,13 @@ def build_layout(config: dict) -> GridLayout:
     variables = []
     for i, spec in enumerate(config["layout"]):
         try:
-            variables.append(
-                VariableSpec(spec["name"], float(spec["lo"]), float(spec["hi"]), int(spec["qubits"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            name, lo, hi, qubits = spec["name"], float(spec["lo"]), float(spec["hi"]), spec["qubits"]
+        except (KeyError, TypeError, ValueError) as exc:  # a missing key or a non-number bound
             raise ConfigError(f"layout[{i}]: {exc}") from exc
+        variables.append(VariableSpec(name, lo, hi, _integer(f"layout[{i}].qubits", qubits)))
     layout = GridLayout(variables)
     check_qubits(layout.total_qubits)
     return layout
-
-
-def build_stop(config: dict) -> StopRule:
-    try:
-        return StopRule(**config["stop"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"stop: {exc}") from exc
 
 
 def build_setup(config: dict) -> SearchSetup:
@@ -181,33 +193,15 @@ def build_setup(config: dict) -> SearchSetup:
             f"objective {objective.name!r} takes {objective.arity} variables, "
             f"layout defines {layout.arity}"
         )
-    try:
-        schedule = Schedule.parse(config["schedule"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if type(config["strict"]) is not bool:
+        raise ConfigError(f"strict must be true or false, got {config['strict']!r}")
     return SearchSetup(
         objective=objective,
         layout=layout,
-        schedule=schedule,
-        stop=build_stop(config),
-        strict=bool(config.get("strict", False)),
+        schedule=Schedule.parse(config["schedule"]),
+        stop=_build("stop", StopRule, config["stop"]),
+        strict=config["strict"],
     )
-
-
-def build_pivot_config(config: dict) -> PivotConfig:
-    try:
-        return PivotConfig(**config["pivot"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pivot: {exc}") from exc
-
-
-def build_growth_config(config: dict) -> tuple[GrowthConfig, int]:
-    growth = dict(config["growth"])
-    target = growth.pop("target_atoms")
-    try:
-        return GrowthConfig(pivot=build_pivot_config(config), **growth), int(target)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"growth: {exc}") from exc
 
 
 def _jsonable(obj):
@@ -232,26 +226,28 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``rows`` as they come, so a generator of rows is never held whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
 
 
 def emit_distribution(state: Statevector, layout: GridLayout, values, path: Path) -> None:
     """Pre-measurement Born-rule distribution, one CSV row per grid index."""
     probs = state.probabilities()
-    points = layout.all_points()
     header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
-    rows = []
-    for i in range(layout.size):
-        rows.append(
-            [i]
-            + [float(x) for x in points[i]]
-            + [float(values[i]), float(probs[i])]
-        )
-    write_csv(path, header, rows)
+    block = 1 << 16  # rows decoded at a time: never the whole (2**n, d) grid
+
+    def rows():
+        for start in range(0, layout.size, block):
+            idx = np.arange(start, min(start + block, layout.size))
+            columns = (layout.decode_batch(idx).tolist(), values[idx].tolist(), probs[idx].tolist())
+            for i, point, value, p in zip(idx.tolist(), *columns):
+                yield [i, *point, value, p]
+
+    write_csv(path, header, rows())
 
 
 def search_result_json(result: SearchResult, run_id: int, seed: int, config: dict) -> dict:
@@ -381,9 +377,12 @@ def cmd_run(args) -> int:
         values = setup.objective.batch(setup.layout.all_points())
         for run_id, rng in enumerate(rngs):
             observer = None
-            snapshots: list[tuple[int, Statevector]] = []
             if args.emit_distributions and out is not None:
-                observer = lambda r, state, mask, thr: snapshots.append((r, state))
+                # Written as each round is observed: one state is held at a time.
+                def observer(round_index, state, mask, threshold):
+                    path = out / f"dist_run{run_id:03d}_round{round_index:03d}.csv"
+                    emit_distribution(state, setup.layout, values, path)
+
             try:
                 result = adapted_grover_min(
                     setup.objective,
@@ -420,23 +419,14 @@ def cmd_run(args) -> int:
                     out / f"run_{run_id:03d}.json",
                     search_result_json(result, run_id, seed, config),
                 )
-                for round_index, state in snapshots:
-                    emit_distribution(
-                        state,
-                        setup.layout,
-                        values,
-                        out / f"dist_run{run_id:03d}_round{round_index:03d}.csv",
-                    )
         return 0
 
     if config["experiment"] == "shubert-pivot":
         objective = get_objective(config["objective"])
-        pivot_config = build_pivot_config(config)
-        box = [tuple(b) for b in config["box"]]
+        pivot_config = _build("pivot", PivotConfig, config["pivot"])
+        qubits = _integer("qubits", config["qubits"])
         for run_id, rng in enumerate(rngs):
-            result = pivot_grover_search(
-                objective, box, int(config["qubits"]), pivot_config, rng
-            )
+            result = pivot_grover_search(objective, config["box"], qubits, pivot_config, rng)
             print(
                 f"experiment={config['experiment']} run={run_id} "
                 f"best={result.best_value!r} point={tuple(result.best_point)} "
@@ -450,34 +440,31 @@ def cmd_run(args) -> int:
                 )
         return 0
 
-    if config["experiment"] == "lj-grow":
-        growth_config, target_atoms = build_growth_config(config)
-        for run_id, rng in enumerate(rngs):
-            result = lj_growth(target_atoms, growth_config, rng)
-            for stage in result.stages:
-                print(
-                    f"experiment=lj-grow run={run_id} atoms={stage.num_atoms} "
-                    f"energy={stage.energy!r}"
-                )
+    # lj-grow, the one experiment left
+    growth = dict(config["growth"])
+    target_atoms = _integer("growth.target_atoms", growth.pop("target_atoms"))
+    pivot_config = _build("pivot", PivotConfig, config["pivot"])
+    growth_config = _build("growth", GrowthConfig, growth, pivot=pivot_config)
+    for run_id, rng in enumerate(rngs):
+        result = lj_growth(target_atoms, growth_config, rng)
+        for stage in result.stages:
             print(
-                f"experiment=lj-grow run={run_id} final_energy={result.final_energy!r} "
-                f"total_iterations={result.total_iterations}"
+                f"experiment=lj-grow run={run_id} atoms={stage.num_atoms} "
+                f"energy={stage.energy!r}"
             )
-            if out is not None:
-                write_json(
-                    out / f"run_{run_id:03d}.json",
-                    growth_result_json(result, run_id, seed, config),
-                )
-        return 0
-
-    raise ConfigError(f"experiment {config['experiment']!r} has no run handler")
+        print(
+            f"experiment=lj-grow run={run_id} final_energy={result.final_energy!r} "
+            f"total_iterations={result.total_iterations}"
+        )
+        if out is not None:
+            write_json(
+                out / f"run_{run_id:03d}.json",
+                growth_result_json(result, run_id, seed, config),
+            )
+    return 0
 
 
 def cmd_brute(args) -> int:
-    if args.experiment not in MINSEARCH_EXPERIMENTS:
-        raise ConfigError(
-            f"brute needs a grid experiment, one of {MINSEARCH_EXPERIMENTS}"
-        )
     config = load_config(args.experiment, args.config)
     objective = get_objective(config["objective"])
     layout = build_layout(config)
@@ -490,10 +477,6 @@ def cmd_brute(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    if args.experiment not in MINSEARCH_EXPERIMENTS:
-        raise ConfigError(
-            f"ensemble needs a grid experiment, one of {MINSEARCH_EXPERIMENTS}"
-        )
     config = _run_config(args)
     runs = config["runs"]
     seed = config["seed"]
@@ -538,12 +521,8 @@ def _run_config(args) -> dict:
             if key not in config:
                 raise ConfigError(f"experiment {config['experiment']!r} takes no --{key}")
             config[key] = value
-    seed = config["seed"]
-    if not (type(seed) is int and 0 <= seed < 2**64):
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    runs = config.get("runs", 1)
-    if not (type(runs) is int and runs >= 1):
-        raise ConfigError(f"runs must be an integer >= 1, got {runs!r}")
+    _integer("seed", config["seed"], bits=64)
+    _integer("runs", config.get("runs", 1))
     return config
 
 
@@ -594,11 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Exit 0 on success, 1 when a run aborts on a numeric failure, and 2 on
+    bad input: any ValueError, raised by the CLI or by a library check."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, RegisterTooLarge) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:

@@ -37,15 +37,14 @@ class Schedule:
     """Per-round amplification-step counts.
 
     Kinds: "baritompa" (the 24-entry list above; rounds past the list reuse
-    its final entry and are flagged as extended unless ``extend`` is off),
-    "incremental" (1, 2, 3, ...), "constant" (always ``constant``), and
-    "custom" (explicit finite list).
+    its final entry and are flagged as extended), "incremental" (1, 2, 3,
+    ...), "constant" (always ``constant``), and "custom" (explicit finite
+    list; the Baritompa entries as a custom list stop after round 24).
     """
 
     kind: str
     constant: int = 1
     entries: tuple[int, ...] = ()
-    extend: bool = True
 
     def __post_init__(self):
         if self.kind not in ("baritompa", "incremental", "constant", "custom"):
@@ -69,24 +68,21 @@ class Schedule:
         entries = BARITOMPA_ENTRIES if self.kind == "baritompa" else self.entries
         if round_index <= len(entries):
             return entries[round_index - 1]
-        if self.kind == "baritompa" and self.extend:
+        if self.kind == "baritompa":
             return entries[-1]
         return None
 
     def is_extended(self, round_index: int) -> bool:
         """True when the round reuses the final list entry past its end."""
-        return self.kind == "baritompa" and self.extend and round_index > len(BARITOMPA_ENTRIES)
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant:{self.constant}"
-        return self.kind
+        return self.kind == "baritompa" and round_index > len(BARITOMPA_ENTRIES)
 
     @classmethod
     def parse(cls, text) -> "Schedule":
         """Parse "baritompa", "incremental", "constant:K", or an entry list."""
         if isinstance(text, (list, tuple)):
             return cls("custom", entries=tuple(int(k) for k in text))
+        if not isinstance(text, str):
+            raise ValueError(f"schedule must be a string or a list, got {text!r}")
         if text == "baritompa":
             return cls("baritompa")
         if text == "incremental":
@@ -217,9 +213,8 @@ def adapted_grover_min(
         k = schedule.iterations(round_index)
         if k is None:
             break  # schedule exhausted: converged stays False
-        if math.isinf(threshold):
-            mask = np.ones(layout.size, dtype=bool)
-        elif strict:
+        # Round 1's threshold is inf, so it marks every (finite) value.
+        if strict:
             mask = values < threshold
         else:
             mask = values <= threshold
@@ -263,8 +258,6 @@ def adapted_grover_min(
         if stop.max_rounds is not None and round_index >= stop.max_rounds:
             break
 
-    if best_index < 0:
-        raise RuntimeError("search ended before any measurement")
     return SearchResult(
         best_value=threshold,
         best_index=best_index,

@@ -191,8 +191,10 @@ def _trimer_shared_batch(points: np.ndarray) -> np.ndarray:
     a = points[:, 1]
     r12_sq = 2.0 * b * b * (1.0 - np.cos(a))
     r12 = np.sqrt(np.maximum(r12_sq, 0.0))
-    out = np.where(r12 > CONTACT_EPS, 2.0 * _lj(b) + _lj(np.maximum(r12, CONTACT_EPS)), ENERGY_CAP)
-    return out
+    # A zero bond gives inf/nan in _lj(b); the cap replaces exactly those rows.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bonds = 2.0 * _lj(b)
+    return np.where(r12 > CONTACT_EPS, bonds + _lj(np.maximum(r12, CONTACT_EPS)), ENERGY_CAP)
 
 
 GOLDSTEIN_PRICE = Objective("gp", 2, batch_fn=lambda pts: gp_eval(pts[:, 0], pts[:, 1]))

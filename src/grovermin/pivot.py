@@ -67,9 +67,6 @@ class PivotState:
     optimal_k: int
     grover_iterations: int  # optimal_k per draw, rejected draws included
     rejected_draws: int
-    weights: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-    generation: int = 0
 
     @property
     def num_pivots(self) -> int:
@@ -101,7 +98,10 @@ class PivotConfig:
 
 
 def _check_box(box: Box, arity: int) -> list[tuple[float, float]]:
-    box = [(float(lo), float(hi)) for lo, hi in box]
+    try:
+        box = [(float(lo), float(hi)) for lo, hi in box]
+    except (TypeError, ValueError):
+        raise ValueError(f"box must be a list of [lo, hi] pairs, got {box!r}") from None
     if len(box) != arity:
         raise ValueError(f"box has {len(box)} axes, objective takes {arity}")
     for lo, hi in box:
@@ -160,28 +160,24 @@ def select_pivots(
     keys = np.where(np.isnan(keys), -np.inf, keys)
     order = np.argsort(-keys, kind="stable")
 
-    chosen: list[int] = []
-    rejected = 0
-    for idx in order:
-        if keys[idx] == -np.inf:
-            break
-        if mask[idx]:
-            chosen.append(int(idx))
-            if len(chosen) == quota:
-                break
-        else:
-            rejected += 1
+    # Draws run in key order until the quota of marked indices is met or
+    # only -inf keys (never drawn) remain.
+    live = order[: np.count_nonzero(keys > -np.inf)]
+    drawn = live[: np.searchsorted(np.cumsum(mask[live]), quota) + 1]
+    chosen = drawn[mask[drawn]]
+    rejected = len(drawn) - len(chosen)
     if len(chosen) < quota:
         # Amplification drove some marked amplitudes to exactly zero; finish
         # the quota uniformly over the remaining marked indices.
-        left = [i for i in np.flatnonzero(mask) if i not in set(chosen)]
+        left_mask = mask.copy()
+        left_mask[chosen] = False
+        left = np.flatnonzero(left_mask)
         extra = rng.choice(len(left), size=quota - len(chosen), replace=False)
-        chosen.extend(int(left[i]) for i in extra)
+        chosen = np.concatenate([chosen, left[extra]])
     draws = quota + rejected
-    chosen_arr = np.array(chosen, dtype=np.int64)
     return PivotState(
-        points=probes.points[chosen_arr].copy(),
-        values=probes.values[chosen_arr].copy(),
+        points=probes.points[chosen],
+        values=probes.values[chosen],
         threshold=threshold,
         optimal_k=k,
         grover_iterations=k * draws,
@@ -200,6 +196,8 @@ def boltzmann_weights(values: np.ndarray, kT: float = 50.0) -> np.ndarray:
 
 def resample(
     state: PivotState,
+    weights: np.ndarray,
+    sigma: np.ndarray,
     n: int,
     box: Box,
     rng: np.random.Generator,
@@ -208,18 +206,17 @@ def resample(
 ) -> ProbeSet:
     """New population: pivots (under elitism) plus Gaussian offspring.
 
-    Each offspring picks a base pivot with its Boltzmann weight and adds a
-    per-coordinate normal offset of width sigma, clamped into the box.
+    Each offspring picks a base pivot with its Boltzmann weight from
+    ``weights`` and adds a per-coordinate normal offset of width ``sigma``,
+    clamped into the box.
     """
-    if state.weights is None or state.sigma is None:
-        raise ValueError("pivot state needs weights and sigma before resampling")
     box = _check_box(box, objective.arity)
     m = state.num_pivots
     num_children = n - m if elitism else n
     if num_children < 0:
         raise ValueError(f"population {n} smaller than pivot count {m}")
-    base = rng.choice(m, size=num_children, p=state.weights)
-    offsets = rng.normal(0.0, 1.0, size=(num_children, len(box))) * state.sigma
+    base = rng.choice(m, size=num_children, p=weights)
+    offsets = rng.normal(0.0, 1.0, size=(num_children, len(box))) * sigma
     children = state.points[base] + offsets
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -287,12 +284,9 @@ def pivot_grover_search(
     converged = False
     for generation in range(1, config.max_generations + 1):
         state = select_pivots(probes, config.fraction, rng)
-        state.weights = boltzmann_weights(state.values, config.kT)
-        state.sigma = sigma.copy()
-        state.generation = generation
         total_iterations += state.grover_iterations
-
-        probes = resample(state, n, box, rng, objective, elitism=config.elitism)
+        weights = boltzmann_weights(state.values, config.kT)
+        probes = resample(state, weights, sigma, n, box, rng, objective, elitism=config.elitism)
         i = int(np.argmin(probes.values))
         if best_value - probes.values[i] > config.stall_tol:
             stall = 0
@@ -367,10 +361,6 @@ class GrowthResult:
     total_iterations: int
 
 
-def _cluster_total_energy(positions: np.ndarray) -> float:
-    return ClusterGeometry(positions).fixed_energy
-
-
 def lj_growth(
     target_atoms: int, config: GrowthConfig, rng: np.random.Generator
 ) -> GrowthResult:
@@ -429,7 +419,7 @@ def lj_growth(
             GrowthStage(
                 num_atoms=num_atoms,
                 positions=positions.copy(),
-                energy=_cluster_total_energy(positions),
+                energy=ClusterGeometry(positions).fixed_energy,
                 box=list(box),
                 search=search,
             )

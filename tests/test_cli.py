@@ -461,6 +461,50 @@ def test_oversized_register_exits_2_before_allocating(
     assert err == f"config error: {qubits} qubits exceeds the register cap of 24\n"
 
 
+@pytest.mark.parametrize(
+    "experiment, override, message",
+    [
+        ("gp", {"objective": "nope"}, "unknown objective 'nope'"),
+        ("shubert-pivot", {"objective": "nope"}, "unknown objective 'nope'"),
+        ("shubert-pivot", {"qubits": 0}, "qubits must be an integer >= 1, got 0"),
+        ("shubert-pivot", {"qubits": "ten"}, "qubits must be an integer >= 1, got 'ten'"),
+        ("shubert-pivot", {"box": [[-10, 10]]}, "box has 1 axes, objective takes 2"),
+        ("shubert-pivot", {"box": "x"}, "box must be a list of [lo, hi] pairs, got 'x'"),
+        ("lj-grow", {"growth": {"target_atoms": 7}}, "target_atoms must be 4 or 5, got 7"),
+        ("gp", {"schedule": 5}, "schedule must be a string or a list, got 5"),
+        ("gp", {"strict": "no"}, "strict must be true or false, got 'no'"),
+        (
+            "lj-grow",
+            {"growth": {"target_atoms": 4.9}},
+            "growth.target_atoms must be an integer >= 1, got 4.9",
+        ),
+        ("shubert-pivot", {"qubits": 6.7}, "qubits must be an integer >= 1, got 6.7"),
+    ],
+)
+def test_bad_config_value_exits_2_with_one_line(
+    experiment, override, message, tmp_path, capsys, refuse_allocation
+):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(override))
+    argv = ["run", experiment, "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_trimer_layout_from_zero_bond_runs_without_warnings(tmp_path, capsys):
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps({"layout": [
+        {"name": "B", "lo": 0.0, "hi": 2.0, "qubits": 5},
+        {"name": "A", "lo": 0.0001, "hi": math.pi, "qubits": 4},
+    ]}))
+    assert main(["run", "lj-trimer", "--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     rounds = [
         RoundRecord(1, 0, False, 7, (0.0, 0.0), 5.0, math.inf, 5.0),

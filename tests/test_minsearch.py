@@ -49,7 +49,7 @@ def test_baritompa_schedule_extension():
     assert sched.iterations(25) == 5  # reuses the last entry
     assert not sched.is_extended(24)
     assert sched.is_extended(25)
-    capped = Schedule("baritompa", extend=False)
+    capped = Schedule.parse(list(BARITOMPA_ENTRIES))
     assert capped.iterations(24) == 5
     assert capped.iterations(25) is None
     assert not capped.is_extended(25)
@@ -65,7 +65,6 @@ def test_constant_schedule():
     sched = Schedule("constant", constant=3)
     assert sched.iterations(1) == 3
     assert sched.iterations(99) == 3
-    assert sched.describe() == "constant:3"
 
 
 def test_custom_schedule_exhausts():

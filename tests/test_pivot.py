@@ -153,6 +153,71 @@ def test_select_pivots_draws_are_distinct():
     assert len(rows) == state.num_pivots
 
 
+def loop_select(probes, fraction, rng):
+    """Sequential reference for select_pivots: (chosen indices, rejected draws)."""
+    n = len(probes)
+    quota = math.ceil(fraction * n)
+    threshold = np.partition(probes.values, quota - 1)[quota - 1]
+    mask = probes.values <= threshold
+    q = n.bit_length() - 1
+    state = pivot.iterate(
+        pivot.uniform_superposition(q), pivot.MarkedSet(q, mask), optimal_iterations(int(mask.sum()), n)
+    )
+    probs = state.probabilities()
+    with np.errstate(divide="ignore"):
+        keys = np.log(rng.uniform(size=n)) / np.where(probs > 0.0, probs, np.nan)
+    keys = np.where(np.isnan(keys), -np.inf, keys)
+    chosen, rejected = [], 0
+    for idx in np.argsort(-keys, kind="stable"):
+        if keys[idx] == -np.inf or len(chosen) == quota:
+            break
+        if mask[idx]:
+            chosen.append(int(idx))
+        else:
+            rejected += 1
+    if len(chosen) < quota:
+        left = [i for i in np.flatnonzero(mask) if i not in set(chosen)]
+        chosen += [int(left[i]) for i in rng.choice(len(left), size=quota - len(chosen), replace=False)]
+    return chosen, rejected
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_select_pivots_matches_sequential_draws(seed):
+    probes = generate_probes(GP_BOX, 256, np.random.default_rng(seed), GOLDSTEIN_PRICE)
+    state = select_pivots(probes, rng=np.random.default_rng(seed + 100))
+    chosen, rejected = loop_select(probes, 0.15, np.random.default_rng(seed + 100))
+    np.testing.assert_array_equal(state.points, probes.points[chosen])
+    assert state.rejected_draws == rejected
+
+
+class ZeroAtRng:
+    """Uniform draws of 0.5 except 0.0 at one index; ``choice`` from a seeded generator."""
+
+    def __init__(self, index):
+        self.index = index
+        self.rng = np.random.default_rng(0)
+
+    def uniform(self, size):
+        u = np.full(size, 0.5)
+        u[self.index] = 0.0
+        return u
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+
+def test_select_pivots_fallback_fills_quota_from_undrawable_marked():
+    # A zero uniform gives index 0 (marked: values 0 and 1 fill the quota of
+    # 2) a key of -inf, so it is never drawn; the fallback must add it.
+    probes = ProbeSet(np.arange(16.0).reshape(8, 2), np.arange(8.0))
+    state = select_pivots(probes, fraction=0.25, rng=ZeroAtRng(0))
+    assert sorted(state.values) == [0.0, 1.0]
+    chosen, rejected = loop_select(probes, 0.25, ZeroAtRng(0))
+    np.testing.assert_array_equal(state.values, probes.values[chosen])
+    assert state.rejected_draws == rejected
+    assert state.grover_iterations == state.optimal_k * (2 + rejected)
+
+
 def test_select_pivots_copies_data():
     rng = np.random.default_rng(8)
     probes = generate_probes(GP_BOX, 64, rng, GOLDSTEIN_PRICE)
@@ -202,57 +267,42 @@ def pivot_state_for_resampling(points, values, weights, sigma):
         grover_iterations=len(values),
         rejected_draws=0,
     )
-    state.weights = np.asarray(weights, dtype=float)
-    state.sigma = np.asarray(sigma, dtype=float)
-    return state
-
-
-def test_resample_requires_weights_and_sigma():
-    state = PivotState(
-        points=np.zeros((2, 2)),
-        values=np.zeros(2),
-        threshold=0.0,
-        optimal_k=0,
-        grover_iterations=0,
-        rejected_draws=0,
-    )
-    with pytest.raises(ValueError, match="weights and sigma"):
-        resample(state, 8, [(-1.0, 1.0), (-1.0, 1.0)], np.random.default_rng(0), SPHERE)
+    return state, np.asarray(weights, dtype=float), np.asarray(sigma, dtype=float)
 
 
 def test_resample_elitism_keeps_pivots_first():
-    state = pivot_state_for_resampling(
+    state, weights, sigma = pivot_state_for_resampling(
         [[0.1, 0.2], [0.3, 0.4]], [1.0, 2.0], [0.5, 0.5], [0.01, 0.01]
     )
     box = [(0.0, 1.0), (0.0, 1.0)]
-    probes = resample(state, 8, box, np.random.default_rng(1), SPHERE)
+    probes = resample(state, weights, sigma, 8, box, np.random.default_rng(1), SPHERE)
     assert len(probes) == 8
     np.testing.assert_array_equal(probes.points[:2], state.points)
     np.testing.assert_array_equal(probes.values[:2], state.values)
 
 
 def test_resample_without_elitism_all_children():
-    state = pivot_state_for_resampling([[0.5, 0.5]], [0.5], [1.0], [0.0, 0.0])
+    state, weights, sigma = pivot_state_for_resampling([[0.5, 0.5]], [0.5], [1.0], [0.0, 0.0])
     box = [(0.0, 1.0), (0.0, 1.0)]
-    probes = resample(state, 8, box, np.random.default_rng(2), SPHERE, elitism=False)
+    probes = resample(state, weights, sigma, 8, box, np.random.default_rng(2), SPHERE, elitism=False)
     assert len(probes) == 8
     np.testing.assert_array_equal(probes.points, np.full((8, 2), 0.5))
 
 
 def test_resample_zero_sigma_duplicates_pivots():
-    state = pivot_state_for_resampling(
+    state, weights, sigma = pivot_state_for_resampling(
         [[0.2, 0.8], [0.6, 0.4]], [1.0, 2.0], [0.7, 0.3], [0.0, 0.0]
     )
     box = [(0.0, 1.0), (0.0, 1.0)]
-    probes = resample(state, 16, box, np.random.default_rng(3), SPHERE)
+    probes = resample(state, weights, sigma, 16, box, np.random.default_rng(3), SPHERE)
     pivot_rows = {tuple(p) for p in state.points}
     assert all(tuple(p) in pivot_rows for p in probes.points)
 
 
 def test_resample_clamps_into_box():
-    state = pivot_state_for_resampling([[0.0, 0.0]], [0.0], [1.0], [100.0, 100.0])
+    state, weights, sigma = pivot_state_for_resampling([[0.0, 0.0]], [0.0], [1.0], [100.0, 100.0])
     box = [(-1.0, 1.0), (-1.0, 1.0)]
-    probes = resample(state, 64, box, np.random.default_rng(4), SPHERE)
+    probes = resample(state, weights, sigma, 64, box, np.random.default_rng(4), SPHERE)
     assert probes.points.min() >= -1.0
     assert probes.points.max() <= 1.0
     # with that sigma nearly every child lands on the boundary
@@ -260,37 +310,37 @@ def test_resample_clamps_into_box():
 
 
 def test_resample_offspring_spread_matches_sigma():
-    state = pivot_state_for_resampling([[0.0, 0.0]], [0.0], [1.0], [0.05, 0.05])
+    state, weights, sigma = pivot_state_for_resampling([[0.0, 0.0]], [0.0], [1.0], [0.05, 0.05])
     box = [(-10.0, 10.0), (-10.0, 10.0)]
-    probes = resample(state, 4097, box, np.random.default_rng(5), SPHERE)
+    probes = resample(state, weights, sigma, 4097, box, np.random.default_rng(5), SPHERE)
     children = probes.points[1:]
     assert children.std(axis=0) == pytest.approx([0.05, 0.05], rel=0.08)
 
 
 def test_resample_follows_weights():
-    state = pivot_state_for_resampling(
+    state, weights, sigma = pivot_state_for_resampling(
         [[-5.0, 0.0], [5.0, 0.0]], [0.0, 1.0], [0.9, 0.1], [1e-6, 1e-6]
     )
     box = [(-10.0, 10.0), (-10.0, 10.0)]
-    probes = resample(state, 2002, box, np.random.default_rng(6), SPHERE)
+    probes = resample(state, weights, sigma, 2002, box, np.random.default_rng(6), SPHERE)
     children = probes.points[2:]
     near_first = np.mean(children[:, 0] < 0)
     assert near_first == pytest.approx(0.9, abs=0.03)
 
 
 def test_resample_values_match_objective():
-    state = pivot_state_for_resampling([[0.3, 0.3]], [0.18], [1.0], [0.1, 0.1])
+    state, weights, sigma = pivot_state_for_resampling([[0.3, 0.3]], [0.18], [1.0], [0.1, 0.1])
     box = [(0.0, 1.0), (0.0, 1.0)]
-    probes = resample(state, 32, box, np.random.default_rng(7), SPHERE)
+    probes = resample(state, weights, sigma, 32, box, np.random.default_rng(7), SPHERE)
     np.testing.assert_allclose(probes.values, SPHERE.batch(probes.points), rtol=1e-12)
 
 
 def test_resample_rejects_population_below_pivots():
-    state = pivot_state_for_resampling(
+    state, weights, sigma = pivot_state_for_resampling(
         [[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]], [1, 2, 3], [0.4, 0.3, 0.3], [0.1, 0.1]
     )
     with pytest.raises(ValueError, match="smaller than pivot count"):
-        resample(state, 2, [(0.0, 1.0), (0.0, 1.0)], np.random.default_rng(8), SPHERE)
+        resample(state, weights, sigma, 2, [(0.0, 1.0), (0.0, 1.0)], np.random.default_rng(8), SPHERE)
 
 
 def test_search_sphere_converges_to_origin():
