@@ -16,6 +16,7 @@ import copy
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict
 from pathlib import Path
 
@@ -137,7 +138,12 @@ def _integer(where: str, value, bits: int | None = None) -> int:
 
 
 def _build(section: str, cls, fields: dict, **extra):
-    """``cls(**fields, **extra)``, with the TypeError of a wrong JSON type made a ConfigError."""
+    """``cls(**fields, **extra)``, each ``int`` field checked by ``_integer`` and
+    the TypeError of any other wrong JSON type made a ConfigError."""
+    hints = typing.get_type_hints(cls)
+    for name, value in fields.items():
+        if hints[name] in (int, int | None) and value is not None:
+            _integer(f"{section}.{name}", value)
     try:
         return cls(**fields, **extra)
     except TypeError as exc:
@@ -173,6 +179,8 @@ def load_config(experiment: str, config_path: str | None) -> dict:
 
 def build_layout(config: dict) -> GridLayout:
     """The config's grid; refuses one past the register cap before any point is built."""
+    if not isinstance(config["layout"], list):
+        raise ConfigError(f"layout must be a list of variables, got {config['layout']!r}")
     variables = []
     for i, spec in enumerate(config["layout"]):
         try:

@@ -5,6 +5,11 @@ then inversion about the average).  With m marked indices out of N = 2**n
 and theta = asin(sqrt(m/N)), k steps applied to the uniform state leave the
 marked subspace with probability sin^2((2k+1) theta); the best integer step
 count is round(pi/(4 theta) - 1/2).
+
+Because a register that starts uniform only ever holds two distinct
+amplitudes, one per class, ``sample`` draws the measured index of k steps
+in closed form; ``iterate`` builds the dense register and serves as its
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +35,42 @@ def iterate(state: Statevector, marked: MarkedSet, iterations: int) -> Statevect
         mean = amps.mean()
         np.subtract(2.0 * mean, amps, out=amps)
     return Statevector(amps)
+
+
+def sample(marked: MarkedSet, iterations: int, rng: np.random.Generator) -> int:
+    """Measure ``iterate(uniform_superposition(n), marked, iterations)`` without building it.
+
+    Each of the m marked cells carries a = P/m and each unmarked cell
+    b = (1 - P)/(N - m), with P = success_probability(m, N, k).  One
+    ``rng.random()`` is inverted on the index-order CDF
+    b*(i + 1) + (a - b)*#(marked <= i), the way ``rng.choice(N, p=probs)``
+    inverts it on the cumulative sum of the dense probabilities, so both
+    draw the same index and leave the stream in the same place (the indices
+    can differ only when the uniform lies within rounding of a CDF step).
+    """
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    size = 1 << marked.num_qubits
+    m = marked.count
+    u = rng.random()
+    if iterations == 0 or m == 0 or m == size:
+        return int(u * size)  # every cell is equally likely
+    p = success_probability(m, size, iterations)
+    a = p / m
+    b = (1.0 - p) / (size - m)
+    target = u * (a * m + b * (size - m))
+    marks = marked.indices()
+    before = marks - np.arange(m)  # unmarked cells ahead of each marked one
+    # CDF just past each marked cell; j marked cells lie wholly below target.
+    j = int(np.searchsorted(a * np.arange(1, m + 1) + b * before, target, side="right"))
+    if b == 0.0:
+        return int(marks[min(j, m - 1)])
+    # Unmarked cells wholly below target.  Rounding in the division can put q
+    # outside the run between marks j-1 and j that the search found; clamp it.
+    q = max(math.floor((target - a * j) / b), int(before[j - 1]) if j else 0)
+    if j < m and q >= before[j]:
+        return int(marks[j])
+    return j + min(q, size - m - 1)
 
 
 def success_probability(num_marked: int, size: int, iterations: int) -> float:

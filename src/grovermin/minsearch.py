@@ -1,31 +1,35 @@
 """Minimum search by repeated prepare-mark-amplify-measure rounds.
 
-Each round prepares the uniform superposition over all grid indices, marks
-every index whose objective value is at or below the current threshold
-(round 1 marks everything), applies the round's scheduled number of
-amplification steps, and measures once.  The threshold is the best value
-measured so far, so the marked set only ever shrinks.  The round budget
-comes from a Schedule; termination from a StopRule.
+Each round marks every index whose objective value is at or below the
+current threshold (round 1 marks everything), applies the round's scheduled
+number of amplification steps to the uniform superposition, and measures
+once.  The measurement is drawn in closed form (``grover.sample``): from the
+uniform state every marked cell ends with the same probability and so does
+every unmarked cell, so no 2**n register is built unless an observer asks
+to see it.  The threshold is the best value measured so far, so the marked
+set only ever shrinks.  The round budget comes from a Schedule; termination
+from a StopRule.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encoding import GridLayout
-from .grover import iterate
+from .grover import iterate, sample
 from .objectives import Objective, check_finite
-from .statevector import MarkedSet, check_qubits, sample, uniform_superposition
+from .statevector import MarkedSet, check_qubits, uniform_superposition
 
 #: Fixed per-round iteration counts of the Baritompa-style schedule.
 BARITOMPA_ENTRIES = (0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 2, 3, 1, 4, 5, 1, 6, 2, 7, 9, 11, 13, 16, 5)
 
 
 class NumericFailure(FloatingPointError):
-    """Non-finite amplitudes mid-search; carries the rounds completed so far."""
+    """A floating-point failure mid-search; carries the rounds completed so far."""
 
     def __init__(self, message: str, trace: "SearchTrace"):
         super().__init__(message)
@@ -80,7 +84,11 @@ class Schedule:
     def parse(cls, text) -> "Schedule":
         """Parse "baritompa", "incremental", "constant:K", or an entry list."""
         if isinstance(text, (list, tuple)):
-            return cls("custom", entries=tuple(int(k) for k in text))
+            try:
+                entries = tuple(operator.index(k) for k in text)
+            except TypeError:
+                raise ValueError(f"schedule entries must be integers, got {text!r}") from None
+            return cls("custom", entries=entries)
         if not isinstance(text, str):
             raise ValueError(f"schedule must be a string or a list, got {text!r}")
         if text == "baritompa":
@@ -182,8 +190,12 @@ def adapted_grover_min(
 
     ``values``: optional precomputed objective values for all indices (they
     are computed once here otherwise).  ``strict`` marks f < M instead of
-    f <= M.  ``observer(round, state, mask, threshold)`` is called with each
-    round's pre-measurement state.  The threshold is the best value measured.
+    f <= M.  Each round's index is drawn by ``grover.sample`` without a
+    register.  ``observer(round, state, marked, threshold)``, when given, is
+    called with the dense pre-measurement ``Statevector`` and the round's
+    ``MarkedSet``; building that state is the only 2**n complex work here,
+    and it does not change the draw.  The threshold is the best value
+    measured.
     """
     if objective.arity != layout.arity:
         raise ValueError(
@@ -220,10 +232,10 @@ def adapted_grover_min(
             mask = values <= threshold
         marked = MarkedSet(n, mask)
         try:
-            state = iterate(uniform_superposition(n), marked, k)
             if observer is not None:
+                state = iterate(uniform_superposition(n), marked, k)
                 observer(round_index, state, marked, threshold)
-            idx = sample(state, rng)
+            idx = sample(marked, k, rng)
         except FloatingPointError as exc:
             raise NumericFailure(str(exc), trace) from exc
         value = float(values[idx])

@@ -241,5 +241,5 @@ def get_objective(name: str) -> Objective:
     """Look up a named objective ("gp", "shubert", "lj-trimer")."""
     try:
         return _REGISTRY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown objective {name!r}; known: {sorted(_REGISTRY)}") from None

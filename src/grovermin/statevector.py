@@ -1,16 +1,17 @@
-"""Dense complex-amplitude register with the primitive search operations.
+"""Dense complex-amplitude register, the marked index set, and the primitives.
 
-The register state is the full vector of 2**n amplitudes.  Three primitives
-are enough for everything built on top: uniform preparation, selective phase
-inversion of a marked index set, and inversion about the average amplitude.
-Measurement is simulated by seeded sampling from the Born-rule distribution;
-it does not collapse the state (every search round re-prepares the register,
-so collapse semantics are never needed).
+The register state is the full vector of 2**n amplitudes, with uniform
+preparation, selective phase inversion of a marked index set, and inversion
+about the average amplitude.  The threshold search does not run on it: it
+draws each round's measurement in closed form (``grover.sample``).  The
+dense register serves pivot selection, the appendix demo, the per-round
+distributions a search observer is shown, and the tests, where it is the
+oracle the closed form is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -19,9 +20,6 @@ MAX_QUBITS = 24
 
 #: Constructor tolerance on the squared norm.
 NORM_TOL = 1e-8
-
-#: Squared-norm drift beyond which sampling renormalizes first.
-DRIFT_TOL = 1e-10
 
 #: Cap for dense reference operators (test-scale only).
 MAX_DENSE_QUBITS = 6
@@ -110,12 +108,6 @@ class MarkedSet:
         return cls(num_qubits, mask)
 
     @classmethod
-    def from_predicate(cls, num_qubits: int, predicate: Callable[[int], bool]) -> "MarkedSet":
-        size = 1 << num_qubits
-        mask = np.fromiter((bool(predicate(i)) for i in range(size)), dtype=bool, count=size)
-        return cls(num_qubits, mask)
-
-    @classmethod
     def empty(cls, num_qubits: int) -> "MarkedSet":
         return cls(num_qubits, np.zeros(1 << num_qubits, dtype=bool))
 
@@ -151,23 +143,6 @@ def diffusion(state: Statevector) -> Statevector:
     amps = state.amplitudes
     new = 2.0 * amps.mean() - amps
     return Statevector(new)
-
-
-def sample(state: Statevector, rng: np.random.Generator) -> int:
-    """Draw one basis index with probability |a_i|^2.
-
-    Renormalizes the state in place first if the squared norm has drifted
-    more than ``DRIFT_TOL`` from 1.
-    """
-    amps = state.amplitudes
-    if not np.isfinite(amps).all():
-        raise FloatingPointError("cannot sample a state with non-finite amplitude")
-    norm_sq = float(np.vdot(amps, amps).real)
-    if abs(norm_sq - 1.0) > DRIFT_TOL:
-        amps /= np.sqrt(norm_sq)
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum()
-    return int(rng.choice(probs.shape[0], p=probs))
 
 
 def marked_probability(state: Statevector, marked: MarkedSet) -> float:

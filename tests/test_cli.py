@@ -479,6 +479,20 @@ def test_oversized_register_exits_2_before_allocating(
             "growth.target_atoms must be an integer >= 1, got 4.9",
         ),
         ("shubert-pivot", {"qubits": 6.7}, "qubits must be an integer >= 1, got 6.7"),
+        (
+            "shubert-pivot",
+            {"pivot": {"max_generations": 2.5}},
+            "pivot.max_generations must be an integer >= 1, got 2.5",
+        ),
+        (
+            "lj-grow",
+            {"growth": {"qubits_per_axis": 2.5}},
+            "growth.qubits_per_axis must be an integer >= 1, got 2.5",
+        ),
+        ("gp", {"stop": {"max_rounds": 2.5}}, "stop.max_rounds must be an integer >= 1, got 2.5"),
+        ("gp", {"layout": 5}, "layout must be a list of variables, got 5"),
+        ("gp", {"objective": [1]}, "unknown objective [1]"),
+        ("gp", {"schedule": [1, None]}, "schedule entries must be integers, got [1, None]"),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from grovermin.grover import (
     amplify,
     iterate,
     measured_success_probability,
     optimal_iterations,
+    sample,
     success_probability,
 )
 from grovermin.statevector import (
@@ -90,7 +92,7 @@ def test_iterate_composes_exactly():
 def test_all_marked_flips_sign_only():
     # m=N: G maps the uniform state to minus itself, probabilities unchanged
     n = 4
-    marked = MarkedSet.from_predicate(n, lambda i: True)
+    marked = MarkedSet(n, np.ones(1 << n, dtype=bool))
     state = uniform_superposition(n)
     out = iterate(state, marked, 1)
     np.testing.assert_allclose(out.amplitudes, -state.amplitudes, atol=1e-13)
@@ -171,3 +173,73 @@ def test_success_oscillates_with_period():
     k_bad = round(math.pi / (2 * theta))  # full rotation, near the start
     assert success_probability(m, size, k_opt) > 0.99
     assert success_probability(m, size, k_bad) < 0.1
+
+
+def _marked_grid(num_qubits, seed):
+    """Marked sets of 0, 1, a few, N/2, N-1 and N cells at seeded positions."""
+    size = 1 << num_qubits
+    order = np.random.default_rng(seed).permutation(size)
+    for count in sorted({0, 1, min(3, size), size // 2, size - 1, size}):
+        mask = np.zeros(size, dtype=bool)
+        mask[order[:count]] = True
+        yield MarkedSet(num_qubits, mask)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 11))
+def test_sample_draws_what_the_dense_register_draws(num_qubits):
+    # Fixed seeds, not a property search: the indices agree exactly only away
+    # from float ties between the two CDFs, which these draws never meet.
+    size = 1 << num_qubits
+    for seed in range(4):
+        for marked in _marked_grid(num_qubits, seed):
+            for k in range(9):
+                rng_a = np.random.default_rng([seed, k])
+                rng_b = np.random.default_rng([seed, k])
+                for _ in range(3):
+                    probs = iterate(uniform_superposition(num_qubits), marked, k).probabilities()
+                    assert sample(marked, k, rng_a) == rng_b.choice(size, p=probs)
+                assert rng_a.random() == rng_b.random()
+
+
+class _FixedUniform:
+    """Stands in for a Generator whose ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_inverts_the_cdf_at_its_steps():
+    # Uniforms on and beside every step of the CDF, where rounding decides the
+    # cell: the draw must be a cell whose CDF interval holds the uniform.
+    n, m, k = 9, 199, 3  # P = 1 - 2.4e-7, so each unmarked cell carries 7.5e-10
+    size = 1 << n
+    mask = np.zeros(size, dtype=bool)
+    mask[np.random.default_rng(0).permutation(size)[:m]] = True
+    marked = MarkedSet(n, mask)
+    p = success_probability(m, size, k)
+    cdf = np.cumsum(np.where(mask, p / m, (1 - p) / (size - m)))
+    lower = np.concatenate(([0.0], cdf[:-1]))
+    for step in cdf[:-1]:
+        for u in (np.nextafter(step, 0), step, np.nextafter(step, 1)):
+            i = sample(marked, k, _FixedUniform(u))
+            assert lower[i] - 1e-12 <= u <= cdf[i] + 1e-12
+
+
+def test_sample_follows_born_rule():
+    # one amplified round on 3 qubits, then chi-square against |a_i|^2
+    marked = MarkedSet.from_indices(3, [5])
+    probs = iterate(uniform_superposition(3), marked, 1).probabilities()
+    rng = np.random.default_rng(2024)
+    draws = 100_000
+    counts = np.zeros(8)
+    for _ in range(draws):
+        counts[sample(marked, 1, rng)] += 1
+    assert stats.chisquare(counts, probs * draws).pvalue > 0.001
+
+
+def test_sample_validation():
+    with pytest.raises(ValueError, match="iterations"):
+        sample(MarkedSet.empty(3), -1, np.random.default_rng(0))

@@ -8,18 +8,21 @@ from scipy import stats
 
 import grovermin.minsearch as minsearch
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
+from grovermin.grover import iterate
 from grovermin.minsearch import (
     BARITOMPA_ENTRIES,
     NumericFailure,
+    RoundRecord,
     Schedule,
     SearchSetup,
+    SearchTrace,
     StopRule,
     adapted_grover_min,
     run_ensemble,
     spawn_rngs,
 )
-from grovermin.objectives import GOLDSTEIN_PRICE, Objective
-from grovermin.statevector import RegisterTooLarge
+from grovermin.objectives import GOLDSTEIN_PRICE, LJ_TRIMER, Objective
+from grovermin.statevector import MarkedSet, RegisterTooLarge, uniform_superposition
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
 
@@ -361,11 +364,11 @@ def test_numeric_failure_carries_partial_trace(monkeypatch):
     calls = {"n": 0}
     real_sample = minsearch.sample
 
-    def poisoned(state, rng):
+    def poisoned(*args):
         calls["n"] += 1
         if calls["n"] == 3:
             raise FloatingPointError("synthetic blowup")
-        return real_sample(state, rng)
+        return real_sample(*args)
 
     monkeypatch.setattr(minsearch, "sample", poisoned)
     with pytest.raises(NumericFailure, match="synthetic blowup") as excinfo:
@@ -484,3 +487,77 @@ def test_non_finite_values_rejected():
             np.random.default_rng(0),
             values=values,
         )
+
+
+def dense_grover_min(values, layout, schedule, stop, rng, strict=False):
+    """Reference trace: each round builds the 2**n register, amplifies it and
+    measures it with ``rng.choice`` over its renormalized Born probabilities."""
+    n = layout.total_qubits
+    threshold, stall, trace = math.inf, 0, SearchTrace()
+    for round_index in range(1, 10_000):
+        k = schedule.iterations(round_index)
+        if k is None:
+            break
+        mask = values < threshold if strict else values <= threshold
+        amps = iterate(uniform_superposition(n), MarkedSet(n, mask), k).amplitudes
+        norm_sq = float(np.vdot(amps, amps).real)
+        if abs(norm_sq - 1.0) > 1e-10:
+            amps = amps / np.sqrt(norm_sq)
+        probs = np.abs(amps) ** 2
+        idx = int(rng.choice(layout.size, p=probs / probs.sum()))
+        value = float(values[idx])
+        trace.rounds.append(
+            RoundRecord(
+                round_index, k, schedule.is_extended(round_index), idx,
+                layout.decode(idx), value, threshold, min(threshold, value),
+            )
+        )
+        stall = 0 if value < threshold else stall + 1
+        threshold = min(threshold, value)
+        if stop.target is not None and threshold <= stop.target:
+            break
+        if stop.stall_window is not None and stall >= stop.stall_window:
+            break
+        if stop.max_rounds is not None and round_index >= stop.max_rounds:
+            break
+    return trace
+
+
+TRIMER_LAYOUT = GridLayout(
+    [VariableSpec("B", 0.0001, 2.0, 5), VariableSpec("A", 0.0001, math.pi, 4)]
+)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("schedule", ["baritompa", "incremental", "constant:2"])
+def test_closed_form_search_matches_dense_reference(schedule, strict):
+    schedule = Schedule.parse(schedule)
+    stop = StopRule(stall_window=8, max_rounds=60)
+    for objective, layout in ((GOLDSTEIN_PRICE, GP_LAYOUT), (LJ_TRIMER, TRIMER_LAYOUT)):
+        values = objective.batch(layout.all_points())
+        for seed in range(6):
+            result = adapted_grover_min(
+                objective, layout, schedule, stop, np.random.default_rng(seed),
+                values=values, strict=strict,
+            )
+            reference = dense_grover_min(
+                values, layout, schedule, stop, np.random.default_rng(seed), strict=strict
+            )
+            assert result.trace == reference
+
+
+def test_search_without_observer_builds_no_register(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense register built without an observer")
+
+    monkeypatch.setattr(minsearch, "iterate", refuse)
+    monkeypatch.setattr(minsearch, "uniform_superposition", refuse)
+    result = adapted_grover_min(
+        GOLDSTEIN_PRICE,
+        GP_LAYOUT,
+        Schedule("baritompa"),
+        StopRule(stall_window=8),
+        np.random.default_rng(4),
+        strict=True,
+    )
+    assert result.num_rounds > 1
