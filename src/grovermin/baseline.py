@@ -26,7 +26,7 @@ def grid_brute_min(
     """Exact minimum over every grid point; ties break to the lowest index."""
     check_qubits(layout.total_qubits, "exhaustive")
     if values is None:
-        values = objective.batch(layout.all_points())
+        values = layout.evaluate(objective)
     else:
         values = np.asarray(values, dtype=float)
         if values.shape != (layout.size,):

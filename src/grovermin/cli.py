@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import grid_brute_min
-from .encoding import GridLayout, VariableSpec
+from .encoding import BLOCK_ROWS, GridLayout, VariableSpec
 from .grover import iterate
 from .minsearch import (
     NumericFailure,
@@ -246,11 +246,10 @@ def emit_distribution(state: Statevector, layout: GridLayout, values, path: Path
     """Pre-measurement Born-rule distribution, one CSV row per grid index."""
     probs = state.probabilities()
     header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
-    block = 1 << 16  # rows decoded at a time: never the whole (2**n, d) grid
 
     def rows():
-        for start in range(0, layout.size, block):
-            idx = np.arange(start, min(start + block, layout.size))
+        for start in range(0, layout.size, BLOCK_ROWS):
+            idx = np.arange(start, min(start + BLOCK_ROWS, layout.size))
             columns = (layout.decode_batch(idx).tolist(), values[idx].tolist(), probs[idx].tolist())
             for i, point, value, p in zip(idx.tolist(), *columns):
                 yield [i, *point, value, p]
@@ -382,12 +381,12 @@ def cmd_run(args) -> int:
 
     if config["experiment"] in MINSEARCH_EXPERIMENTS:
         setup = build_setup(config)
-        values = setup.objective.batch(setup.layout.all_points())
+        values = setup.layout.evaluate(setup.objective)
         for run_id, rng in enumerate(rngs):
             observer = None
             if args.emit_distributions and out is not None:
                 # Written as each round is observed: one state is held at a time.
-                def observer(round_index, state, mask, threshold):
+                def observer(round_index, state, marked, threshold):
                     path = out / f"dist_run{run_id:03d}_round{round_index:03d}.csv"
                     emit_distribution(state, setup.layout, values, path)
 

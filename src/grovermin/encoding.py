@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Grid rows decoded and evaluated at a time, so a scan over the grid never
+#: holds the whole (2**n, d) array of points.
+BLOCK_ROWS = 1 << 16
+
 
 @dataclass(frozen=True)
 class VariableSpec:
@@ -125,6 +129,19 @@ class GridLayout:
     def all_points(self) -> np.ndarray:
         """Every grid point in index order, shape (size, arity)."""
         return self.decode_batch(np.arange(self.size, dtype=np.int64))
+
+    def evaluate(self, objective) -> np.ndarray:
+        """``objective.batch(self.all_points())``, computed ``BLOCK_ROWS`` rows at a time.
+
+        Only the values, shape (size,), are kept.  A non-finite value stops
+        the scan at the first block that holds one, and the error counts
+        that block's non-finite values.
+        """
+        values = np.empty(self.size)
+        for start in range(0, self.size, BLOCK_ROWS):
+            idx = np.arange(start, min(start + BLOCK_ROWS, self.size), dtype=np.int64)
+            values[start : start + len(idx)] = objective.batch(self.decode_batch(idx))
+        return values
 
     def encode(self, values: tuple[float, ...] | list[float]) -> tuple[int, bool]:
         """Index of the nearest grid point; flag is True if any value was clamped."""

@@ -14,6 +14,7 @@ cross-check oracle.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -37,21 +38,23 @@ def iterate(state: Statevector, marked: MarkedSet, iterations: int) -> Statevect
     return Statevector(amps)
 
 
-def sample(marked: MarkedSet, iterations: int, rng: np.random.Generator) -> int:
+def sample(marked: np.ndarray, size: int, iterations: int, rng: np.random.Generator) -> int:
     """Measure ``iterate(uniform_superposition(n), marked, iterations)`` without building it.
 
-    Each of the m marked cells carries a = P/m and each unmarked cell
-    b = (1 - P)/(N - m), with P = success_probability(m, N, k).  One
-    ``rng.random()`` is inverted on the index-order CDF
+    ``marked`` holds the sorted, distinct marked indices of a register of
+    ``size`` cells.  Each of the m marked cells carries a = P/m and each
+    unmarked cell b = (1 - P)/(N - m), with P = success_probability(m, N, k).
+    One ``rng.random()`` is inverted on the index-order CDF
     b*(i + 1) + (a - b)*#(marked <= i), the way ``rng.choice(N, p=probs)``
     inverts it on the cumulative sum of the dense probabilities, so both
     draw the same index and leave the stream in the same place (the indices
     can differ only when the uniform lies within rounding of a CDF step).
+    A bisection over the marked cells finds the step in O(log m).  With no
+    steps (k = 0) the state is uniform whatever ``marked`` holds.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    size = 1 << marked.num_qubits
-    m = marked.count
+    m = len(marked)
     u = rng.random()
     if iterations == 0 or m == 0 or m == size:
         return int(u * size)  # every cell is equally likely
@@ -59,17 +62,19 @@ def sample(marked: MarkedSet, iterations: int, rng: np.random.Generator) -> int:
     a = p / m
     b = (1.0 - p) / (size - m)
     target = u * (a * m + b * (size - m))
-    marks = marked.indices()
-    before = marks - np.arange(m)  # unmarked cells ahead of each marked one
+
+    def before(j):  # unmarked cells ahead of marked cell j
+        return int(marked[j]) - j
+
     # CDF just past each marked cell; j marked cells lie wholly below target.
-    j = int(np.searchsorted(a * np.arange(1, m + 1) + b * before, target, side="right"))
+    j = bisect.bisect_right(range(m), target, key=lambda i: a * (i + 1) + b * before(i))
     if b == 0.0:
-        return int(marks[min(j, m - 1)])
+        return int(marked[min(j, m - 1)])
     # Unmarked cells wholly below target.  Rounding in the division can put q
     # outside the run between marks j-1 and j that the search found; clamp it.
-    q = max(math.floor((target - a * j) / b), int(before[j - 1]) if j else 0)
-    if j < m and q >= before[j]:
-        return int(marks[j])
+    q = max(math.floor((target - a * j) / b), before(j - 1) if j else 0)
+    if j < m and q >= before(j):
+        return int(marked[j])
     return j + min(q, size - m - 1)
 
 

@@ -1,14 +1,16 @@
 """Minimum search by repeated prepare-mark-amplify-measure rounds.
 
-Each round marks every index whose objective value is at or below the
-current threshold (round 1 marks everything), applies the round's scheduled
-number of amplification steps to the uniform superposition, and measures
-once.  The measurement is drawn in closed form (``grover.sample``): from the
-uniform state every marked cell ends with the same probability and so does
-every unmarked cell, so no 2**n register is built unless an observer asks
-to see it.  The threshold is the best value measured so far, so the marked
-set only ever shrinks.  The round budget comes from a Schedule; termination
-from a StopRule.
+A round's marked set is every index whose objective value is at or below
+the current threshold, the best value measured so far (round 1's threshold
+is inf, so it marks everything).  The round applies its scheduled number of
+amplification steps to the uniform superposition and measures once.  The
+measurement is drawn in closed form (``grover.sample``): from the uniform
+state every marked cell ends with the same probability and so does every
+unmarked cell, so no 2**n register is built unless an observer asks to see
+it.  The threshold only falls, so each marked set lies inside the last one:
+the search keeps the marked indices as one sorted array and narrows it to
+the cells still under the threshold, instead of rescanning the grid every
+round.  The round budget comes from a Schedule; termination from a StopRule.
 """
 
 from __future__ import annotations
@@ -175,6 +177,11 @@ class SearchResult:
         return self.trace.total_iterations
 
 
+def _under(values: np.ndarray, threshold: float, strict: bool) -> np.ndarray:
+    """Mask of the ``values`` a round at ``threshold`` marks: f < M if strict, else f <= M."""
+    return values < threshold if strict else values <= threshold
+
+
 def adapted_grover_min(
     objective: Objective,
     layout: GridLayout,
@@ -191,11 +198,12 @@ def adapted_grover_min(
     ``values``: optional precomputed objective values for all indices (they
     are computed once here otherwise).  ``strict`` marks f < M instead of
     f <= M.  Each round's index is drawn by ``grover.sample`` without a
-    register.  ``observer(round, state, marked, threshold)``, when given, is
-    called with the dense pre-measurement ``Statevector`` and the round's
-    ``MarkedSet``; building that state is the only 2**n complex work here,
-    and it does not change the draw.  The threshold is the best value
-    measured.
+    register, from the sorted marked indices; the grid is scanned once for
+    the first amplified round, and later rounds narrow that array.
+    ``observer(round, state, marked, threshold)``, when given, is called with
+    the dense pre-measurement ``Statevector`` and the round's ``MarkedSet``;
+    building those is the only 2**n work per round here, and it does not
+    change the draw.  The threshold is the best value measured.
     """
     if objective.arity != layout.arity:
         raise ValueError(
@@ -204,7 +212,7 @@ def adapted_grover_min(
     n = layout.total_qubits
     check_qubits(n)
     if values is None:
-        values = objective.batch(layout.all_points())
+        values = layout.evaluate(objective)
     else:
         values = np.asarray(values, dtype=float)
         if values.shape != (layout.size,):
@@ -218,6 +226,11 @@ def adapted_grover_min(
     stall = 0
     trace = SearchTrace()
     converged = False
+    # ``marks``: sorted indices of the cells marked at ``marks_threshold``,
+    # which stays None until the first amplified round scans the grid.
+    # Round 1's threshold is inf, so it marks every (finite) value.
+    marks = np.empty(0, dtype=np.int64)
+    marks_threshold = None
 
     round_index = 0
     while True:
@@ -225,17 +238,22 @@ def adapted_grover_min(
         k = schedule.iterations(round_index)
         if k is None:
             break  # schedule exhausted: converged stays False
-        # Round 1's threshold is inf, so it marks every (finite) value.
-        if strict:
-            mask = values < threshold
-        else:
-            mask = values <= threshold
-        marked = MarkedSet(n, mask)
+        # A k = 0 round measures the uniform state whatever is marked, so the
+        # marked set is brought up to date only before a round that amplifies.
+        # The threshold only falls: the new set is the part of the last one
+        # still under it, and only the first build scans the grid.
+        if k > 0 and threshold != marks_threshold:
+            if marks_threshold is None:
+                marks = np.flatnonzero(_under(values, threshold, strict))
+            else:
+                marks = marks[_under(values[marks], threshold, strict)]
+            marks_threshold = threshold
         try:
             if observer is not None:
+                marked = MarkedSet(n, _under(values, threshold, strict))
                 state = iterate(uniform_superposition(n), marked, k)
                 observer(round_index, state, marked, threshold)
-            idx = sample(marked, k, rng)
+            idx = sample(marks, layout.size, k, rng)
         except FloatingPointError as exc:
             raise NumericFailure(str(exc), trace) from exc
         value = float(values[idx])
@@ -325,7 +343,7 @@ def run_ensemble(setup: SearchSetup, n_runs: int, base_seed: int) -> EnsembleSta
     """
     rngs = spawn_rngs(base_seed, n_runs)
     check_qubits(setup.layout.total_qubits)
-    values = setup.objective.batch(setup.layout.all_points())
+    values = setup.layout.evaluate(setup.objective)
     reference = float(values.min())
     results = [
         adapted_grover_min(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from grovermin import encoding
 from grovermin.baseline import grid_brute_min, refine_min
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
 from grovermin.objectives import GOLDSTEIN_PRICE, LJ_TRIMER, Objective
@@ -47,6 +48,13 @@ def test_grid_accepts_precomputed_values():
     assert out == grid_brute_min(GOLDSTEIN_PRICE, GP_LAYOUT)
     with pytest.raises(ValueError, match="values must have shape"):
         grid_brute_min(GOLDSTEIN_PRICE, GP_LAYOUT, values=values[:-1])
+
+
+def test_grid_ties_break_to_index_zero_across_blocks(monkeypatch):
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", 100)
+    flat = Objective("flat", 2, batch_fn=lambda pts: np.full(len(pts), 7.0))
+    out = grid_brute_min(flat, GP_LAYOUT)
+    assert (out.index, out.value, out.num_evaluations) == (0, 7.0, 1024)
 
 
 def test_grid_rejects_non_finite_values():

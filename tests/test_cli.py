@@ -8,9 +8,20 @@ import pytest
 
 import grovermin.cli as cli
 import grovermin.pivot as pivot
+from grovermin import encoding
 from grovermin.cli import main
+from grovermin.baseline import grid_brute_min
 from grovermin.encoding import GridLayout
-from grovermin.minsearch import NumericFailure, RoundRecord, SearchTrace
+from grovermin.minsearch import (
+    NumericFailure,
+    RoundRecord,
+    Schedule,
+    SearchSetup,
+    SearchTrace,
+    StopRule,
+    adapted_grover_min,
+    run_ensemble,
+)
 from grovermin.objectives import Objective, get_objective
 
 RUN_KEYS = {
@@ -517,6 +528,21 @@ def test_trimer_layout_from_zero_bond_runs_without_warnings(tmp_path, capsys):
     ]}))
     assert main(["run", "lj-trimer", "--config", str(config)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_grid_scans_never_build_every_point(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the whole (2**n, d) grid")
+
+    monkeypatch.setattr(GridLayout, "all_points", refuse)
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", 100)
+    objective, layout = get_objective("gp"), cli.build_layout(cli.DEFAULT_CONFIGS["gp"])
+    assert grid_brute_min(objective, layout).value == 3.0
+    setup = SearchSetup(objective, layout, Schedule("baritompa"), StopRule())
+    assert run_ensemble(setup, 2, base_seed=0).reference_value == 3.0
+    adapted_grover_min(objective, layout, setup.schedule, setup.stop, np.random.default_rng(0))
+    assert main(["run", "gp", "--out", str(tmp_path)]) == 0
+    assert "experiment=gp run=0" in capsys.readouterr().out
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):

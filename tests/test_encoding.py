@@ -7,7 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grovermin import encoding
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
+from grovermin.objectives import (
+    GOLDSTEIN_PRICE,
+    LJ_TRIMER,
+    SHUBERT,
+    build_fixed_core,
+    free_atom_objective,
+)
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
 TRIMER_LAYOUT = GridLayout(
@@ -87,6 +95,33 @@ def test_all_points_shape_and_order():
     np.testing.assert_array_equal(pts[523], [0.0, -1.0])
     np.testing.assert_array_equal(pts[0], [-3.2, -3.2])
     np.testing.assert_array_equal(pts[-1], [3.0, 3.0])
+
+
+#: One objective per family, each on a 1024-cell layout.
+EVALUATE_CASES = [
+    (GOLDSTEIN_PRICE, GP_LAYOUT),
+    (SHUBERT, square_layout(["x", "y"], -10.0, 10.0, 5)),
+    # The B = 0 and A = 0 rows hold ENERGY_CAP.
+    (LJ_TRIMER, GridLayout([VariableSpec("B", 0.0, 2.0, 5), VariableSpec("A", 0.0, math.pi, 5)])),
+    (
+        free_atom_objective(build_fixed_core(3, 1.0), pin_x=0.0),
+        GridLayout([VariableSpec("y", -1.0, 2.0, 5), VariableSpec("z", 0.0, 1.5, 5)]),
+    ),
+    (
+        free_atom_objective(build_fixed_core(4, 1.0)),
+        GridLayout(
+            [VariableSpec("x", -1.0, 1.0, 4), VariableSpec("y", -1.0, 2.0, 3), VariableSpec("z", 0.0, 1.5, 3)]
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("objective, layout", EVALUATE_CASES, ids=[o.name for o, _ in EVALUATE_CASES])
+def test_evaluate_in_blocks_is_bitwise_the_whole_batch(monkeypatch, objective, layout):
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", 100)  # ten full blocks and a short one
+    assert layout.size == 1024
+    values = layout.evaluate(objective)
+    assert values.tobytes() == objective.batch(layout.all_points()).tobytes()
 
 
 def test_half_ties_round_up():

@@ -197,7 +197,7 @@ def test_sample_draws_what_the_dense_register_draws(num_qubits):
                 rng_b = np.random.default_rng([seed, k])
                 for _ in range(3):
                     probs = iterate(uniform_superposition(num_qubits), marked, k).probabilities()
-                    assert sample(marked, k, rng_a) == rng_b.choice(size, p=probs)
+                    assert sample(marked.indices(), size, k, rng_a) == rng_b.choice(size, p=probs)
                 assert rng_a.random() == rng_b.random()
 
 
@@ -224,7 +224,7 @@ def test_sample_inverts_the_cdf_at_its_steps():
     lower = np.concatenate(([0.0], cdf[:-1]))
     for step in cdf[:-1]:
         for u in (np.nextafter(step, 0), step, np.nextafter(step, 1)):
-            i = sample(marked, k, _FixedUniform(u))
+            i = sample(marked.indices(), size, k, _FixedUniform(u))
             assert lower[i] - 1e-12 <= u <= cdf[i] + 1e-12
 
 
@@ -236,10 +236,10 @@ def test_sample_follows_born_rule():
     draws = 100_000
     counts = np.zeros(8)
     for _ in range(draws):
-        counts[sample(marked, 1, rng)] += 1
+        counts[sample(marked.indices(), 8, 1, rng)] += 1
     assert stats.chisquare(counts, probs * draws).pvalue > 0.001
 
 
 def test_sample_validation():
     with pytest.raises(ValueError, match="iterations"):
-        sample(MarkedSet.empty(3), -1, np.random.default_rng(0))
+        sample(MarkedSet.empty(3).indices(), 8, -1, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Threshold-descent search loop: schedules, stop rules, traces, ensembles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from grovermin.minsearch import (
     run_ensemble,
     spawn_rngs,
 )
-from grovermin.objectives import GOLDSTEIN_PRICE, LJ_TRIMER, Objective
+from grovermin.objectives import ENERGY_CAP, GOLDSTEIN_PRICE, LJ_TRIMER, Objective
 from grovermin.statevector import MarkedSet, RegisterTooLarge, uniform_superposition
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
@@ -526,6 +527,11 @@ def dense_grover_min(values, layout, schedule, stop, rng, strict=False):
 TRIMER_LAYOUT = GridLayout(
     [VariableSpec("B", 0.0001, 2.0, 5), VariableSpec("A", 0.0001, math.pi, 4)]
 )
+#: Every row with B = 0 or A = 0 is coincident, so half the grid ties at
+#: ENERGY_CAP, and a threshold at the cap marks (or, strict, drops) all of it.
+TIED_TRIMER_LAYOUT = GridLayout(
+    [VariableSpec("B", 0.0, 2.0, 7), VariableSpec("A", 0.0, math.pi, 1)]
+)
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -533,7 +539,12 @@ TRIMER_LAYOUT = GridLayout(
 def test_closed_form_search_matches_dense_reference(schedule, strict):
     schedule = Schedule.parse(schedule)
     stop = StopRule(stall_window=8, max_rounds=60)
-    for objective, layout in ((GOLDSTEIN_PRICE, GP_LAYOUT), (LJ_TRIMER, TRIMER_LAYOUT)):
+    tied_rounds = 0
+    for objective, layout in (
+        (GOLDSTEIN_PRICE, GP_LAYOUT),
+        (LJ_TRIMER, TRIMER_LAYOUT),
+        (LJ_TRIMER, TIED_TRIMER_LAYOUT),
+    ):
         values = objective.batch(layout.all_points())
         for seed in range(6):
             result = adapted_grover_min(
@@ -544,6 +555,36 @@ def test_closed_form_search_matches_dense_reference(schedule, strict):
                 values, layout, schedule, stop, np.random.default_rng(seed), strict=strict
             )
             assert result.trace == reference
+            tied_rounds += sum(
+                r.iterations > 0 and r.threshold_before == ENERGY_CAP for r in reference.rounds
+            )
+    assert tied_rounds  # some amplified round marked against the tied cap
+
+
+@pytest.mark.parametrize(
+    "stop, converged",
+    [
+        (StopRule(stall_window=None, target=3.0, max_rounds=500), True),
+        (StopRule(stall_window=None, max_rounds=7), False),
+    ],
+)
+@pytest.mark.parametrize("schedule", ["baritompa", "incremental"])
+def test_closed_form_search_matches_dense_reference_on_target_and_round_cap(
+    schedule, stop, converged
+):
+    schedule = Schedule.parse(schedule)
+    values = GOLDSTEIN_PRICE.batch(GP_LAYOUT.all_points())  # grid minimum 3.0
+    for seed in range(6):
+        result = adapted_grover_min(
+            GOLDSTEIN_PRICE, GP_LAYOUT, schedule, stop, np.random.default_rng(seed), values=values
+        )
+        reference = dense_grover_min(values, GP_LAYOUT, schedule, stop, np.random.default_rng(seed))
+        assert result.trace == reference
+        assert result.converged is converged
+        if converged:
+            assert result.best_value == 3.0
+        else:
+            assert result.num_rounds == 7
 
 
 def test_search_without_observer_builds_no_register(monkeypatch):
@@ -561,3 +602,67 @@ def test_search_without_observer_builds_no_register(monkeypatch):
         strict=True,
     )
     assert result.num_rounds > 1
+
+
+def test_search_without_observer_builds_no_marked_set(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("MarkedSet built without an observer")
+
+    monkeypatch.setattr(minsearch, "MarkedSet", refuse)
+    for strict in (False, True):
+        result = adapted_grover_min(
+            GOLDSTEIN_PRICE,
+            GP_LAYOUT,
+            Schedule("baritompa"),
+            StopRule(stall_window=8),
+            np.random.default_rng(4),
+            strict=strict,
+        )
+        assert result.total_iterations > 0
+
+
+@pytest.mark.parametrize("schedule", ["baritompa", "constant:1"])
+def test_rounds_allocate_nothing_grid_sized_after_the_first_scan(monkeypatch, schedule):
+    # The marked indices are refreshed only in a round with k > 0 whose
+    # threshold moved since the last refresh.  Every other round (k = 0, or
+    # no improvement since) must stay far below one byte per grid cell, and a
+    # refresh after the first narrows the last set: 17 bytes per cell of it.
+    layout = square_layout(["x", "y"], -3.2, 3.0, 8)
+    values = GOLDSTEIN_PRICE.batch(layout.all_points())
+    growth = []
+    real_sample = minsearch.sample
+
+    def measured(*args):
+        current, peak = tracemalloc.get_traced_memory()
+        growth.append(peak - measured.current)
+        tracemalloc.reset_peak()
+        measured.current = current
+        return real_sample(*args)
+
+    monkeypatch.setattr(minsearch, "sample", measured)
+    schedule = Schedule.parse(schedule)
+    unrefreshed = {"k = 0": 0, "stall": 0}
+    for seed in range(4):
+        growth.clear()
+        tracemalloc.start()
+        try:
+            measured.current = tracemalloc.get_traced_memory()[0]
+            result = adapted_grover_min(
+                GOLDSTEIN_PRICE, layout, schedule, StopRule(stall_window=6),
+                np.random.default_rng(seed), values=values,
+            )
+        finally:
+            tracemalloc.stop()
+        refreshed_at = None
+        for r, grew in zip(result.trace.rounds, growth):
+            if r.iterations > 0 and r.threshold_before != refreshed_at:
+                if refreshed_at is not None:
+                    last_count = np.count_nonzero(values <= refreshed_at)
+                    assert grew < 17 * last_count + 4096, (r, grew, last_count)
+                refreshed_at = r.threshold_before
+            elif r.round > 1:  # round 1 also holds the search's set-up
+                assert grew < layout.size // 4, (r, grew)
+                unrefreshed["stall" if r.iterations else "k = 0"] += 1
+    assert unrefreshed["stall"]
+    if schedule.kind == "baritompa":
+        assert unrefreshed["k = 0"]
