@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,18 +76,17 @@ def refine_min(
             raise ValueError(f"degenerate box axis [{lo}, {hi}]")
 
     current = list(box)
-    best_point: np.ndarray | None = None
+    best_point: list | None = None
     best_value = np.inf
     evaluations = 0
     for _ in range(levels):
         axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in current]
-        mesh = np.array(list(itertools.product(*axes)))
-        vals = objective.batch(mesh)
+        vals = objective.mesh(axes)
         evaluations += len(vals)
         i = int(np.argmin(vals))
         if vals[i] < best_value:
             best_value = float(vals[i])
-            best_point = mesh[i]
+            best_point = [a[j] for a, j in zip(axes, np.unravel_index(i, [len(a) for a in axes]))]
         widths = [(hi - lo) * zoom for lo, hi in current]
         current = []
         for (lo0, hi0), w, c in zip(box, widths, best_point):

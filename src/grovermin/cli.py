@@ -212,25 +212,22 @@ def build_setup(config: dict) -> SearchSetup:
     )
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """``json.dumps`` hook for the numpy values that ``json`` does not know."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -301,7 +298,7 @@ def growth_result_json(result, run_id: int, seed: int, config: dict) -> dict:
         stages.append(
             {
                 "num_atoms": stage.num_atoms,
-                "positions": _jsonable(stage.positions),
+                "positions": stage.positions,
                 "energy": stage.energy,
                 "box": stage.box,
                 "search_best": stage.search.best_value if stage.search else None,
@@ -317,7 +314,7 @@ def growth_result_json(result, run_id: int, seed: int, config: dict) -> dict:
         "method": config["growth"]["method"],
         "stages": stages,
         "final_energy": result.final_energy,
-        "final_positions": _jsonable(result.final_positions),
+        "final_positions": result.final_positions,
         "total_iterations": result.total_iterations,
     }
 
@@ -341,15 +338,15 @@ def appendix_demo() -> dict:
     final = iterate(state, marked, 1)
     return {
         "layout": [vars(v) for v in layout.variables],
-        "grid_points": _jsonable(layout.all_points()),
-        "grid_values": _jsonable(objective.batch(layout.all_points())),
+        "grid_points": layout.all_points(),
+        "grid_values": objective.batch(layout.all_points()),
         "marked_index": reference.index,
         "marked_point": list(reference.point),
-        "uniform": _jsonable(state.amplitudes.real),
-        "p_s": _jsonable(p_s),
-        "p_t": _jsonable(p_t),
-        "after_phase_flip": _jsonable(after_flip.amplitudes.real),
-        "final": _jsonable(final.amplitudes.real),
+        "uniform": state.amplitudes.real.tolist(),
+        "p_s": p_s.tolist(),
+        "p_t": p_t.tolist(),
+        "after_phase_flip": after_flip.amplitudes.real.tolist(),
+        "final": final.amplitudes.real.tolist(),
     }
 
 
@@ -477,7 +474,7 @@ def cmd_brute(args) -> int:
     layout = build_layout(config)
     reference = grid_brute_min(objective, layout)
     payload = {"experiment": config["experiment"], **vars(reference)}
-    print(json.dumps(_jsonable(payload), sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, default=_json_default))
     if args.out:
         write_json(Path(args.out) / "brute.json", payload)
     return 0
@@ -505,6 +502,8 @@ def cmd_ensemble(args) -> int:
             "runs": runs,
             "schedule": config["schedule"],
             **{k: v for k, v in vars(stats).items() if k != "results"},
+            # String keys, as JSON writes them, so sort_keys orders them as text.
+            "rounds_histogram": {str(k): n for k, n in stats.rounds_histogram.items()},
             "runs_detail": [
                 search_result_json(result, run_id, seed, config)
                 for run_id, result in enumerate(stats.results)

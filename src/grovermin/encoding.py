@@ -9,12 +9,13 @@ bits, matching a tensor product written left to right.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-#: Grid rows decoded and evaluated at a time, so a scan over the grid never
-#: holds the whole (2**n, d) array of points.
+#: Most grid cells evaluated at a time, so a scan over the grid never holds
+#: more than one block of coordinates or temporaries.
 BLOCK_ROWS = 1 << 16
 
 
@@ -67,11 +68,15 @@ class VariableSpec:
             k, clamped = self.levels - 1, True
         return k, clamped
 
+    def level_values(self, k: np.ndarray) -> np.ndarray:
+        """Coordinates of an int array of levels, end levels snapped as in ``level_to_value``."""
+        x = self.lo + k * self.step
+        x[k == 0] = self.lo
+        x[k == self.levels - 1] = self.hi
+        return x
+
     def axis_points(self) -> np.ndarray:
-        pts = self.lo + np.arange(self.levels) * self.step
-        pts[0] = self.lo
-        pts[-1] = self.hi
-        return pts
+        return self.level_values(np.arange(self.levels))
 
 
 class GridLayout:
@@ -117,13 +122,10 @@ class GridLayout:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.size):
             raise ValueError("index outside register range")
-        cols = []
-        for v, s in zip(self.variables, self._shifts):
-            k = (idx >> s) & (v.levels - 1)
-            x = v.lo + k * v.step
-            x[k == 0] = v.lo
-            x[k == v.levels - 1] = v.hi
-            cols.append(x)
+        cols = [
+            v.level_values((idx >> s) & (v.levels - 1))
+            for v, s in zip(self.variables, self._shifts)
+        ]
         return np.stack(cols, axis=-1)
 
     def all_points(self) -> np.ndarray:
@@ -131,16 +133,32 @@ class GridLayout:
         return self.decode_batch(np.arange(self.size, dtype=np.int64))
 
     def evaluate(self, objective) -> np.ndarray:
-        """``objective.batch(self.all_points())``, computed ``BLOCK_ROWS`` rows at a time.
+        """``objective.batch(self.all_points())``, computed one slab at a time.
 
-        Only the values, shape (size,), are kept.  A non-finite value stops
-        the scan at the first block that holds one, and the error counts
-        that block's non-finite values.
+        A slab holds at most ``BLOCK_ROWS`` cells: the levels of the leading
+        axes are fixed, one axis takes a run of levels and every later axis
+        is taken whole, so the slab is an open mesh of short per-axis vectors
+        (``Objective.mesh``).  Only the values, shape (size,), are kept.  A
+        non-finite value stops the scan at the first slab that holds one, and
+        the error counts that slab's non-finite values.
         """
+        levels = [v.levels for v in self.variables]
+        split, tail = 0, self.size // levels[0]
+        while tail > BLOCK_ROWS:
+            split += 1
+            tail //= levels[split]
+        run = min(levels[split], BLOCK_ROWS // tail)
+        whole = [v.axis_points() for v in self.variables[split + 1 :]]
         values = np.empty(self.size)
-        for start in range(0, self.size, BLOCK_ROWS):
-            idx = np.arange(start, min(start + BLOCK_ROWS, self.size), dtype=np.int64)
-            values[start : start + len(idx)] = objective.batch(self.decode_batch(idx))
+        start = 0
+        for lead in itertools.product(*map(range, levels[:split])):
+            fixed = [v.level_values(np.array([k])) for v, k in zip(self.variables, lead)]
+            for k in range(0, levels[split], run):
+                ks = np.arange(k, min(k + run, levels[split]))
+                stop = start + len(ks) * tail
+                axes = [*fixed, self.variables[split].level_values(ks), *whole]
+                values[start:stop] = objective.mesh(axes)
+                start = stop
         return values
 
     def encode(self, values: tuple[float, ...] | list[float]) -> tuple[int, bool]:

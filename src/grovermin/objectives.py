@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,36 +30,54 @@ ENERGY_CAP = 1e12
 class Objective:
     """Named real-valued function of ``arity`` scalar coordinates.
 
-    ``batch_fn`` evaluates an (npoints, arity) array in one vectorized call;
-    when it is set, a scalar call is a one-row batch.  ``fn`` evaluates one
-    point and is only needed for objectives that have no ``batch_fn``.
+    ``batch_fn`` takes one coordinate array per variable; the arrays
+    broadcast against each other, and the values have their broadcast shape.
+    ``fn`` evaluates one point and is only needed for objectives that have no
+    ``batch_fn``; it is then broadcast with ``np.vectorize``.  A scalar call
+    is a one-row batch.
     """
 
     name: str
     arity: int
     fn: Callable[..., float] | None = None
-    batch_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    batch_fn: Callable[..., np.ndarray] | None = None
+    _vectorized: Callable[..., np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.fn is None and self.batch_fn is None:
+        if self.batch_fn is not None:
+            vectorized = self.batch_fn
+        elif self.fn is not None:
+            vectorized = np.vectorize(self.fn, otypes=[float])
+        else:
             raise ValueError(f"objective {self.name!r} needs fn or batch_fn")
+        object.__setattr__(self, "_vectorized", vectorized)
 
     def __call__(self, *coords: float) -> float:
         if len(coords) != self.arity:
             raise ValueError(f"{self.name} takes {self.arity} coordinates, got {len(coords)}")
-        if self.batch_fn is None:
-            return float(self.fn(*coords))
-        return float(self.batch_fn(np.array([coords], dtype=float))[0])
+        return float(self._vectorized(*np.array([coords], dtype=float).T)[0])
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Values at each row of ``points``, shape (npoints,); all must be finite."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"expected shape (npoints, {self.arity}), got {pts.shape}")
-        if self.batch_fn is not None:
-            values = np.asarray(self.batch_fn(pts), dtype=float)
-        else:
-            values = np.array([self.fn(*row) for row in pts], dtype=float)
+        return self._evaluate(*pts.T)
+
+    def mesh(self, axes: list[np.ndarray]) -> np.ndarray:
+        """Values on the C-order grid of 1-D ``axes``, one per variable, flattened.
+
+        The objective sees the open mesh ``np.ix_(*axes)``, so a term that
+        depends on one variable is computed once per level of that axis.
+        """
+        return self._evaluate(*np.ix_(*axes)).reshape(-1)
+
+    def _evaluate(self, *coords: np.ndarray) -> np.ndarray:
+        """Values at the broadcast of the coordinate arrays; all must be finite."""
+        values = np.asarray(self._vectorized(*coords), dtype=float)
+        shape = np.broadcast(*coords).shape
+        if values.shape != shape:
+            raise ValueError(f"objective {self.name!r} gave shape {values.shape}, expected {shape}")
         return check_finite(self.name, values)
 
 
@@ -162,7 +181,7 @@ def cluster_energy(geometry: ClusterGeometry, free_pos) -> float:
         raise ValueError(f"free position must be a 3-vector, got shape {pos.shape}")
     if not np.isfinite(pos).all():
         raise ValueError("free position must be finite")
-    return float(_free_atom_batch(geometry, pos[None, :])[0])
+    return float(_free_atom_batch(geometry, *pos[:, None])[0])
 
 
 def build_fixed_core(num_fixed: int, bond: float) -> ClusterGeometry:
@@ -186,21 +205,19 @@ def build_fixed_core(num_fixed: int, bond: float) -> ClusterGeometry:
     return ClusterGeometry(np.array(atoms))
 
 
-def _trimer_shared_batch(points: np.ndarray) -> np.ndarray:
-    b = points[:, 0]
-    a = points[:, 1]
+def _trimer_shared(b, a):
     r12_sq = 2.0 * b * b * (1.0 - np.cos(a))
     r12 = np.sqrt(np.maximum(r12_sq, 0.0))
-    # A zero bond gives inf/nan in _lj(b); the cap replaces exactly those rows.
+    # A zero bond gives inf/nan in _lj(b); the cap replaces exactly those cells.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bonds = 2.0 * _lj(b)
     return np.where(r12 > CONTACT_EPS, bonds + _lj(np.maximum(r12, CONTACT_EPS)), ENERGY_CAP)
 
 
-GOLDSTEIN_PRICE = Objective("gp", 2, batch_fn=lambda pts: gp_eval(pts[:, 0], pts[:, 1]))
-SHUBERT = Objective("shubert", 2, batch_fn=lambda pts: shubert_eval(pts[:, 0], pts[:, 1]))
+GOLDSTEIN_PRICE = Objective("gp", 2, batch_fn=gp_eval)
+SHUBERT = Objective("shubert", 2, batch_fn=shubert_eval)
 #: Three-atom energy with both bonds tied to one grid variable: f(B, A).
-LJ_TRIMER = Objective("lj-trimer", 2, batch_fn=_trimer_shared_batch)
+LJ_TRIMER = Objective("lj-trimer", 2, batch_fn=_trimer_shared)
 
 
 def free_atom_objective(geometry: ClusterGeometry, pin_x: float | None = None) -> Objective:
@@ -210,23 +227,18 @@ def free_atom_objective(geometry: ClusterGeometry, pin_x: float | None = None) -
     held at that value; otherwise it takes (x, y, z).
     """
     if pin_x is None:
-        return Objective("lj-grow-xyz", 3, batch_fn=lambda pts: _free_atom_batch(geometry, pts))
-
-    x0 = float(pin_x)
-
-    def batch_fn(pts):
-        full = np.column_stack([np.full(len(pts), x0), pts[:, 0], pts[:, 1]])
-        return _free_atom_batch(geometry, full)
-
-    return Objective("lj-grow-yz", 2, batch_fn=batch_fn)
+        return Objective("lj-grow-xyz", 3, batch_fn=partial(_free_atom_batch, geometry))
+    return Objective("lj-grow-yz", 2, batch_fn=partial(_free_atom_batch, geometry, float(pin_x)))
 
 
-def _free_atom_batch(geometry: ClusterGeometry, positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - geometry.fixed_atoms[None, :, :]
-    r = np.linalg.norm(diff, axis=2)
-    bad = np.any(r <= CONTACT_EPS, axis=1)
+def _free_atom_batch(geometry: ClusterGeometry, x, y, z) -> np.ndarray:
+    positions = np.empty(np.broadcast(x, y, z).shape + (3,))
+    positions[..., 0], positions[..., 1], positions[..., 2] = x, y, z
+    diff = positions[..., None, :] - geometry.fixed_atoms
+    r = np.linalg.norm(diff, axis=-1)
+    bad = np.any(r <= CONTACT_EPS, axis=-1)
     r = np.maximum(r, CONTACT_EPS)
-    total = geometry.fixed_energy + np.sum(_lj(r), axis=1)
+    total = geometry.fixed_energy + np.sum(_lj(r), axis=-1)
     return np.where(bad, ENERGY_CAP, total)
 
 

@@ -1,14 +1,15 @@
 """Classical references: exhaustive scan and zoom refinement."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from grovermin import encoding
-from grovermin.baseline import grid_brute_min, refine_min
+from grovermin.baseline import RefinedMinimum, grid_brute_min, refine_min
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
-from grovermin.objectives import GOLDSTEIN_PRICE, LJ_TRIMER, Objective
+from grovermin.objectives import GOLDSTEIN_PRICE, LJ_TRIMER, SHUBERT, Objective, lj_pair
 from grovermin.statevector import MAX_QUBITS
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
@@ -52,7 +53,7 @@ def test_grid_accepts_precomputed_values():
 
 def test_grid_ties_break_to_index_zero_across_blocks(monkeypatch):
     monkeypatch.setattr(encoding, "BLOCK_ROWS", 100)
-    flat = Objective("flat", 2, batch_fn=lambda pts: np.full(len(pts), 7.0))
+    flat = Objective("flat", 2, batch_fn=lambda x, y: np.full(np.broadcast(x, y).shape, 7.0))
     out = grid_brute_min(flat, GP_LAYOUT)
     assert (out.index, out.value, out.num_evaluations) == (0, 7.0, 1024)
 
@@ -115,6 +116,43 @@ def test_refine_one_dimensional():
     out = refine_min(objective, [(0.0, 1.0)])
     assert out.value == pytest.approx(0.0, abs=1e-6)
     assert out.point[0] == pytest.approx(0.3, abs=1e-3)
+
+
+def _refine_by_product(objective, box, levels=5, points_per_axis=15, zoom=0.25):
+    """``refine_min`` written with an explicit (npoints, d) mesh per level."""
+    current = list(box)
+    best_point, best_value = None, np.inf
+    for _ in range(levels):
+        axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in current]
+        mesh = np.array(list(itertools.product(*axes)))
+        vals = objective.batch(mesh)
+        i = int(np.argmin(vals))
+        if vals[i] < best_value:
+            best_value, best_point = float(vals[i]), mesh[i]
+        widths = [(hi - lo) * zoom for lo, hi in current]
+        current = []
+        for (lo0, hi0), w, c in zip(box, widths, best_point):
+            lo = min(max(c - w / 2.0, lo0), hi0 - w)
+            current.append((lo, lo + w))
+    evaluations = levels * points_per_axis ** len(box)
+    return RefinedMinimum(tuple(float(x) for x in best_point), best_value, evaluations, levels)
+
+
+def _bipyramid(a, h):
+    return 3 * lj_pair(math.sqrt(3.0) * a) + 6 * lj_pair(math.hypot(a, h)) + lj_pair(2.0 * h)
+
+
+@pytest.mark.parametrize(
+    "objective, box",
+    [
+        (GOLDSTEIN_PRICE, [(-2.0, 2.0), (-2.0, 2.0)]),
+        (SHUBERT, [(-10.0, 10.0), (-10.0, 10.0)]),
+        (Objective("lj5-bipyramid", 2, _bipyramid), [(0.4, 0.8), (0.6, 1.0)]),
+    ],
+    ids=["gp", "shubert", "scalar-fn"],
+)
+def test_refine_mesh_matches_the_explicit_product(objective, box):
+    assert refine_min(objective, box) == _refine_by_product(objective, box)
 
 
 def test_refine_validation():

@@ -1,6 +1,7 @@
 """Grid codec: endpoint-inclusive levels packed MSB-first into indices."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from grovermin.objectives import (
     GOLDSTEIN_PRICE,
     LJ_TRIMER,
     SHUBERT,
+    Objective,
     build_fixed_core,
     free_atom_objective,
+    gp_eval,
 )
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
@@ -53,6 +56,11 @@ def test_endpoints_are_exact():
     assert a.level_to_value(15) == math.pi
     pts = a.axis_points()
     assert pts[0] == 0.0001 and pts[-1] == math.pi
+    # Here lo + 15*step rounds away from 2.0, so only the snap keeps hi exact.
+    snapped = VariableSpec("B", 0.0001, 2.0, 4)
+    assert snapped.lo + 15 * snapped.step != 2.0
+    assert snapped.axis_points()[-1] == 2.0
+    assert GridLayout([snapped]).decode_batch(np.array([15]))[0, 0] == 2.0
 
 
 def test_axis_points_strictly_increasing():
@@ -97,31 +105,88 @@ def test_all_points_shape_and_order():
     np.testing.assert_array_equal(pts[-1], [3.0, 3.0])
 
 
-#: One objective per family, each on a 1024-cell layout.
+GRID_5_5 = square_layout(["x", "y"], -3.2, 3.0, 5)
+GRID_4_3_3 = GridLayout(
+    [
+        VariableSpec("x", -1.0, 1.0, 4),
+        VariableSpec("y", -1.0, 2.0, 3),
+        VariableSpec("z", 0.0, 1.5, 3),
+    ]
+)
+GRID_1_9 = GridLayout([VariableSpec("x", -3.2, 3.0, 1), VariableSpec("y", -3.2, 3.0, 9)])
+
+#: (objective, 1024-cell layout, patched BLOCK_ROWS).  With 100 rows a 5+5
+#: grid splits on its leading axis (ten slabs of 96 cells and one of 64); the
+#: 4+3+3 grid at 48 rows splits on its middle axis (runs of six y levels and
+#: a short run of two); the 1+9 grid's second axis is wider than a block.
 EVALUATE_CASES = [
-    (GOLDSTEIN_PRICE, GP_LAYOUT),
-    (SHUBERT, square_layout(["x", "y"], -10.0, 10.0, 5)),
+    (GOLDSTEIN_PRICE, GRID_5_5, 100),
+    (SHUBERT, square_layout(["x", "y"], -10.0, 10.0, 5), 100),
     # The B = 0 and A = 0 rows hold ENERGY_CAP.
-    (LJ_TRIMER, GridLayout([VariableSpec("B", 0.0, 2.0, 5), VariableSpec("A", 0.0, math.pi, 5)])),
+    (
+        LJ_TRIMER,
+        GridLayout([VariableSpec("B", 0.0, 2.0, 5), VariableSpec("A", 0.0, math.pi, 5)]),
+        100,
+    ),
     (
         free_atom_objective(build_fixed_core(3, 1.0), pin_x=0.0),
         GridLayout([VariableSpec("y", -1.0, 2.0, 5), VariableSpec("z", 0.0, 1.5, 5)]),
+        100,
     ),
-    (
-        free_atom_objective(build_fixed_core(4, 1.0)),
-        GridLayout(
-            [VariableSpec("x", -1.0, 1.0, 4), VariableSpec("y", -1.0, 2.0, 3), VariableSpec("z", 0.0, 1.5, 3)]
-        ),
-    ),
+    (free_atom_objective(build_fixed_core(4, 1.0)), GRID_4_3_3, 100),
+    (free_atom_objective(build_fixed_core(4, 1.0)), GRID_4_3_3, 48),
+    (GOLDSTEIN_PRICE, GRID_1_9, 100),
+    (Objective("gp-scalar", 2, lambda x, y: float(gp_eval(x, y))), GRID_5_5, 100),
+]
+EVALUATE_IDS = [
+    "gp", "shubert", "lj-trimer", "lj-grow-yz", "lj-grow-xyz",
+    "lj-grow-xyz-middle-axis", "gp-wide-axis", "scalar-fn",
 ]
 
 
-@pytest.mark.parametrize("objective, layout", EVALUATE_CASES, ids=[o.name for o, _ in EVALUATE_CASES])
-def test_evaluate_in_blocks_is_bitwise_the_whole_batch(monkeypatch, objective, layout):
-    monkeypatch.setattr(encoding, "BLOCK_ROWS", 100)  # ten full blocks and a short one
+@pytest.mark.parametrize("objective, layout, block_rows", EVALUATE_CASES, ids=EVALUATE_IDS)
+def test_evaluate_in_blocks_is_bitwise_the_whole_batch(monkeypatch, objective, layout, block_rows):
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", block_rows)
     assert layout.size == 1024
     values = layout.evaluate(objective)
     assert values.tobytes() == objective.batch(layout.all_points()).tobytes()
+
+
+@pytest.mark.parametrize("objective, layout, block_rows", EVALUATE_CASES, ids=EVALUATE_IDS)
+def test_evaluate_hands_the_objective_per_axis_vectors(monkeypatch, objective, layout, block_rows):
+    expected = objective.batch(layout.all_points())
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", block_rows)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan decoded grid points")
+
+    monkeypatch.setattr(GridLayout, "decode_batch", refuse)
+    monkeypatch.setattr(GridLayout, "all_points", refuse)
+    sizes = []
+
+    def spy(*coords):
+        sizes.append([np.size(c) for c in coords])
+        return objective._vectorized(*coords)
+
+    values = layout.evaluate(Objective(objective.name, objective.arity, batch_fn=spy))
+    assert values.tobytes() == expected.tobytes()
+    assert len(sizes) >= layout.size // block_rows
+    for call in sizes:
+        for size, v in zip(call, layout.variables):
+            assert size <= min(block_rows, v.levels)
+
+
+@pytest.mark.parametrize("objective", [GOLDSTEIN_PRICE, SHUBERT, LJ_TRIMER], ids=lambda o: o.name)
+def test_evaluate_holds_the_values_and_a_few_blocks(objective):
+    layout = square_layout(["x", "y"], 0.0, 3.0, 9)
+    assert layout.size > encoding.BLOCK_ROWS
+    tracemalloc.start()
+    try:
+        values = layout.evaluate(objective)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes + 8 * encoding.BLOCK_ROWS * 8
 
 
 def test_half_ties_round_up():

@@ -249,13 +249,40 @@ def test_objective_batch_checks_shape():
 
 
 def test_objective_without_batch_fn_falls_back():
-    obj = Objective("sum", 2, lambda a, b: a + b)
+    seen = []
+
+    def add(a, b):
+        seen.append((type(a), type(b)))
+        return a + b
+
+    obj = Objective("sum", 2, add)
     np.testing.assert_array_equal(obj.batch([[1.0, 2.0], [3.0, 4.0]]), [3.0, 7.0])
+    # The mesh broadcasts the scalar function too: one call per grid point.
+    seen.clear()
+    values = obj.mesh([np.array([0.0, 10.0]), np.array([1.0, 2.0, 3.0])])
+    np.testing.assert_array_equal(values, [1.0, 2.0, 3.0, 11.0, 12.0, 13.0])
+    assert seen == [(float, float)] * 6
+    assert obj(1.0, 2.0) == 3.0
 
 
 def test_objective_needs_fn_or_batch_fn():
     with pytest.raises(ValueError, match="'empty' needs fn or batch_fn"):
         Objective("empty", 2)
+    # batch_fn takes one coordinate array per variable, and they broadcast.
+    shapes = []
+
+    def product(x, y):
+        shapes.append((x.shape, y.shape))
+        return x * y
+
+    obj = Objective("product", 2, batch_fn=product)
+    np.testing.assert_array_equal(obj.batch([[2.0, 3.0], [4.0, 5.0]]), [6.0, 20.0])
+    values = obj.mesh([np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
+    np.testing.assert_array_equal(values, [3.0, 4.0, 5.0, 6.0, 8.0, 10.0])
+    assert shapes == [((2,), (2,)), ((2, 1), (1, 3))]
+    unbroadcast = Objective("first", 2, batch_fn=lambda x, y: x)
+    with pytest.raises(ValueError, match=r"'first' gave shape \(2, 1\), expected \(2, 3\)"):
+        unbroadcast.mesh([np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])])
 
 
 @pytest.mark.parametrize(
@@ -283,7 +310,7 @@ def test_shubert_eval_scalar_equals_array_exactly():
 
 
 def test_batch_rejects_non_finite_values():
-    holes = Objective("holes", 1, batch_fn=lambda p: np.where(p[:, 0] > 0, np.nan, p[:, 0]))
+    holes = Objective("holes", 1, batch_fn=lambda t: np.where(t > 0, np.nan, t))
     with pytest.raises(ValueError, match="objective 'holes' gave 2 non-finite values"):
         holes.batch([[-1.0], [1.0], [2.0]])
     scalar = Objective("pole", 1, lambda t: 1.0 / t if t else math.inf)

@@ -27,9 +27,7 @@ from grovermin.pivot import (
 
 GP_BOX = [(-3.2, 3.0), (-3.2, 3.0)]
 
-SPHERE = Objective(
-    "sphere", 2, lambda x, y: x * x + y * y, lambda p: p[:, 0] ** 2 + p[:, 1] ** 2
-)
+SPHERE = Objective("sphere", 2, lambda x, y: x * x + y * y, lambda x, y: x**2 + y**2)
 
 
 def test_pivot_config_defaults():
@@ -426,7 +424,7 @@ def test_search_refuses_oversized_register_before_probing(monkeypatch):
 
 
 def test_search_over_nan_region_is_rejected():
-    holes = Objective("holes", 2, batch_fn=lambda p: np.where(p[:, 0] > 0, np.nan, p[:, 1]))
+    holes = Objective("holes", 2, batch_fn=lambda x, y: np.where(x > 0, np.nan, y))
     with pytest.raises(ValueError, match="objective 'holes' gave .* non-finite values"):
         pivot_grover_search(holes, GP_BOX, 6, PivotConfig(), np.random.default_rng(0))
 
