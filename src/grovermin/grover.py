@@ -8,7 +8,8 @@ count is round(pi/(4 theta) - 1/2).
 
 Because a register that starts uniform only ever holds two distinct
 amplitudes, one per class, ``sample`` draws the measured index of k steps
-in closed form; ``iterate`` builds the dense register and serves as its
+in closed form, and pivot selection draws from ``success_probability``
+alone; ``iterate`` builds the dense register and serves as their
 cross-check oracle.
 """
 

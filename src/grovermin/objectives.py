@@ -103,12 +103,16 @@ def gp_eval(x1, x2):
 def shubert_eval(x1, x2):
     """Shubert product of two 5-term cosine sums; 18 global minima at -186.7309.
 
-    Scalars or equal-shape arrays; each axis sum broadcasts over the terms.
+    Scalars or arrays that broadcast; each axis sum adds its five terms
+    i*cos((i+1)x + i) in order.
     """
-    i = np.arange(1, 6)
 
     def axis_sum(x):
-        return np.sum(i * np.cos((i + 1) * np.asarray(x)[..., None] + i), axis=-1)
+        x = np.asarray(x)
+        total = np.cos(2 * x + 1)
+        for i in range(2, 6):
+            total += i * np.cos((i + 1) * x + i)
+        return total
 
     return axis_sum(x1) * axis_sum(x2)
 

@@ -7,8 +7,10 @@ selection is accounted), weight the pivots by a Boltzmann factor, then
 rebuild the population by Gaussian resampling around weighted pivots with a
 per-coordinate width that contracts every generation.  The probe count N is
 2^qubits, which is what ties the method's cost accounting to the register
-size.  The incremental cluster-growth driver sits on top: it freezes each
-found atom and re-runs the hybrid for the next one.
+size.  The amplified register holds one probability per class (marked or
+not), so selection draws from those two values and builds no register.  The
+incremental cluster-growth driver sits on top: it freezes each found atom
+and re-runs the hybrid for the next one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grover import iterate, optimal_iterations
+from .grover import optimal_iterations, success_probability
 from .objectives import (
     LJ_TRIMER,
     ClusterGeometry,
@@ -26,7 +28,13 @@ from .objectives import (
     build_fixed_core,
     free_atom_objective,
 )
-from .statevector import MarkedSet, check_qubits, uniform_superposition
+from .statevector import check_qubits
+
+# Selection builds no register.  These names stay bound here only because
+# perfbench/spans.py wraps the dense primitives under each caller's binding,
+# pivot's included; they go when the benchmark is retargeted (ROADMAP item 6).
+from .grover import iterate  # noqa: F401
+from .statevector import MarkedSet, uniform_superposition  # noqa: F401
 
 Box = list[tuple[float, float]]
 
@@ -134,6 +142,12 @@ def select_pivots(
     sampled without replacement until the quota of distinct marked indices
     is collected; draws that land on unmarked indices are rejected and
     counted.  N must be a power of two (it is 2^qubits in every run).
+
+    The amplified register gives each of the m marked probes P/m and each
+    other probe (1 - P)/(N - m), with P = success_probability(m, N, k), so
+    the draws follow from those two values: only the m marked keys are
+    sorted, and the rejected draws are counted, not ordered.  Choices and
+    counts match sampling the dense register (``iterate``) key for key.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -145,35 +159,44 @@ def select_pivots(
     quota = math.ceil(fraction * n)
     threshold = float(np.partition(probes.values, quota - 1)[quota - 1])
     mask = probes.values <= threshold
-    m = int(mask.sum())
-
-    num_qubits = n.bit_length() - 1
+    marked = np.flatnonzero(mask)
+    m = len(marked)
     k = optimal_iterations(m, n)
-    state = iterate(uniform_superposition(num_qubits), MarkedSet(num_qubits, mask), k)
-    probs = state.probabilities()
+    # Amplification leaves two probabilities: a on each marked probe and b on
+    # each other one.  With no steps the register is still uniform.
+    if k == 0:
+        a = b = 1.0 / n
+    else:
+        p = success_probability(m, n, k)
+        a, b = p / m, (1.0 - p) / (n - m)
 
-    # Keyed weighted sampling without replacement over the amplified
-    # distribution: descending u^(1/p) order reproduces sequential draws,
-    # with zero-probability indices never drawn.
+    # Keyed weighted sampling without replacement: draws run in descending
+    # log(u)/prob order (ties to the lower index), which reproduces
+    # sequential draws; a key of -inf (u = 0 or prob = 0) is never drawn.
     with np.errstate(divide="ignore"):
-        keys = np.log(rng.uniform(size=n)) / np.where(probs > 0.0, probs, np.nan)
-    keys = np.where(np.isnan(keys), -np.inf, keys)
-    order = np.argsort(-keys, kind="stable")
-
-    # Draws run in key order until the quota of marked indices is met or
-    # only -inf keys (never drawn) remain.
-    live = order[: np.count_nonzero(keys > -np.inf)]
-    drawn = live[: np.searchsorted(np.cumsum(mask[live]), quota) + 1]
-    chosen = drawn[mask[drawn]]
-    rejected = len(drawn) - len(chosen)
-    if len(chosen) < quota:
-        # Amplification drove some marked amplitudes to exactly zero; finish
-        # the quota uniformly over the remaining marked indices.
-        left_mask = mask.copy()
-        left_mask[chosen] = False
-        left = np.flatnonzero(left_mask)
+        log_u = np.log(rng.uniform(size=n))
+        marked_keys = log_u[marked] / a
+        unmarked = np.flatnonzero(~mask)
+        unmarked_keys = log_u[unmarked] / b
+    order = np.argsort(-marked_keys, kind="stable")
+    drawn = order[: min(quota, np.count_nonzero(marked_keys > -np.inf))]
+    chosen = marked[drawn]
+    # Draws stop at the quota-th marked probe; every live unmarked key that
+    # sorts ahead of it was drawn and rejected.
+    if len(chosen) == quota:
+        cut, cut_index = marked_keys[drawn[-1]], chosen[-1]
+    else:
+        # Some marked keys are -inf, so every live key is drawn; finish the
+        # quota uniformly over the remaining marked indices.
+        cut, cut_index = -np.inf, -1
+        left = np.delete(marked, drawn)
         extra = rng.choice(len(left), size=quota - len(chosen), replace=False)
         chosen = np.concatenate([chosen, left[extra]])
+    rejected = int(
+        np.count_nonzero(
+            (unmarked_keys > cut) | ((unmarked_keys == cut) & (unmarked < cut_index))
+        )
+    )
     draws = quota + rejected
     return PivotState(
         points=probes.points[chosen],
@@ -215,7 +238,18 @@ def resample(
     num_children = n - m if elitism else n
     if num_children < 0:
         raise ValueError(f"population {n} smaller than pivot count {m}")
-    base = rng.choice(m, size=num_children, p=weights)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (m,):
+        raise ValueError(f"weights must have shape ({m},), got {weights.shape}")
+    if not np.all(weights >= 0):
+        raise ValueError("weights must be non-negative and not NaN")
+    if abs(math.fsum(weights) - 1.0) > math.sqrt(np.finfo(float).eps):
+        raise ValueError(f"weights must sum to 1, got {math.fsum(weights)!r}")
+    # The inverse-CDF draw of rng.choice(m, num_children, p=weights), from the
+    # same uniforms, without its per-call overhead.
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    base = np.searchsorted(cdf, rng.random(num_children), side="right")
     offsets = rng.normal(0.0, 1.0, size=(num_children, len(box))) * sigma
     children = state.points[base] + offsets
     lo = np.array([b[0] for b in box])

@@ -2,11 +2,12 @@
 
 The register state is the full vector of 2**n amplitudes, with uniform
 preparation, selective phase inversion of a marked index set, and inversion
-about the average amplitude.  The threshold search does not run on it: it
-draws each round's measurement in closed form (``grover.sample``).  The
-dense register serves pivot selection, the appendix demo, the per-round
-distributions a search observer is shown, and the tests, where it is the
-oracle the closed form is checked against.
+about the average amplitude.  Neither the threshold search nor pivot
+selection runs on it: both draw from the two class probabilities in closed
+form (``grover.sample``, ``pivot.select_pivots``).  The dense register
+serves the appendix demo, the per-round distributions a search observer is
+shown, and the tests, where it is the oracle the closed form is checked
+against.
 """
 
 from __future__ import annotations

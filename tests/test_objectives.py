@@ -309,6 +309,22 @@ def test_shubert_eval_scalar_equals_array_exactly():
     assert [shubert_eval(a, b) for a, b in zip(x1, x2)] == list(shubert_eval(x1, x2))
 
 
+def test_shubert_term_sum_equals_the_reduction_formula_bitwise():
+    i = np.arange(1, 6)
+
+    def reduced(x1, x2):
+        def axis_sum(x):
+            return np.sum(i * np.cos((i + 1) * np.asarray(x)[..., None] + i), axis=-1)
+
+        return axis_sum(x1) * axis_sum(x2)
+
+    rng = np.random.default_rng(17)
+    x1, x2 = rng.uniform(-10.0, 10.0, size=(2, 20000))
+    np.testing.assert_array_equal(shubert_eval(x1, x2), reduced(x1, x2))
+    rows, cols = np.ix_(np.linspace(-10.0, 10.0, 16), np.linspace(-10.0, 10.0, 4096))
+    np.testing.assert_array_equal(shubert_eval(rows, cols), reduced(rows, cols))
+
+
 def test_batch_rejects_non_finite_values():
     holes = Objective("holes", 1, batch_fn=lambda t: np.where(t > 0, np.nan, t))
     with pytest.raises(ValueError, match="objective 'holes' gave 2 non-finite values"):

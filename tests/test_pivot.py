@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from grovermin.grover import optimal_iterations, success_probability
+import grovermin.grover as grover
 import grovermin.pivot as pivot
-from grovermin.objectives import ClusterGeometry, GOLDSTEIN_PRICE, Objective, lj_pair
+import grovermin.statevector as statevector
+from grovermin.grover import iterate, optimal_iterations, success_probability
+from grovermin.objectives import ClusterGeometry, GOLDSTEIN_PRICE, SHUBERT, Objective, lj_pair
+from grovermin.statevector import MarkedSet, uniform_superposition
 from grovermin.pivot import (
     GROWTH_BOX_XYZ,
     GROWTH_BOX_YZ,
@@ -152,14 +155,14 @@ def test_select_pivots_draws_are_distinct():
 
 
 def loop_select(probes, fraction, rng):
-    """Sequential reference for select_pivots: (chosen indices, rejected draws)."""
+    """Sequential draws from the dense register: (chosen indices, rejected draws)."""
     n = len(probes)
     quota = math.ceil(fraction * n)
     threshold = np.partition(probes.values, quota - 1)[quota - 1]
     mask = probes.values <= threshold
     q = n.bit_length() - 1
-    state = pivot.iterate(
-        pivot.uniform_superposition(q), pivot.MarkedSet(q, mask), optimal_iterations(int(mask.sum()), n)
+    state = iterate(
+        uniform_superposition(q), MarkedSet(q, mask), optimal_iterations(int(mask.sum()), n)
     )
     probs = state.probabilities()
     with np.errstate(divide="ignore"):
@@ -188,6 +191,41 @@ def test_select_pivots_matches_sequential_draws(seed):
     assert state.rejected_draws == rejected
 
 
+def population(kind, n, rng):
+    if kind == "continuous":
+        return rng.normal(size=n)
+    if kind == "ties":  # four levels: the threshold level holds more than the quota
+        return rng.integers(0, 4, size=n).astype(float)
+    return np.full(n, 7.0)  # everything marked
+
+
+@pytest.mark.parametrize("kind", ["continuous", "ties", "equal"])
+@pytest.mark.parametrize("fraction", [0.05, 0.15, 0.3, 0.5, 0.8])
+def test_select_pivots_matches_the_dense_register(kind, fraction):
+    for q in range(1, 11):
+        n = 1 << q
+        values = population(kind, n, np.random.default_rng(q))
+        probes = ProbeSet(np.arange(2.0 * n).reshape(n, 2), values)
+        state = select_pivots(probes, fraction, np.random.default_rng(1000 + q))
+        chosen, rejected = loop_select(probes, fraction, np.random.default_rng(1000 + q))
+        np.testing.assert_array_equal(state.points, probes.points[chosen])
+        assert state.rejected_draws == rejected
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256, 1024])
+def test_select_pivots_quarter_marked_leaves_no_unmarked_mass(n):
+    # One step on m = N/4 rotates the register onto the marked cells exactly.
+    assert optimal_iterations(n // 4, n) == 1
+    assert success_probability(n // 4, n, 1) == 1.0
+    values = np.random.default_rng(n).permutation(n).astype(float)
+    probes = ProbeSet(np.arange(2.0 * n).reshape(n, 2), values)
+    for seed in range(3):
+        state = select_pivots(probes, 0.25, np.random.default_rng(seed))
+        chosen, rejected = loop_select(probes, 0.25, np.random.default_rng(seed))
+        np.testing.assert_array_equal(state.points, probes.points[chosen])
+        assert state.rejected_draws == rejected == 0
+
+
 class ZeroAtRng:
     """Uniform draws of 0.5 except 0.0 at one index; ``choice`` from a seeded generator."""
 
@@ -214,6 +252,17 @@ def test_select_pivots_fallback_fills_quota_from_undrawable_marked():
     np.testing.assert_array_equal(state.values, probes.values[chosen])
     assert state.rejected_draws == rejected
     assert state.grover_iterations == state.optimal_k * (2 + rejected)
+
+
+def test_select_pivots_equal_keys_draw_in_index_order():
+    # Half marked, so no steps: every live key ties and draws run by index,
+    # rejecting the unmarked probes 1, 3 and 5 before reaching marked 6.
+    probes = ProbeSet(np.arange(16.0).reshape(8, 2), [0.0, 7.0, 1.0, 6.0, 2.0, 5.0, 3.0, 4.0])
+    state = select_pivots(probes, fraction=0.5, rng=ZeroAtRng(7))
+    chosen, rejected = loop_select(probes, 0.5, ZeroAtRng(7))
+    assert state.optimal_k == 0 and chosen == [0, 2, 4, 6]
+    np.testing.assert_array_equal(state.values, probes.values[chosen])
+    assert state.rejected_draws == rejected == 3
 
 
 def test_select_pivots_copies_data():
@@ -341,6 +390,38 @@ def test_resample_rejects_population_below_pivots():
         resample(state, weights, sigma, 2, [(0.0, 1.0), (0.0, 1.0)], np.random.default_rng(8), SPHERE)
 
 
+def test_resample_draws_bases_as_rng_choice_does():
+    # Two values underflow to zero weight; zero sigma makes each child its base.
+    values = np.array([0.0, 3.0, 4.0e4, 5.0e4, 40.0])
+    weights = boltzmann_weights(values, kT=50.0)
+    assert weights[2] == weights[3] == 0.0
+    points = np.linspace(0.1, 0.5, 5)[:, None] * [1.0, 1.0]
+    state, weights, sigma = pivot_state_for_resampling(points, values, weights, [0.0, 0.0])
+    rng, reference = np.random.default_rng(12), np.random.default_rng(12)
+    probes = resample(state, weights, sigma, 600, [(0.0, 1.0), (0.0, 1.0)], rng, SPHERE)
+    base = reference.choice(5, size=595, p=weights)
+    reference.normal(0.0, 1.0, size=(595, 2))
+    np.testing.assert_array_equal(probes.points[5:], points[base])
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize(
+    "weights, match",
+    [
+        ([0.5, 0.5], r"shape \(3,\)"),
+        ([1.2, -0.2, 0.0], "non-negative"),
+        ([np.nan, 0.5, 0.5], "NaN"),
+        ([0.3, 0.3, 0.3], "sum to 1"),
+    ],
+)
+def test_resample_rejects_bad_weights(weights, match):
+    state, weights, sigma = pivot_state_for_resampling(
+        [[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]], [1, 2, 3], weights, [0.1, 0.1]
+    )
+    with pytest.raises(ValueError, match=match):
+        resample(state, weights, sigma, 8, [(0.0, 1.0), (0.0, 1.0)], np.random.default_rng(9), SPHERE)
+
+
 def test_search_sphere_converges_to_origin():
     result = pivot_grover_search(
         SPHERE, [(-1.0, 1.0), (-1.0, 1.0)], 6, PivotConfig(), np.random.default_rng(0)
@@ -421,6 +502,20 @@ def test_search_refuses_oversized_register_before_probing(monkeypatch):
     monkeypatch.setattr(pivot, "generate_probes", refuse)
     with pytest.raises(ValueError, match="30 qubits exceeds the register cap of 24"):
         pivot_grover_search(SPHERE, GP_BOX, 30, PivotConfig(), np.random.default_rng(0))
+
+
+def test_search_builds_no_dense_register(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a dense register")
+
+    monkeypatch.setattr(grover, "iterate", refuse)
+    monkeypatch.setattr(pivot, "iterate", refuse)
+    monkeypatch.setattr(statevector.Statevector, "__init__", refuse)
+    result = pivot_grover_search(
+        SHUBERT, [(-10.0, 10.0), (-10.0, 10.0)], 6, PivotConfig(max_generations=5),
+        np.random.default_rng(0),
+    )
+    assert result.num_generations == 5
 
 
 def test_search_over_nan_region_is_rejected():
