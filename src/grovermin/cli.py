@@ -27,12 +27,12 @@ from .baseline import grid_brute_min
 from .encoding import BLOCK_ROWS, GridLayout, VariableSpec
 from .grover import iterate
 from .minsearch import (
-    NumericFailure,
     Schedule,
     SearchResult,
     SearchSetup,
     StopRule,
     adapted_grover_min,
+    round_states,
     run_ensemble,
     spawn_rngs,
 )
@@ -380,38 +380,15 @@ def cmd_run(args) -> int:
         setup = build_setup(config)
         values = setup.layout.evaluate(setup.objective)
         for run_id, rng in enumerate(rngs):
-            observer = None
-            if args.emit_distributions and out is not None:
-                # Written as each round is observed: one state is held at a time.
-                def observer(round_index, state, marked, threshold):
-                    path = out / f"dist_run{run_id:03d}_round{round_index:03d}.csv"
-                    emit_distribution(state, setup.layout, values, path)
-
-            try:
-                result = adapted_grover_min(
-                    setup.objective,
-                    setup.layout,
-                    setup.schedule,
-                    setup.stop,
-                    rng,
-                    values=values,
-                    strict=setup.strict,
-                    observer=observer,
-                )
-            except NumericFailure as exc:
-                if out is not None:
-                    write_json(
-                        out / f"run_{run_id:03d}.json",
-                        {
-                            "run_id": run_id,
-                            "seed": seed,
-                            "experiment": config["experiment"],
-                            "error": str(exc),
-                            "rounds_completed": exc.trace.num_rounds,
-                        },
-                    )
-                print(f"run {run_id}: numeric failure: {exc}", file=sys.stderr)
-                return 1
+            result = adapted_grover_min(
+                setup.objective,
+                setup.layout,
+                setup.schedule,
+                setup.stop,
+                rng,
+                values=values,
+                strict=setup.strict,
+            )
             print(
                 f"experiment={config['experiment']} run={run_id} "
                 f"best={result.best_value!r} point={tuple(result.best_point)} "
@@ -423,6 +400,12 @@ def cmd_run(args) -> int:
                     out / f"run_{run_id:03d}.json",
                     search_result_json(result, run_id, seed, config),
                 )
+                if args.emit_distributions:
+                    for record, state, _ in round_states(
+                        values, setup.layout, result.trace, setup.strict
+                    ):
+                        path = out / f"dist_run{run_id:03d}_round{record.round:03d}.csv"
+                        emit_distribution(state, setup.layout, values, path)
         return 0
 
     if config["experiment"] == "shubert-pivot":

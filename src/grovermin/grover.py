@@ -59,9 +59,7 @@ def sample(marked: np.ndarray, size: int, iterations: int, rng: np.random.Genera
     u = rng.random()
     if iterations == 0 or m == 0 or m == size:
         return int(u * size)  # every cell is equally likely
-    p = success_probability(m, size, iterations)
-    a = p / m
-    b = (1.0 - p) / (size - m)
+    a, b = class_probabilities(m, size, iterations)
     target = u * (a * m + b * (size - m))
 
     def before(j):  # unmarked cells ahead of marked cell j
@@ -91,6 +89,19 @@ def success_probability(num_marked: int, size: int, iterations: int) -> float:
         return 0.0
     theta = math.asin(math.sqrt(num_marked / size))
     return math.sin((2 * iterations + 1) * theta) ** 2
+
+
+def class_probabilities(num_marked: int, size: int, iterations: int) -> tuple[float, float]:
+    """Probability ``(a, b)`` of each marked and each unmarked cell after k steps.
+
+    From the uniform state, a = P/m and b = (1 - P)/(N - m) with
+    P = success_probability(m, N, k); with no steps, or with m = 0 or m = N,
+    the register stays uniform and both are 1/N.
+    """
+    if iterations == 0 or num_marked in (0, size):
+        return 1.0 / size, 1.0 / size
+    p = success_probability(num_marked, size, iterations)
+    return p / num_marked, (1.0 - p) / (size - num_marked)
 
 
 def optimal_iterations(num_marked: int, size: int) -> int:

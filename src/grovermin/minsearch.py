@@ -6,11 +6,12 @@ is inf, so it marks everything).  The round applies its scheduled number of
 amplification steps to the uniform superposition and measures once.  The
 measurement is drawn in closed form (``grover.sample``): from the uniform
 state every marked cell ends with the same probability and so does every
-unmarked cell, so no 2**n register is built unless an observer asks to see
-it.  The threshold only falls, so each marked set lies inside the last one:
-the search keeps the marked indices as one sorted array and narrows it to
-the cells still under the threshold, instead of rescanning the grid every
-round.  The round budget comes from a Schedule; termination from a StopRule.
+unmarked cell, so the search builds no 2**n register.  The threshold only
+falls, so each marked set lies inside the last one: the search keeps the
+marked indices as one sorted array and narrows it to the cells still under
+the threshold, instead of rescanning the grid every round.  The round
+budget comes from a Schedule; termination from a StopRule.  ``round_states``
+rebuilds a finished search's dense pre-measurement registers from its trace.
 """
 
 from __future__ import annotations
@@ -28,14 +29,6 @@ from .statevector import MarkedSet, check_qubits, uniform_superposition
 
 #: Fixed per-round iteration counts of the Baritompa-style schedule.
 BARITOMPA_ENTRIES = (0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 2, 3, 1, 4, 5, 1, 6, 2, 7, 9, 11, 13, 16, 5)
-
-
-class NumericFailure(FloatingPointError):
-    """A floating-point failure mid-search; carries the rounds completed so far."""
-
-    def __init__(self, message: str, trace: "SearchTrace"):
-        super().__init__(message)
-        self.trace = trace
 
 
 @dataclass(frozen=True)
@@ -87,6 +80,8 @@ class Schedule:
         """Parse "baritompa", "incremental", "constant:K", or an entry list."""
         if isinstance(text, (list, tuple)):
             try:
+                if any(isinstance(k, bool) for k in text):
+                    raise TypeError  # JSON true/false are not step counts
                 entries = tuple(operator.index(k) for k in text)
             except TypeError:
                 raise ValueError(f"schedule entries must be integers, got {text!r}") from None
@@ -128,6 +123,8 @@ class StopRule:
             raise ValueError(f"stall_window must be >= 1, got {self.stall_window}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.target is not None and math.isnan(self.target):
+            raise ValueError("target must be a number, got nan")
         if self.stall_window is None and self.target is None and self.max_rounds is None:
             raise ValueError("at least one stop condition is required")
 
@@ -191,7 +188,6 @@ def adapted_grover_min(
     *,
     values: np.ndarray | None = None,
     strict: bool = False,
-    observer=None,
 ) -> SearchResult:
     """Threshold-descent minimum search over the layout's grid.
 
@@ -199,18 +195,14 @@ def adapted_grover_min(
     are computed once here otherwise).  ``strict`` marks f < M instead of
     f <= M.  Each round's index is drawn by ``grover.sample`` without a
     register, from the sorted marked indices; the grid is scanned once for
-    the first amplified round, and later rounds narrow that array.
-    ``observer(round, state, marked, threshold)``, when given, is called with
-    the dense pre-measurement ``Statevector`` and the round's ``MarkedSet``;
-    building those is the only 2**n work per round here, and it does not
-    change the draw.  The threshold is the best value measured.
+    the first amplified round, and later rounds narrow that array.  The
+    threshold is the best value measured.
     """
     if objective.arity != layout.arity:
         raise ValueError(
             f"objective {objective.name} has arity {objective.arity}, layout has {layout.arity}"
         )
-    n = layout.total_qubits
-    check_qubits(n)
+    check_qubits(layout.total_qubits)
     if values is None:
         values = layout.evaluate(objective)
     else:
@@ -248,14 +240,7 @@ def adapted_grover_min(
             else:
                 marks = marks[_under(values[marks], threshold, strict)]
             marks_threshold = threshold
-        try:
-            if observer is not None:
-                marked = MarkedSet(n, _under(values, threshold, strict))
-                state = iterate(uniform_superposition(n), marked, k)
-                observer(round_index, state, marked, threshold)
-            idx = sample(marks, layout.size, k, rng)
-        except FloatingPointError as exc:
-            raise NumericFailure(str(exc), trace) from exc
+        idx = sample(marks, layout.size, k, rng)
         value = float(values[idx])
         new_threshold = min(threshold, value)
         trace.rounds.append(
@@ -296,6 +281,22 @@ def adapted_grover_min(
         converged=converged,
         iterations_to_best=iterations_to_best,
     )
+
+
+def round_states(
+    values: np.ndarray, layout: GridLayout, trace: SearchTrace, strict: bool = False
+):
+    """Yield ``(record, state, marked)`` for each ``RoundRecord`` of a search's ``trace``.
+
+    ``state`` is the round's dense pre-measurement ``Statevector`` and
+    ``marked`` its ``MarkedSet``, rebuilt from the record's threshold and step
+    count by the marking rule the search used (``values`` and ``strict`` must
+    be the search's).  One register is held at a time.
+    """
+    n = layout.total_qubits
+    for record in trace.rounds:
+        marked = MarkedSet(n, _under(values, record.threshold_before, strict))
+        yield record, iterate(uniform_superposition(n), marked, record.iterations), marked
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grover import optimal_iterations, success_probability
+from .grover import class_probabilities, optimal_iterations
 from .objectives import (
     LJ_TRIMER,
     ClusterGeometry,
@@ -103,6 +103,9 @@ class PivotConfig:
             raise ValueError("sigma_scale must be > 0 and sigma_decay in (0, 1)")
         if self.stall_generations < 1 or self.max_generations < 1:
             raise ValueError("stall_generations and max_generations must be >= 1")
+        for name in ("kT", "sigma_scale", "sigma_decay", "sigma_floor", "stall_tol"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
 
 
 def _check_box(box: Box, arity: int) -> list[tuple[float, float]]:
@@ -163,12 +166,8 @@ def select_pivots(
     m = len(marked)
     k = optimal_iterations(m, n)
     # Amplification leaves two probabilities: a on each marked probe and b on
-    # each other one.  With no steps the register is still uniform.
-    if k == 0:
-        a = b = 1.0 / n
-    else:
-        p = success_probability(m, n, k)
-        a, b = p / m, (1.0 - p) / (n - m)
+    # each other one.
+    a, b = class_probabilities(m, n, k)
 
     # Keyed weighted sampling without replacement: draws run in descending
     # log(u)/prob order (ties to the lower index), which reproduces
@@ -374,7 +373,7 @@ class GrowthConfig:
             raise ValueError(f"method must be 1 or 2, got {self.method}")
         if self.qubits_per_axis < 1 or self.trimer_qubits < 2:
             raise ValueError("qubit counts must be positive")
-        if self.bond is not None and self.bond <= 0:
+        if self.bond is not None and not self.bond > 0:
             raise ValueError(f"bond must be positive, got {self.bond}")
 
 

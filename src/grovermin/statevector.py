@@ -5,9 +5,9 @@ preparation, selective phase inversion of a marked index set, and inversion
 about the average amplitude.  Neither the threshold search nor pivot
 selection runs on it: both draw from the two class probabilities in closed
 form (``grover.sample``, ``pivot.select_pivots``).  The dense register
-serves the appendix demo, the per-round distributions a search observer is
-shown, and the tests, where it is the oracle the closed form is checked
-against.
+serves the appendix demo, the per-round distributions ``minsearch.round_states``
+rebuilds from a search trace, and the tests, where it is the oracle the
+closed form is checked against.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from scipy import stats
 
 from grovermin.grover import (
     amplify,
+    class_probabilities,
     iterate,
     measured_success_probability,
     optimal_iterations,
@@ -173,6 +174,16 @@ def test_success_oscillates_with_period():
     k_bad = round(math.pi / (2 * theta))  # full rotation, near the start
     assert success_probability(m, size, k_opt) > 0.99
     assert success_probability(m, size, k_bad) < 0.1
+
+
+def test_class_probabilities_sum_to_one():
+    for size in range(2, 1025):
+        for m in sorted({0, 1, 2, size // 4, size // 2, size - 1, size}):
+            assert class_probabilities(m, size, 0) == (1 / size, 1 / size)
+            for k in range(1, 6):
+                a, b = class_probabilities(m, size, k)
+                assert a >= 0 and b >= 0
+                assert abs(m * a + (size - m) * b - 1.0) < 1e-12
 
 
 def _marked_grid(num_qubits, seed):

@@ -9,21 +9,26 @@ from scipy import stats
 
 import grovermin.minsearch as minsearch
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
-from grovermin.grover import iterate
+from grovermin.grover import iterate, success_probability
 from grovermin.minsearch import (
     BARITOMPA_ENTRIES,
-    NumericFailure,
     RoundRecord,
     Schedule,
     SearchSetup,
     SearchTrace,
     StopRule,
     adapted_grover_min,
+    round_states,
     run_ensemble,
     spawn_rngs,
 )
 from grovermin.objectives import ENERGY_CAP, GOLDSTEIN_PRICE, LJ_TRIMER, Objective
-from grovermin.statevector import MarkedSet, RegisterTooLarge, uniform_superposition
+from grovermin.statevector import (
+    MarkedSet,
+    RegisterTooLarge,
+    marked_probability,
+    uniform_superposition,
+)
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
 
@@ -165,46 +170,36 @@ def test_trace_threshold_bookkeeping():
     assert all(a >= b for a, b in zip(thresholds, thresholds[1:]))
 
 
-def test_marked_set_matches_threshold_rule():
+def _replayed(table, strict):
     layout = int_layout(3)
-    table = [4.0, 7.0, 2.0, 9.0, 2.0, 5.0, 8.0, 3.0]
-    objective = lookup_objective(table)
     values = np.array(table)
-    seen = []
-    adapted_grover_min(
-        objective,
+    result = adapted_grover_min(
+        lookup_objective(table),
         layout,
         Schedule("constant", constant=1),
         StopRule(stall_window=None, max_rounds=12),
         np.random.default_rng(7),
-        observer=lambda r, state, marked, threshold: seen.append((r, marked, threshold)),
+        strict=strict,
     )
+    return values, list(round_states(values, layout, result.trace, strict))
+
+
+def test_marked_set_matches_threshold_rule():
+    values, seen = _replayed([4.0, 7.0, 2.0, 9.0, 2.0, 5.0, 8.0, 3.0], strict=False)
     assert len(seen) == 12
-    for r, marked, threshold in seen:
-        if math.isinf(threshold):
-            assert marked.count == layout.size
+    for record, _, marked in seen:
+        if math.isinf(record.threshold_before):
+            assert marked.count == len(values)
         else:
-            np.testing.assert_array_equal(marked.mask, values <= threshold)
+            np.testing.assert_array_equal(marked.mask, values <= record.threshold_before)
 
 
 def test_strict_marking_excludes_threshold():
-    layout = int_layout(3)
-    table = [4.0, 7.0, 2.0, 9.0, 2.0, 5.0, 8.0, 3.0]
-    objective = lookup_objective(table)
-    values = np.array(table)
-    seen = []
-    adapted_grover_min(
-        objective,
-        layout,
-        Schedule("constant", constant=1),
-        StopRule(stall_window=None, max_rounds=12),
-        np.random.default_rng(7),
-        strict=True,
-        observer=lambda r, state, marked, threshold: seen.append((marked, threshold)),
-    )
-    for marked, threshold in seen:
-        if not math.isinf(threshold):
-            np.testing.assert_array_equal(marked.mask, values < threshold)
+    values, seen = _replayed([4.0, 7.0, 2.0, 9.0, 2.0, 5.0, 8.0, 3.0], strict=True)
+    assert len(seen) == 12
+    for record, _, marked in seen:
+        if not math.isinf(record.threshold_before):
+            np.testing.assert_array_equal(marked.mask, values < record.threshold_before)
 
 
 def test_best_value_is_sound():
@@ -359,29 +354,6 @@ def test_arity_mismatch_rejected():
             StopRule(),
             np.random.default_rng(0),
         )
-
-
-def test_numeric_failure_carries_partial_trace(monkeypatch):
-    calls = {"n": 0}
-    real_sample = minsearch.sample
-
-    def poisoned(*args):
-        calls["n"] += 1
-        if calls["n"] == 3:
-            raise FloatingPointError("synthetic blowup")
-        return real_sample(*args)
-
-    monkeypatch.setattr(minsearch, "sample", poisoned)
-    with pytest.raises(NumericFailure, match="synthetic blowup") as excinfo:
-        adapted_grover_min(
-            GOLDSTEIN_PRICE,
-            GP_LAYOUT,
-            Schedule("baritompa"),
-            StopRule(stall_window=8),
-            np.random.default_rng(0),
-        )
-    assert excinfo.value.trace.num_rounds == 2
-    assert isinstance(excinfo.value, FloatingPointError)
 
 
 def test_run_ensemble_matches_manual_spawn():
@@ -587,9 +559,37 @@ def test_closed_form_search_matches_dense_reference_on_target_and_round_cap(
             assert result.num_rounds == 7
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "objective, layout, schedule",
+    [
+        (GOLDSTEIN_PRICE, GP_LAYOUT, "baritompa"),
+        (LJ_TRIMER, TRIMER_LAYOUT, "incremental"),
+        (LJ_TRIMER, TIED_TRIMER_LAYOUT, "baritompa"),
+    ],
+)
+def test_round_states_follow_the_amplification_law(objective, layout, schedule, strict):
+    values = objective.batch(layout.all_points())
+    for seed in range(3):
+        result = adapted_grover_min(
+            objective,
+            layout,
+            Schedule.parse(schedule),
+            StopRule(),
+            np.random.default_rng(seed),
+            values=values,
+            strict=strict,
+        )
+        states = list(round_states(values, layout, result.trace, strict))
+        assert [record for record, _, _ in states] == result.trace.rounds
+        for record, state, marked in states:
+            expected = success_probability(marked.count, layout.size, record.iterations)
+            assert abs(marked_probability(state, marked) - expected) < 1e-9
+
+
 def test_search_without_observer_builds_no_register(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("dense register built without an observer")
+        raise AssertionError("search built a dense register")
 
     monkeypatch.setattr(minsearch, "iterate", refuse)
     monkeypatch.setattr(minsearch, "uniform_superposition", refuse)
@@ -606,7 +606,7 @@ def test_search_without_observer_builds_no_register(monkeypatch):
 
 def test_search_without_observer_builds_no_marked_set(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("MarkedSet built without an observer")
+        raise AssertionError("search built a MarkedSet")
 
     monkeypatch.setattr(minsearch, "MarkedSet", refuse)
     for strict in (False, True):
