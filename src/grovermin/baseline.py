@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import GridLayout
-from .objectives import Objective, check_finite
-from .statevector import check_qubits
+from .objectives import Objective
 
 
 @dataclass(frozen=True)
@@ -23,14 +22,7 @@ def grid_brute_min(
     objective: Objective, layout: GridLayout, *, values: np.ndarray | None = None
 ) -> GridMinimum:
     """Exact minimum over every grid point; ties break to the lowest index."""
-    check_qubits(layout.total_qubits, "exhaustive")
-    if values is None:
-        values = layout.evaluate(objective)
-    else:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (layout.size,):
-            raise ValueError(f"values must have shape ({layout.size},), got {values.shape}")
-        check_finite(objective.name, values)
+    values = layout.objective_values(objective, values)
     idx = int(np.argmin(values))  # argmin returns the first (lowest) index on ties
     return GridMinimum(
         index=idx,

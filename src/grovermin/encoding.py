@@ -4,7 +4,9 @@ Each variable gets ``q`` qubits and an endpoint-inclusive uniform grid of
 2**q levels: level k maps to ``lo + k*(hi - lo)/(2**q - 1)``, so level 0 is
 exactly ``lo`` and level 2**q - 1 is exactly ``hi``.  A register index packs
 the per-variable levels with the FIRST variable in the MOST significant
-bits, matching a tensor product written left to right.
+bits, matching a tensor product written left to right.  ``GridLayout`` owns
+the grid rules: it refuses a register past the cap when built, and every
+decode goes through ``VariableSpec.level_values``, the one level map.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .objectives import check_finite
+from .statevector import check_qubits
 
 #: Most grid cells evaluated at a time, so a scan over the grid never holds
 #: more than one block of coordinates or temporaries.
@@ -47,13 +52,7 @@ class VariableSpec:
     def level_to_value(self, k: int) -> float:
         if not 0 <= k < self.levels:
             raise ValueError(f"{self.name}: level {k} outside [0, {self.levels})")
-        # Snap the end levels so decode(encode(lo)) == lo and likewise for hi,
-        # independent of rounding in lo + k*step.
-        if k == 0:
-            return self.lo
-        if k == self.levels - 1:
-            return self.hi
-        return self.lo + k * self.step
+        return float(self.level_values(np.array([k]))[0])
 
     def value_to_level(self, x: float) -> tuple[int, bool]:
         """Nearest grid level, half-away-from-zero; clamped flag if x was outside."""
@@ -69,7 +68,7 @@ class VariableSpec:
         return k, clamped
 
     def level_values(self, k: np.ndarray) -> np.ndarray:
-        """Coordinates of an int array of levels, end levels snapped as in ``level_to_value``."""
+        """Coordinates of an int array of levels; the end levels snap to exactly lo and hi."""
         x = self.lo + k * self.step
         x[k == 0] = self.lo
         x[k == self.levels - 1] = self.hi
@@ -90,6 +89,7 @@ class GridLayout:
             raise ValueError(f"duplicate variable names in {names}")
         self.variables = list(variables)
         self.total_qubits = sum(v.qubits for v in variables)
+        check_qubits(self.total_qubits)
         self.size = 1 << self.total_qubits
         # Shift of each variable's level field inside the packed index; the
         # first variable lands in the most significant bits.
@@ -112,10 +112,8 @@ class GridLayout:
         )
 
     def decode(self, index: int) -> tuple[float, ...]:
-        """Grid point for a basis index."""
-        return tuple(
-            v.level_to_value(k) for v, k in zip(self.variables, self.levels(index))
-        )
+        """Grid point for a basis index: one row of ``decode_batch``."""
+        return tuple(self.decode_batch(np.array([index]))[0].tolist())
 
     def decode_batch(self, indices: np.ndarray) -> np.ndarray:
         """Grid points for an int array of indices, shape (len(indices), arity)."""
@@ -131,6 +129,19 @@ class GridLayout:
     def all_points(self) -> np.ndarray:
         """Every grid point in index order, shape (size, arity)."""
         return self.decode_batch(np.arange(self.size, dtype=np.int64))
+
+    def objective_values(self, objective, values: np.ndarray | None = None) -> np.ndarray:
+        """``objective`` at every index: ``values`` if given, checked, else ``evaluate``."""
+        if objective.arity != self.arity:
+            raise ValueError(
+                f"objective {objective.name!r} has arity {objective.arity}, layout has {self.arity}"
+            )
+        if values is None:
+            return self.evaluate(objective)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.size,):
+            raise ValueError(f"values must have shape ({self.size},), got {values.shape}")
+        return check_finite(objective.name, values)
 
     def evaluate(self, objective) -> np.ndarray:
         """``objective.batch(self.all_points())``, computed one slab at a time.

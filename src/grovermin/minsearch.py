@@ -9,9 +9,10 @@ state every marked cell ends with the same probability and so does every
 unmarked cell, so the search builds no 2**n register.  The threshold only
 falls, so each marked set lies inside the last one: the search keeps the
 marked indices as one sorted array and narrows it to the cells still under
-the threshold, instead of rescanning the grid every round.  The round
-budget comes from a Schedule; termination from a StopRule.  ``round_states``
-rebuilds a finished search's dense pre-measurement registers from its trace.
+the threshold, instead of rescanning the grid every round.  Rounds record
+indices; the search decodes only its best point.  The round budget comes
+from a Schedule; termination from a StopRule.  ``round_states`` rebuilds a
+finished search's dense pre-measurement registers from its trace.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .encoding import GridLayout
 from .grover import iterate, sample
-from .objectives import Objective, check_finite
-from .statevector import MarkedSet, check_qubits, uniform_superposition
+from .objectives import Objective
+from .statevector import MarkedSet, uniform_superposition
 
 #: Fixed per-round iteration counts of the Baritompa-style schedule.
 BARITOMPA_ENTRIES = (0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 2, 3, 1, 4, 5, 1, 6, 2, 7, 9, 11, 13, 16, 5)
@@ -135,7 +136,6 @@ class RoundRecord:
     iterations: int
     extended: bool
     index: int
-    point: tuple[float, ...]
     value: float
     threshold_before: float
     threshold_after: float
@@ -198,18 +198,7 @@ def adapted_grover_min(
     the first amplified round, and later rounds narrow that array.  The
     threshold is the best value measured.
     """
-    if objective.arity != layout.arity:
-        raise ValueError(
-            f"objective {objective.name} has arity {objective.arity}, layout has {layout.arity}"
-        )
-    check_qubits(layout.total_qubits)
-    if values is None:
-        values = layout.evaluate(objective)
-    else:
-        values = np.asarray(values, dtype=float)
-        if values.shape != (layout.size,):
-            raise ValueError(f"values must have shape ({layout.size},), got {values.shape}")
-        check_finite(objective.name, values)
+    values = layout.objective_values(objective, values)
 
     threshold = math.inf
     best_index = -1
@@ -249,7 +238,6 @@ def adapted_grover_min(
                 iterations=k,
                 extended=schedule.is_extended(round_index),
                 index=idx,
-                point=layout.decode(idx),
                 value=value,
                 threshold_before=threshold,
                 threshold_after=new_threshold,
@@ -343,8 +331,7 @@ def run_ensemble(setup: SearchSetup, n_runs: int, base_seed: int) -> EnsembleSta
     Objective values over the grid are computed once and shared.
     """
     rngs = spawn_rngs(base_seed, n_runs)
-    check_qubits(setup.layout.total_qubits)
-    values = setup.layout.evaluate(setup.objective)
+    values = setup.layout.objective_values(setup.objective)
     reference = float(values.min())
     results = [
         adapted_grover_min(

@@ -106,6 +106,10 @@ class PivotConfig:
         for name in ("kT", "sigma_scale", "sigma_decay", "sigma_floor", "stall_tol"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got nan")
+        if math.isinf(self.sigma_scale):
+            raise ValueError("sigma_scale must be finite, got inf")
+        if self.sigma_floor < 0:
+            raise ValueError(f"sigma_floor must be >= 0, got {self.sigma_floor}")
 
 
 def _check_box(box: Box, arity: int) -> list[tuple[float, float]]:

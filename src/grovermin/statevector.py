@@ -30,10 +30,10 @@ class RegisterTooLarge(ValueError):
     """A register or grid past ``MAX_QUBITS``, refused before any 2**n allocation."""
 
 
-def check_qubits(num_qubits: int, cap: str = "register") -> None:
+def check_qubits(num_qubits: int) -> None:
     """Raise RegisterTooLarge if ``num_qubits`` exceeds ``MAX_QUBITS``."""
     if num_qubits > MAX_QUBITS:
-        raise RegisterTooLarge(f"{num_qubits} qubits exceeds the {cap} cap of {MAX_QUBITS}")
+        raise RegisterTooLarge(f"{num_qubits} qubits exceeds the register cap of {MAX_QUBITS}")
 
 
 class Statevector:

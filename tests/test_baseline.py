@@ -65,12 +65,8 @@ def test_grid_rejects_non_finite_values():
 
 
 def test_grid_refuses_oversized_register():
-    wide = GridLayout(
-        [VariableSpec("a", 0.0, 1.0, 13), VariableSpec("b", 0.0, 1.0, 12)]
-    )
-    assert wide.total_qubits == MAX_QUBITS + 1
-    with pytest.raises(ValueError, match="exceeds the exhaustive cap"):
-        grid_brute_min(GOLDSTEIN_PRICE, wide)
+    with pytest.raises(ValueError, match=f"{MAX_QUBITS + 1} qubits exceeds the register cap"):
+        GridLayout([VariableSpec("a", 0.0, 1.0, 13), VariableSpec("b", 0.0, 1.0, MAX_QUBITS - 12)])
 
 
 def test_refine_gp_reaches_global_minimum():

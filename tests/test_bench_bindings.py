@@ -1,0 +1,43 @@
+"""Every grovermin name the benchmark under ``perfbench/`` binds still resolves.
+
+``perfbench/spans.py`` rebinds the functions listed in its ``TARGETS`` and
+``perfbench/workloads.py`` checks results through a few ``encoding`` names,
+so deleting or renaming one of them would break ``perfbench/run.py --trace 1``
+without failing any other test.  This test only imports ``perfbench/``.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from grovermin.encoding import GridLayout, VariableSpec
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("spans")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_span_targets_resolve(spans):
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _, _ in spans.TARGETS
+        if not hasattr(owner, attr)
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize(
+    "owner, attr",
+    [(GridLayout, "levels"), (GridLayout, "decode"), (VariableSpec, "level_to_value")],
+)
+def test_workload_checks_resolve(owner, attr):
+    assert hasattr(owner, attr)

@@ -188,6 +188,26 @@ def test_run_emit_distributions(tmp_path, capsys):
     assert lines[1 + 523] == "523,0.0,-1.0,3.0,0.0009765625"
 
 
+def test_emit_distributions_without_out_exits_2_before_any_grid(capsys, refuse_allocation):
+    assert main(["run", "gp", "--emit-distributions"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --emit-distributions needs --out\n"
+
+
+@pytest.mark.parametrize("experiment", ["gp", "lj-trimer"])
+def test_round_points_are_decoded_from_round_indices(experiment, tmp_path, capsys):
+    assert main(["run", experiment, "--runs", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    layout = cli.build_layout(cli.DEFAULT_CONFIGS[experiment])
+    # The end levels decode to the bounds exactly (lj-trimer's angle to math.pi).
+    assert layout.decode(0) == tuple(v.lo for v in layout.variables)
+    assert layout.decode(layout.size - 1) == tuple(v.hi for v in layout.variables)
+    for path in sorted(tmp_path.glob("run_*.json")):
+        for rec in read_json(path)["rounds"]:
+            assert tuple(rec["point"]) == layout.decode(rec["index"])
+
+
 def test_distribution_probabilities_sum_to_one(tmp_path, capsys):
     main(["run", "gp", "--out", str(tmp_path), "--emit-distributions"])
     capsys.readouterr()
@@ -514,6 +534,8 @@ def test_oversized_register_exits_2_before_allocating(
             {"schedule": [True, False, True]},
             "schedule entries must be integers, got [True, False, True]",
         ),
+        ("shubert-pivot", {"pivot": {"sigma_scale": math.inf}}, "sigma_scale must be finite"),
+        ("shubert-pivot", {"pivot": {"sigma_floor": -1.0}}, "sigma_floor must be >= 0, got -1.0"),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(
@@ -527,6 +549,18 @@ def test_bad_config_value_exits_2_with_one_line(
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble", "brute"])
+def test_layout_arity_mismatch_exits_2_before_evaluating(
+    command, tmp_path, capsys, refuse_allocation
+):
+    variable = {"lo": -3.2, "hi": 3.0, "qubits": 3}
+    config = tmp_path / "three.json"
+    config.write_text(json.dumps({"layout": [{"name": n, **variable} for n in ("a", "b", "c")]}))
+    assert main([command, "gp", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: objective 'gp' has arity 2, layout has 3\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -215,6 +215,32 @@ def test_best_value_is_sound():
     assert result.best_value == min(r.value for r in result.trace.rounds)
 
 
+def test_search_decodes_only_its_best_point(monkeypatch):
+    calls = []
+    decode = GridLayout.decode
+
+    def counted(self, index):
+        calls.append(index)
+        return decode(self, index)
+
+    monkeypatch.setattr(GridLayout, "decode", counted)
+    values = GOLDSTEIN_PRICE.batch(GP_LAYOUT.all_points())
+    round_counts = set()
+    for seed in range(4):
+        calls.clear()
+        result = adapted_grover_min(
+            GOLDSTEIN_PRICE,
+            GP_LAYOUT,
+            Schedule("baritompa"),
+            StopRule(stall_window=8),
+            np.random.default_rng(seed),
+            values=values,
+        )
+        assert calls == [result.best_index]
+        round_counts.add(result.num_rounds)
+    assert len(round_counts) > 1 and min(round_counts) > 1
+
+
 def test_stall_stop_on_flat_objective():
     layout = int_layout(2)
     objective = lookup_objective([2.5] * 4)
@@ -439,13 +465,9 @@ def test_oversized_grid_refused_before_evaluation(monkeypatch):
 
     monkeypatch.setattr(GridLayout, "all_points", refuse)
     monkeypatch.setattr(Objective, "batch", refuse)
-    wide = square_layout(["x", "y"], -3.2, 3.0, 13)
-    stop = StopRule(stall_window=8)
+    # No search or ensemble can start on such a grid: building it is refused.
     with pytest.raises(RegisterTooLarge, match="26 qubits exceeds the register cap of 24"):
-        adapted_grover_min(GOLDSTEIN_PRICE, wide, Schedule("baritompa"), stop, np.random.default_rng(0))
-    setup = SearchSetup(GOLDSTEIN_PRICE, wide, Schedule("baritompa"), stop)
-    with pytest.raises(RegisterTooLarge, match="26 qubits"):
-        run_ensemble(setup, 2, base_seed=0)
+        square_layout(["x", "y"], -3.2, 3.0, 13)
 
 
 def test_non_finite_values_rejected():
@@ -482,7 +504,7 @@ def dense_grover_min(values, layout, schedule, stop, rng, strict=False):
         trace.rounds.append(
             RoundRecord(
                 round_index, k, schedule.is_extended(round_index), idx,
-                layout.decode(idx), value, threshold, min(threshold, value),
+                value, threshold, min(threshold, value),
             )
         )
         stall = 0 if value < threshold else stall + 1
