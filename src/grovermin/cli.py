@@ -18,6 +18,7 @@ import math
 import sys
 import typing
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +206,7 @@ def build_setup(config: dict) -> SearchSetup:
 
 
 def _json_default(obj):
-    """``json.dumps`` hook for the numpy values that ``json`` does not know."""
+    """The plain Python value written for a numpy array or scalar."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.bool_):
@@ -217,33 +218,116 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _dumps(obj) -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2, default=_json_default)``.
+
+    That call always runs ``json``'s pure-Python encoder (its C encoder is used
+    only without ``indent``), one generator per container.  Here each
+    container is one ``join``, the common scalars (exact ``float``, ``int``,
+    ``str``, ``bool``, ``None``) are written inline in a comprehension, and a
+    dict's sorted keys and ``"key": `` prefixes are built once per key set and
+    depth, since an ensemble's round dicts all share one key set.  Dict keys
+    must be ``str``; any other key raises TypeError.
+    """
+    # (keys in insertion order, depth) -> (sorted keys, item prefixes)
+    layouts: dict[tuple, tuple[list, list[str]]] = {}
+
+    def texts(values, depth: int) -> list[str]:
+        # The first five branches repeat encode's tests for the exact types,
+        # so a finite float, int, str, bool or None in a container costs no
+        # call; anything else, non-finite floats too, goes through encode.
+        return [
+            repr(v) if (t := type(v)) is float and v - v == 0.0
+            else repr(v) if t is int
+            else encode_basestring_ascii(v) if t is str
+            else ("true" if v else "false") if t is bool
+            else "null" if v is None
+            else encode(v, depth)
+            for v in values
+        ]
+
+    def encode(o, depth: int) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if o != o:
+                return "NaN"
+            if o in (math.inf, -math.inf):
+                return "Infinity" if o > 0 else "-Infinity"
+            return float.__repr__(o)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            pad = "\n" + "  " * (depth + 1)
+            return f"[{pad}{(',' + pad).join(texts(o, depth + 1))}\n{'  ' * depth}]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            keys = tuple(o)
+            layout = layouts.get((keys, depth))
+            if layout is None:
+                for k in keys:
+                    if not isinstance(k, str):
+                        raise TypeError(f"keys must be str, not {type(k).__name__}")
+                order = sorted(keys)
+                pad = "\n" + "  " * (depth + 1)
+                prefixes = [f",{pad}{encode_basestring_ascii(k)}: " for k in order]
+                prefixes[0] = prefixes[0][1:]
+                layout = layouts[keys, depth] = (order, prefixes)
+            order, prefixes = layout
+            items = texts(map(o.__getitem__, order), depth + 1)
+            return f"{{{''.join(map(str.__add__, prefixes, items))}\n{'  ' * depth}}}"
+        return encode(_json_default(o), depth)
+
+    return encode(obj, 0)
+
+
 def write_json(path: Path, obj) -> None:
+    """Write ``obj`` as sorted-key, two-space-indented JSON (see ``_dumps``)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n")
+    path.write_text(_dumps(obj) + "\n")
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``rows`` as they come, so a generator of rows is never held whole."""
+    """Write ``rows`` under ``header``, each cell as ``str`` writes it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def emit_distribution(state: Statevector, layout: GridLayout, values, path: Path) -> None:
-    """Pre-measurement Born-rule distribution, one CSV row per grid index."""
+    """Pre-measurement Born-rule distribution, one CSV row per grid index.
+
+    Rows are formatted a ``BLOCK_ROWS`` block at a time, column by column, so
+    no text of grid size is ever held.  A Grover register holds at most two
+    distinct probabilities, so each block formats each distinct one once.
+    """
     probs = state.probabilities()
     header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
-
-    def rows():
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
         for start in range(0, layout.size, BLOCK_ROWS):
             idx = np.arange(start, min(start + BLOCK_ROWS, layout.size))
-            columns = (layout.decode_batch(idx).tolist(), values[idx].tolist(), probs[idx].tolist())
-            for i, point, value, p in zip(idx.tolist(), *columns):
-                yield [i, *point, value, p]
-
-    write_csv(path, header, rows())
+            distinct, which = np.unique(probs[idx], return_inverse=True)
+            distinct_text = list(map(repr, distinct.tolist()))
+            columns = [
+                map(str, idx.tolist()),
+                *(map(repr, axis) for axis in layout.decode_batch(idx).T.tolist()),
+                map(repr, values[idx].tolist()),
+                map(distinct_text.__getitem__, which.tolist()),
+            ]
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def search_result_json(

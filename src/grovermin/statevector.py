@@ -55,8 +55,7 @@ class Statevector:
         if size < 2 or size & (size - 1):
             raise ValueError(f"amplitude count must be a power of two >= 2, got {size}")
         n = size.bit_length() - 1
-        if n > MAX_QUBITS:
-            raise ValueError(f"register of {n} qubits exceeds the {MAX_QUBITS}-qubit cap")
+        check_qubits(n)
         if not np.isfinite(amps).all():
             raise FloatingPointError("non-finite amplitude")
         norm_sq = float(np.vdot(amps, amps).real)
@@ -124,8 +123,9 @@ class MarkedSet:
 
 def uniform_superposition(num_qubits: int) -> Statevector:
     """Equal-amplitude state over all 2**n basis indices (amplitude 2^(-n/2))."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
+    if num_qubits < 1:
+        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+    check_qubits(num_qubits)
     size = 1 << num_qubits
     amps = np.full(size, 1.0 / np.sqrt(size), dtype=np.complex128)
     return Statevector(amps)

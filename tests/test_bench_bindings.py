@@ -7,11 +7,13 @@ without failing any other test.  This test only imports ``perfbench/``.
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
+from grovermin import cli
 from grovermin.encoding import GridLayout, VariableSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,3 +43,13 @@ def test_span_targets_resolve(spans):
 )
 def test_workload_checks_resolve(owner, attr):
     assert hasattr(owner, attr)
+
+
+def test_write_json_takes_the_path_first(spans, tmp_path):
+    # spans._write_json_counts stats args[0], the file write_json wrote.
+    first = next(iter(inspect.signature(cli.write_json).parameters.values()))
+    assert first.name == "path"
+    assert first.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    path = tmp_path / "out.json"
+    cli.write_json(path, {"a": [1.5]})
+    assert spans._write_json_counts((path, None), {}, None) == {"bytes": path.stat().st_size}

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import grovermin.cli as cli
 import grovermin.pivot as pivot
@@ -17,6 +19,7 @@ from grovermin.minsearch import (
     SearchSetup,
     StopRule,
     adapted_grover_min,
+    round_states,
     run_ensemble,
 )
 from grovermin.objectives import Objective, get_objective
@@ -188,6 +191,37 @@ def test_run_emit_distributions(tmp_path, capsys):
     assert lines[1 + 523] == "523,0.0,-1.0,3.0,0.0009765625"
 
 
+def row_wise_distribution_csv(state, layout, values):
+    """The CSV emit_distribution wrote when it formatted row by row, cell by cell."""
+    probs = state.probabilities()
+    header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
+    lines = [",".join(header)]
+    idx = np.arange(layout.size)
+    columns = (layout.decode_batch(idx).tolist(), values.tolist(), probs.tolist())
+    for i, point, value, p in zip(idx.tolist(), *columns):
+        row = [i, *point, value, p]
+        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_distribution_matches_the_row_wise_formatter(monkeypatch, tmp_path):
+    # A block size that divides nothing, so rounds span several partial blocks.
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 300)
+    setup = cli.build_setup(cli.DEFAULT_CONFIGS["gp"])
+    values = setup.layout.objective_values(setup.objective)
+    result = adapted_grover_min(
+        setup.objective, setup.layout, setup.schedule, setup.stop,
+        np.random.default_rng(0), values=values,
+    )
+    distinct = set()
+    for record, state, _ in round_states(values, setup.layout, result.trace):
+        path = tmp_path / f"round{record.round}.csv"
+        cli.emit_distribution(state, setup.layout, values, path)
+        assert path.read_text() == row_wise_distribution_csv(state, setup.layout, values)
+        distinct.add(len(np.unique(state.probabilities())))
+    assert distinct == {1, 2}  # uniform rounds and amplified rounds
+
+
 def test_emit_distributions_without_out_exits_2_before_any_grid(capsys, refuse_allocation):
     assert main(["run", "gp", "--emit-distributions"]) == 2
     captured = capsys.readouterr()
@@ -267,6 +301,101 @@ def test_ensemble_detail_matches_run_artifacts(tmp_path, capsys):
     for run_id in (0, 1):
         single = read_json(tmp_path / "r" / f"run_{run_id:03d}.json")
         assert detail[run_id] == single
+
+
+def reference_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, default=cli._json_default)
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values)
+@example({
+    "a": {"a": {"a": 1}},
+    "b": [{"a": 2.5, "b": None}, {"b": True, "a": "\u00e9\x00\u2028"}],
+    "c": (math.nan, math.inf, -math.inf, -0.0, 1e300, 10**30),
+})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == reference_json(value)
+
+
+def test_json_writer_matches_json_dumps_on_numpy_values():
+    value = {
+        "f64": np.float64(0.1),
+        "f32": np.float32(0.1),
+        "i64": np.int64(-7),
+        "bool": np.bool_(True),
+        "nan": np.float64("nan"),
+        "matrix": np.arange(6.0).reshape(2, 3),
+        "mask": np.array([[True, False]]),
+        "ints": np.arange(3),
+        "empty": [np.zeros(0), {}, ()],
+        "nested": [{"b": np.float32(2.5), "a": (np.int32(1), np.bool_(False))}],
+    }
+    assert cli._dumps(value) == reference_json(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "appendix-demo"],
+        ["run", "gp", "--runs", "2"],
+        ["run", "lj-trimer"],
+        ["run", "shubert-pivot"],
+        ["run", "lj-grow"],
+        ["brute", "gp"],
+        ["brute", "lj-trimer"],
+        ["ensemble", "gp", "--runs", "5"],
+        ["ensemble", "lj-trimer", "--runs", "5"],
+    ],
+    ids=[
+        "appendix-demo",
+        "run-gp",
+        "run-lj-trimer",
+        "run-shubert-pivot",
+        "run-lj-grow",
+        "brute-gp",
+        "brute-lj-trimer",
+        "ensemble-gp",
+        "ensemble-lj-trimer",
+    ],
+)
+def test_every_json_artifact_is_what_json_dumps_writes(argv, monkeypatch, tmp_path, capsys):
+    written = []
+    write_json = cli.write_json
+
+    def recording(path, obj):
+        write_json(path, obj)
+        written.append((path, obj))
+
+    monkeypatch.setattr(cli, "write_json", recording)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert written
+    for path, obj in written:
+        assert path.read_text() == reference_json(obj) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": [{("x",): 0}]}, {"a": {None: 1}}])
+def test_json_writer_refuses_non_str_keys(value):
+    with pytest.raises(TypeError, match="keys must be str"):
+        cli._dumps(value)
 
 
 def test_ensemble_rejects_pivot_experiment():

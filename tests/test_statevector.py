@@ -9,6 +9,7 @@ from grovermin.statevector import (
     MAX_DENSE_QUBITS,
     MAX_QUBITS,
     MarkedSet,
+    RegisterTooLarge,
     Statevector,
     dense_reference_operators,
     diffusion,
@@ -37,10 +38,15 @@ def test_uniform_one_qubit():
     np.testing.assert_allclose(state.amplitudes, [1 / np.sqrt(2)] * 2, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [0, -1, MAX_QUBITS + 1])
+@pytest.mark.parametrize("n", [0, -1])
 def test_uniform_rejects_bad_qubit_count(n):
     with pytest.raises(ValueError, match="num_qubits"):
         uniform_superposition(n)
+
+
+def test_uniform_refuses_qubits_past_the_cap():
+    with pytest.raises(RegisterTooLarge, match=f"exceeds the register cap of {MAX_QUBITS}"):
+        uniform_superposition(MAX_QUBITS + 1)
 
 
 def test_phase_flip_two_qubits_single_mark():
