@@ -21,13 +21,27 @@ class GridMinimum:
 def grid_brute_min(
     objective: Objective, layout: GridLayout, *, values: np.ndarray | None = None
 ) -> GridMinimum:
-    """Exact minimum over every grid point; ties break to the lowest index."""
-    values = layout.objective_values(objective, values)
-    idx = int(np.argmin(values))  # argmin returns the first (lowest) index on ties
+    """Exact minimum over every grid point; ties break to the lowest index.
+
+    Given ``values``, their ``argmin``.  Otherwise the scan reduces over
+    ``layout.slabs`` and holds one slab at a time, never the whole grid's
+    values: each slab's ``argmin`` replaces the best only if strictly lower,
+    so a tie keeps the earlier slab.
+    """
+    if values is not None:
+        values = layout.objective_values(objective, values)
+        idx = int(np.argmin(values))  # argmin returns the first (lowest) index on ties
+        best = values[idx]
+    else:
+        idx, best = -1, np.inf
+        for start, slab in layout.slabs(objective):
+            i = int(np.argmin(slab))
+            if slab[i] < best:
+                idx, best = start + i, slab[i]
     return GridMinimum(
         index=idx,
         point=layout.decode(idx),
-        value=float(values[idx]),
+        value=float(best),
         num_evaluations=layout.size,
     )
 

@@ -411,7 +411,9 @@ def appendix_demo() -> dict:
         [VariableSpec("x1", -3.2, 3.0, 1), VariableSpec("x2", -3.2, 3.0, 1)]
     )
     objective = get_objective("gp")
-    reference = grid_brute_min(objective, layout)
+    points = layout.all_points()
+    values = objective.batch(points)
+    reference = grid_brute_min(objective, layout, values=values)
     marked = MarkedSet.from_indices(2, [reference.index])
     state = uniform_superposition(2)
     p_s, p_t = dense_reference_operators(2, marked)
@@ -419,8 +421,8 @@ def appendix_demo() -> dict:
     final = iterate(state, marked, 1)
     return {
         "layout": [vars(v) for v in layout.variables],
-        "grid_points": layout.all_points(),
-        "grid_values": objective.batch(layout.all_points()),
+        "grid_points": points,
+        "grid_values": values,
         "marked_index": reference.index,
         "marked_point": list(reference.point),
         "uniform": state.amplitudes.real.tolist(),

@@ -12,6 +12,7 @@ decode goes through ``VariableSpec.level_values``, the one level map.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,45 +133,78 @@ class GridLayout:
 
     def objective_values(self, objective, values: np.ndarray | None = None) -> np.ndarray:
         """``objective`` at every index: ``values`` if given, checked, else ``evaluate``."""
-        if objective.arity != self.arity:
-            raise ValueError(
-                f"objective {objective.name!r} has arity {objective.arity}, layout has {self.arity}"
-            )
         if values is None:
             return self.evaluate(objective)
+        self._check_arity(objective)
         values = np.asarray(values, dtype=float)
         if values.shape != (self.size,):
             raise ValueError(f"values must have shape ({self.size},), got {values.shape}")
         return check_finite(objective.name, values)
 
     def evaluate(self, objective) -> np.ndarray:
-        """``objective.batch(self.all_points())``, computed one slab at a time.
+        """``objective.batch(self.all_points())``, filled in from ``slabs``.
+
+        Only the values, shape (size,), are kept, besides one slab at a time.
+        """
+        values = np.empty(self.size)
+        for start, slab in self.slabs(objective):
+            values[start : start + len(slab)] = slab
+        return values
+
+    def slabs(self, objective) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, values)`` for consecutive runs of indices, in index order.
 
         A slab holds at most ``BLOCK_ROWS`` cells: the levels of the leading
         axes are fixed, one axis takes a run of levels and every later axis
         is taken whole, so the slab is an open mesh of short per-axis vectors
-        (``Objective.mesh``).  Only the values, shape (size,), are kept.  A
-        non-finite value stops the scan at the first slab that holds one, and
+        (``Objective.mesh``).  A product objective's factor is mapped over
+        each axis once and the slab is the open-mesh product of factor slices
+        (``Objective.factor_mesh``).  An axis of more than ``BLOCK_ROWS``
+        levels is mapped one slab's slice at a time instead, so no per-axis
+        table outgrows a block.  The values are bitwise those of
+        ``objective.batch`` at the slab's points.  A
+        non-finite value stops the walk at the first slab that holds one, and
         the error counts that slab's non-finite values.
         """
+        self._check_arity(objective)
         levels = [v.levels for v in self.variables]
         split, tail = 0, self.size // levels[0]
         while tail > BLOCK_ROWS:
             split += 1
             tail //= levels[split]
         run = min(levels[split], BLOCK_ROWS // tail)
-        whole = [v.axis_points() for v in self.variables[split + 1 :]]
-        values = np.empty(self.size)
+        factor = objective.factor
+        combine = objective.mesh if factor is None else objective.factor_mesh
+
+        def vector(v, ks):
+            x = v.level_values(ks)
+            return x if factor is None else factor(x)
+
+        tables = [
+            vector(v, np.arange(v.levels)) if v.levels <= BLOCK_ROWS else None
+            for v in self.variables
+        ]
+
+        def part(i, k, stop):
+            if tables[i] is None:
+                return vector(self.variables[i], np.arange(k, stop))
+            return tables[i][k:stop]
+
+        whole = tables[split + 1 :]
         start = 0
         for lead in itertools.product(*map(range, levels[:split])):
-            fixed = [v.level_values(np.array([k])) for v, k in zip(self.variables, lead)]
+            fixed = [part(i, k, k + 1) for i, k in enumerate(lead)]
             for k in range(0, levels[split], run):
-                ks = np.arange(k, min(k + run, levels[split]))
-                stop = start + len(ks) * tail
-                axes = [*fixed, self.variables[split].level_values(ks), *whole]
-                values[start:stop] = objective.mesh(axes)
-                start = stop
-        return values
+                stop = min(k + run, levels[split])
+                slab = combine([*fixed, part(split, k, stop), *whole])
+                yield start, slab
+                start += len(slab)
+
+    def _check_arity(self, objective) -> None:
+        if objective.arity != self.arity:
+            raise ValueError(
+                f"objective {objective.name!r} has arity {objective.arity}, layout has {self.arity}"
+            )
 
     def encode(self, values: tuple[float, ...] | list[float]) -> tuple[int, bool]:
         """Index of the nearest grid point; flag is True if any value was clamped."""

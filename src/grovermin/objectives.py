@@ -13,8 +13,9 @@ is capped).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -33,23 +34,34 @@ class Objective:
     ``batch_fn`` takes one coordinate array per variable; the arrays
     broadcast against each other, and the values have their broadcast shape.
     ``fn`` evaluates one point and is only needed for objectives that have no
-    ``batch_fn``; it is then broadcast with ``np.vectorize``.  A scalar call
-    is a one-row batch.
+    ``batch_fn``; it is then broadcast with ``np.vectorize``.  A product
+    objective gives ``factor`` instead: f(x1, ..., xd) = g(x1) * ... * g(xd),
+    with g mapping an array of coordinates elementwise, and every value is
+    that product taken left to right.  A grid scan then maps each axis
+    through g once (``GridLayout.slabs``).  A scalar call is a one-row batch.
     """
 
     name: str
     arity: int
     fn: Callable[..., float] | None = None
     batch_fn: Callable[..., np.ndarray] | None = None
+    factor: Callable[[np.ndarray], np.ndarray] | None = None
     _vectorized: Callable[..., np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.batch_fn is not None:
+        if self.factor is not None:
+            if self.fn is not None or self.batch_fn is not None:
+                raise ValueError(f"objective {self.name!r}: factor excludes fn and batch_fn")
+
+            def vectorized(*coords):
+                return reduce(operator.mul, map(self.factor, coords))
+
+        elif self.batch_fn is not None:
             vectorized = self.batch_fn
         elif self.fn is not None:
             vectorized = np.vectorize(self.fn, otypes=[float])
         else:
-            raise ValueError(f"objective {self.name!r} needs fn or batch_fn")
+            raise ValueError(f"objective {self.name!r} needs fn or batch_fn, or a factor")
         object.__setattr__(self, "_vectorized", vectorized)
 
     def __call__(self, *coords: float) -> float:
@@ -71,6 +83,10 @@ class Objective:
         depends on one variable is computed once per level of that axis.
         """
         return self._evaluate(*np.ix_(*axes)).reshape(-1)
+
+    def factor_mesh(self, factors: list[np.ndarray]) -> np.ndarray:
+        """A product objective's ``mesh``, given each axis already mapped through g."""
+        return check_finite(self.name, reduce(operator.mul, np.ix_(*factors)).reshape(-1))
 
     def _evaluate(self, *coords: np.ndarray) -> np.ndarray:
         """Values at the broadcast of the coordinate arrays; all must be finite."""
@@ -100,21 +116,21 @@ def gp_eval(x1, x2):
     return a * b
 
 
+def shubert_axis(x):
+    """Shubert's per-axis factor: the terms i*cos((i+1)x + i), i = 1..5, added in order."""
+    x = np.asarray(x)
+    total = np.cos(2 * x + 1)
+    for i in range(2, 6):
+        total += i * np.cos((i + 1) * x + i)
+    return total
+
+
 def shubert_eval(x1, x2):
     """Shubert product of two 5-term cosine sums; 18 global minima at -186.7309.
 
-    Scalars or arrays that broadcast; each axis sum adds its five terms
-    i*cos((i+1)x + i) in order.
+    Scalars or arrays that broadcast.
     """
-
-    def axis_sum(x):
-        x = np.asarray(x)
-        total = np.cos(2 * x + 1)
-        for i in range(2, 6):
-            total += i * np.cos((i + 1) * x + i)
-        return total
-
-    return axis_sum(x1) * axis_sum(x2)
+    return shubert_axis(x1) * shubert_axis(x2)
 
 
 def lj_pair(r: float) -> float:
@@ -219,7 +235,7 @@ def _trimer_shared(b, a):
 
 
 GOLDSTEIN_PRICE = Objective("gp", 2, batch_fn=gp_eval)
-SHUBERT = Objective("shubert", 2, batch_fn=shubert_eval)
+SHUBERT = Objective("shubert", 2, factor=shubert_axis)
 #: Three-atom energy with both bonds tied to one grid variable: f(B, A).
 LJ_TRIMER = Objective("lj-trimer", 2, batch_fn=_trimer_shared)
 

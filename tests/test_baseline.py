@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from grovermin.baseline import RefinedMinimum, grid_brute_min, refine_min
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
 from grovermin.objectives import GOLDSTEIN_PRICE, LJ_TRIMER, SHUBERT, Objective, lj_pair
 from grovermin.statevector import MAX_QUBITS
+from test_encoding import EVALUATE_CASES, EVALUATE_IDS
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
 TRIMER_LAYOUT = GridLayout(
@@ -56,6 +58,103 @@ def test_grid_ties_break_to_index_zero_across_blocks(monkeypatch):
     flat = Objective("flat", 2, batch_fn=lambda x, y: np.full(np.broadcast(x, y).shape, 7.0))
     out = grid_brute_min(flat, GP_LAYOUT)
     assert (out.index, out.value, out.num_evaluations) == (0, 7.0, 1024)
+
+
+@pytest.mark.parametrize("objective, layout, block_rows", EVALUATE_CASES, ids=EVALUATE_IDS)
+def test_streaming_minimum_is_the_argmin_of_evaluate(monkeypatch, objective, layout, block_rows):
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", block_rows)
+    values = layout.evaluate(objective)
+    i = int(np.argmin(values))
+    out = grid_brute_min(objective, layout)
+    assert (out.index, out.value.hex(), out.point) == (i, values[i].hex(), layout.decode(i))
+
+
+#: Level k of this 10-qubit axis is exactly k, so ``_lookup(table)`` takes
+#: the value at index k from ``table``.  With 100 rows a block, the scan
+#: walks eleven slabs of 100 cells and one of 24.
+LINE = GridLayout([VariableSpec("t", 0.0, 1023.0, 10)])
+
+
+def _lookup(table):
+    return Objective("lookup", 1, batch_fn=lambda t: table[np.rint(t).astype(np.int64)])
+
+
+@pytest.mark.parametrize(
+    "cells, expected",
+    [({150: 1.0, 650: 1.0}, 150), ({650: 1.0, 651: 1.0}, 650), ({1020: 0.0, 3: 2.0}, 1020)],
+    ids=["tie-across-slabs", "tie-in-a-slab", "last-slab"],
+)
+def test_streaming_minimum_keeps_the_lowest_index(monkeypatch, cells, expected):
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", 100)
+    table = np.full(LINE.size, 5.0)
+    for k, value in cells.items():
+        table[k] = value
+    out = grid_brute_min(_lookup(table), LINE)
+    assert (out.index, out.value, out.point) == (expected, table[expected], (float(expected),))
+
+
+def test_streaming_minimum_rejects_a_non_finite_later_slab(monkeypatch):
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", 100)
+    table = np.arange(LINE.size, dtype=float)
+    table[[700, 750]] = [np.nan, np.inf]
+    with pytest.raises(ValueError) as evaluated:
+        LINE.evaluate(_lookup(table))
+    with pytest.raises(ValueError, match="objective 'lookup' gave 2 non-finite values") as scanned:
+        grid_brute_min(_lookup(table), LINE)
+    assert str(scanned.value) == str(evaluated.value)
+
+
+@pytest.mark.parametrize("values", [None, np.zeros(LINE.size)], ids=["scan", "given-values"])
+def test_grid_rejects_an_arity_mismatch(values):
+    with pytest.raises(ValueError, match="objective 'gp' has arity 2, layout has 1"):
+        grid_brute_min(GOLDSTEIN_PRICE, LINE, values=values)
+
+
+@pytest.mark.parametrize("objective", [GOLDSTEIN_PRICE, SHUBERT, LJ_TRIMER], ids=lambda o: o.name)
+def test_streaming_minimum_holds_no_values_array(objective):
+    # A 10+10 grid's values (8 MiB) would not fit under the bound (4 MiB).
+    layout = square_layout(["x", "y"], 0.0, 3.0, 10)
+    bound = 8 * encoding.BLOCK_ROWS * 8
+    assert layout.size * 8 > bound
+    tracemalloc.start()
+    try:
+        out = grid_brute_min(objective, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.num_evaluations == layout.size
+    assert peak < bound
+
+
+#: The three grids of the 24-qubit scan benchmark at 12+12 qubits and their
+#: minima as (index, value.hex()).  Shubert's grid is symmetric under swapping
+#: the axes, so its minimum is tied and the pin also checks the lowest index.
+SCAN_24Q_PINS = [
+    (SHUBERT, square_layout(["x1", "x2"], -10.0, 10.0, 12), 12463202, "-0x1.7574dcd89d672p+7"),
+    (GOLDSTEIN_PRICE, square_layout(["x1", "x2"], -3.2, 3.0, 12), 8660397, "0x1.800478988bd87p+1"),
+    (
+        LJ_TRIMER,
+        GridLayout([VariableSpec("B", 0.0001, 2.0, 12), VariableSpec("A", 0.0001, math.pi, 12)]),
+        8385877,
+        "-0x1.7fffe39077737p+1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "objective, layout, index, value", SCAN_24Q_PINS, ids=[pin[0].name for pin in SCAN_24Q_PINS]
+)
+def test_24_qubit_scans_keep_their_minima(objective, layout, index, value):
+    out = grid_brute_min(objective, layout)
+    assert (out.index, out.value.hex()) == (index, value)
+    assert out.point == layout.decode(index)
+
+
+def test_shubert_24_qubit_minimum_is_tied_with_its_mirror():
+    objective, layout, index, value = SCAN_24Q_PINS[0]
+    mirror = layout.encode(layout.decode(index)[::-1])[0]
+    assert mirror > index
+    assert objective(*layout.decode(mirror)).hex() == value
 
 
 def test_grid_rejects_non_finite_values():

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from grovermin import cli
-from grovermin.encoding import GridLayout, VariableSpec
+from grovermin import baseline, cli
+from grovermin.encoding import GridLayout, VariableSpec, square_layout
+from grovermin.objectives import GOLDSTEIN_PRICE
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,3 +54,15 @@ def test_write_json_takes_the_path_first(spans, tmp_path):
     path = tmp_path / "out.json"
     cli.write_json(path, {"a": [1.5]})
     assert spans._write_json_counts((path, None), {}, None) == {"bytes": path.stat().st_size}
+
+
+def test_grid_brute_min_takes_the_workload_calls():
+    # perfbench/workloads.py scans with grid_brute_min(objective, layout) and
+    # passes values= in descent-20q's set-up.
+    signature = inspect.signature(baseline.grid_brute_min)
+    layout = square_layout(["x1", "x2"], -3.2, 3.0, 4)
+    values = GOLDSTEIN_PRICE.batch(layout.all_points())
+    signature.bind(GOLDSTEIN_PRICE, layout)
+    signature.bind(GOLDSTEIN_PRICE, layout, values=values)
+    scanned = baseline.grid_brute_min(GOLDSTEIN_PRICE, layout)
+    assert baseline.grid_brute_min(GOLDSTEIN_PRICE, layout, values=values) == scanned

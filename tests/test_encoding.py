@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grovermin import encoding
+from grovermin.baseline import grid_brute_min
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
 from grovermin.objectives import (
     GOLDSTEIN_PRICE,
@@ -18,6 +19,7 @@ from grovermin.objectives import (
     build_fixed_core,
     free_atom_objective,
     gp_eval,
+    shubert_axis,
 )
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
@@ -174,6 +176,44 @@ def test_evaluate_hands_the_objective_per_axis_vectors(monkeypatch, objective, l
     for call in sizes:
         for size, v in zip(call, layout.variables):
             assert size <= min(block_rows, v.levels)
+
+
+@pytest.mark.parametrize(
+    "layout, block_rows",
+    [(GRID_5_5, 32), (GRID_5_5, 100), (GRID_5_5, 1 << 16), (GRID_4_3_3, 48), (GRID_4_3_3, 100)],
+    ids=["5+5-32-slabs", "5+5-11-slabs", "5+5-one-slab", "4+3+3-middle-axis", "4+3+3"],
+)
+def test_product_objective_maps_each_axis_once(monkeypatch, layout, block_rows):
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", block_rows)
+    calls = []
+
+    def spy(x):
+        calls.append(len(x))
+        return shubert_axis(x)
+
+    spied = Objective("shubert", layout.arity, factor=spy)
+    expected = Objective("shubert", layout.arity, factor=shubert_axis).batch(layout.all_points())
+    values = layout.evaluate(spied)
+    assert values.tobytes() == expected.tobytes()
+    assert calls == [v.levels for v in layout.variables]
+    calls.clear()
+    out = grid_brute_min(spied, layout)
+    assert calls == [v.levels for v in layout.variables]
+    assert (out.index, out.value) == (int(np.argmin(values)), values.min())
+
+
+def test_product_objective_maps_an_axis_longer_than_a_block_by_slab(monkeypatch):
+    # The 1+9 grid's second axis (512 levels) is split into runs of 100.
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", 100)
+    calls = []
+
+    def spy(x):
+        calls.append(len(x))
+        return shubert_axis(x)
+
+    values = GRID_1_9.evaluate(Objective("shubert", 2, factor=spy))
+    assert values.tobytes() == SHUBERT.batch(GRID_1_9.all_points()).tobytes()
+    assert calls == [2] + [100, 100, 100, 100, 100, 12] * 2
 
 
 @pytest.mark.parametrize("objective", [GOLDSTEIN_PRICE, SHUBERT, LJ_TRIMER], ids=lambda o: o.name)

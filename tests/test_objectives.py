@@ -1,5 +1,6 @@
 """Objective families: polynomial, cosine product, and LJ cluster energies."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from grovermin.objectives import (
     get_objective,
     gp_eval,
     lj_pair,
+    shubert_axis,
     shubert_eval,
     trimer_energy,
 )
@@ -320,9 +322,32 @@ def test_shubert_term_sum_equals_the_reduction_formula_bitwise():
 
     rng = np.random.default_rng(17)
     x1, x2 = rng.uniform(-10.0, 10.0, size=(2, 20000))
-    np.testing.assert_array_equal(shubert_eval(x1, x2), reduced(x1, x2))
-    rows, cols = np.ix_(np.linspace(-10.0, 10.0, 16), np.linspace(-10.0, 10.0, 4096))
+    expected = reduced(x1, x2)
+    np.testing.assert_array_equal(shubert_eval(x1, x2), expected)
+    np.testing.assert_array_equal(SHUBERT.batch(np.column_stack([x1, x2])), expected)
+    assert [SHUBERT(a, b) for a, b in zip(x1[:500], x2[:500])] == list(expected[:500])
+    axes = [np.linspace(-10.0, 10.0, 16), np.linspace(-10.0, 10.0, 4096)]
+    rows, cols = np.ix_(*axes)
     np.testing.assert_array_equal(shubert_eval(rows, cols), reduced(rows, cols))
+    np.testing.assert_array_equal(SHUBERT.mesh(axes), reduced(rows, cols).reshape(-1))
+    factors = [shubert_axis(a) for a in axes]
+    np.testing.assert_array_equal(SHUBERT.factor_mesh(factors), reduced(rows, cols).reshape(-1))
+
+
+def test_product_objective_is_the_product_of_its_factors():
+    objective = Objective("cos3", 3, factor=np.cos)
+    x, y, z = np.random.default_rng(5).uniform(-3.0, 3.0, size=(3, 50))
+    expected = np.cos(x) * np.cos(y) * np.cos(z)
+    np.testing.assert_array_equal(objective.batch(np.column_stack([x, y, z])), expected)
+    assert objective(x[0], y[0], z[0]) == expected[0]
+    axes = [x[:4], y[:5], z[:6]]
+    mesh = objective.mesh(axes)
+    assert mesh.tobytes() == objective.factor_mesh([np.cos(a) for a in axes]).tobytes()
+    assert mesh.tobytes() == objective.batch(list(itertools.product(*axes))).tobytes()
+    with pytest.raises(ValueError, match="objective 'cos3' gave 2 non-finite values"):
+        objective.factor_mesh([np.array([np.inf]), np.ones(2), np.ones(1)])
+    with pytest.raises(ValueError, match="factor excludes fn and batch_fn"):
+        Objective("both", 2, batch_fn=shubert_eval, factor=shubert_axis)
 
 
 def test_batch_rejects_non_finite_values():
