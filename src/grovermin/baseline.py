@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import GridLayout
-from .objectives import Objective
+from .objectives import Box, Objective, check_box
 
 
 @dataclass(frozen=True)
@@ -23,21 +23,20 @@ def grid_brute_min(
 ) -> GridMinimum:
     """Exact minimum over every grid point; ties break to the lowest index.
 
-    Given ``values``, their ``argmin``.  Otherwise the scan reduces over
-    ``layout.slabs`` and holds one slab at a time, never the whole grid's
-    values: each slab's ``argmin`` replaces the best only if strictly lower,
-    so a tie keeps the earlier slab.
+    The scan reduces over ``layout.slabs`` and holds one slab at a time, never
+    the whole grid's values; given ``values``, they are the one slab.  Each
+    slab's ``argmin`` (the first index on ties) replaces the best only if
+    strictly lower, so a tie keeps the earlier slab.
     """
-    if values is not None:
-        values = layout.objective_values(objective, values)
-        idx = int(np.argmin(values))  # argmin returns the first (lowest) index on ties
-        best = values[idx]
+    if values is None:
+        slabs = layout.slabs(objective)
     else:
-        idx, best = -1, np.inf
-        for start, slab in layout.slabs(objective):
-            i = int(np.argmin(slab))
-            if slab[i] < best:
-                idx, best = start + i, slab[i]
+        slabs = [(0, layout.objective_values(objective, values))]
+    idx, best = -1, np.inf
+    for start, slab in slabs:
+        i = int(np.argmin(slab))
+        if slab[i] < best:
+            idx, best = start + i, slab[i]
     return GridMinimum(
         index=idx,
         point=layout.decode(idx),
@@ -56,7 +55,7 @@ class RefinedMinimum:
 
 def refine_min(
     objective: Objective,
-    box: list[tuple[float, float]],
+    box: Box,
     levels: int = 5,
     points_per_axis: int = 15,
     zoom: float = 0.25,
@@ -74,11 +73,9 @@ def refine_min(
         raise ValueError(f"points_per_axis must be >= 2, got {points_per_axis}")
     if not 0 < zoom < 1:
         raise ValueError(f"zoom must be in (0, 1), got {zoom}")
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if len(box) != objective.arity:
-        raise ValueError(f"box has {len(box)} axes, objective takes {objective.arity}")
+    box = check_box(box, objective.arity)
     for lo, hi in box:
-        if not lo < hi:
+        if lo == hi:
             raise ValueError(f"degenerate box axis [{lo}, {hi}]")
 
     current = list(box)

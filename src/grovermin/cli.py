@@ -38,7 +38,7 @@ from .minsearch import (
     spawn_rngs,
 )
 from .objectives import get_objective
-from .pivot import GrowthConfig, PivotConfig, lj_growth, pivot_grover_search
+from .pivot import TRIMER_BOX, GrowthConfig, PivotConfig, lj_growth, pivot_grover_search
 from .statevector import (
     MarkedSet,
     Statevector,
@@ -49,6 +49,14 @@ from .statevector import (
 
 MINSEARCH_EXPERIMENTS = ("gp", "lj-trimer")
 
+#: Goldstein-Price search window, the same on both axes.
+GP_SQUARE = (-3.2, 3.0)
+
+
+def _variable(name: str, window: tuple[float, float], qubits: int) -> dict:
+    return {"name": name, "lo": window[0], "hi": window[1], "qubits": qubits}
+
+
 #: The ``growth`` section: GrowthConfig's fields (its pivot has its own
 #: section) plus the atom count handed to lj_growth.
 _GROWTH_DEFAULTS = {
@@ -57,20 +65,14 @@ _GROWTH_DEFAULTS = {
 }
 
 DEFAULT_CONFIGS = {
-    "appendix-demo": {
-        "experiment": "appendix-demo",
-        "seed": 0,
-    },
+    "appendix-demo": {"experiment": "appendix-demo"},
     "gp": {
         "experiment": "gp",
         "objective": "gp",
         "seed": 0,
         "runs": 1,
         "schedule": "baritompa",
-        "layout": [
-            {"name": "x1", "lo": -3.2, "hi": 3.0, "qubits": 5},
-            {"name": "x2", "lo": -3.2, "hi": 3.0, "qubits": 5},
-        ],
+        "layout": [_variable("x1", GP_SQUARE, 5), _variable("x2", GP_SQUARE, 5)],
         "stop": asdict(StopRule()),
         "strict": False,
     },
@@ -80,10 +82,7 @@ DEFAULT_CONFIGS = {
         "seed": 0,
         "runs": 1,
         "schedule": "incremental",
-        "layout": [
-            {"name": "B", "lo": 0.0001, "hi": 2.0, "qubits": 5},
-            {"name": "A", "lo": 0.0001, "hi": math.pi, "qubits": 4},
-        ],
+        "layout": [_variable("B", TRIMER_BOX[0], 5), _variable("A", TRIMER_BOX[1], 4)],
         "stop": asdict(StopRule()),
         "strict": False,
     },
@@ -407,9 +406,7 @@ def appendix_demo() -> dict:
     square; the corner with the lowest value is marked classically, phase
     inverted, and amplified once, taking the uniform state to a basis state.
     """
-    layout = GridLayout(
-        [VariableSpec("x1", -3.2, 3.0, 1), VariableSpec("x2", -3.2, 3.0, 1)]
-    )
+    layout = GridLayout([VariableSpec("x1", *GP_SQUARE, 1), VariableSpec("x2", *GP_SQUARE, 1)])
     objective = get_objective("gp")
     points = layout.all_points()
     values = objective.batch(points)
@@ -442,11 +439,13 @@ def _print_matrix(name: str, matrix) -> None:
 def cmd_run(args) -> int:
     config = _run_config(args)
     out = Path(args.out) if args.out else None
+    experiment = config["experiment"]
+    if args.emit_distributions and experiment not in MINSEARCH_EXPERIMENTS:
+        raise ConfigError(f"experiment {experiment!r} takes no --emit-distributions")
     if args.emit_distributions and out is None:
         raise ConfigError("--emit-distributions needs --out")
-    seed = config["seed"]
 
-    if config["experiment"] == "appendix-demo":
+    if experiment == "appendix-demo":
         demo = appendix_demo()
         print("two-qubit demo over the GP corner grid")
         print(f"uniform state     |s> = {demo['uniform']}")
@@ -459,9 +458,10 @@ def cmd_run(args) -> int:
             write_json(out / "appendix_demo.json", demo)
         return 0
 
+    seed = config["seed"]
     rngs = spawn_rngs(seed, config["runs"])
 
-    if config["experiment"] in MINSEARCH_EXPERIMENTS:
+    if experiment in MINSEARCH_EXPERIMENTS:
         setup = build_setup(config)
         values = setup.layout.objective_values(setup.objective)
         for run_id, rng in enumerate(rngs):
@@ -475,7 +475,7 @@ def cmd_run(args) -> int:
                 strict=setup.strict,
             )
             print(
-                f"experiment={config['experiment']} run={run_id} "
+                f"experiment={experiment} run={run_id} "
                 f"best={result.best_value!r} point={tuple(result.best_point)} "
                 f"rounds={result.num_rounds} total_iterations={result.total_iterations} "
                 f"converged={result.converged}"
@@ -493,14 +493,14 @@ def cmd_run(args) -> int:
                         emit_distribution(state, setup.layout, values, path)
         return 0
 
-    if config["experiment"] == "shubert-pivot":
+    if experiment == "shubert-pivot":
         objective = get_objective(config["objective"])
         pivot_config = _build("pivot", PivotConfig, config["pivot"])
         qubits = _integer("qubits", config["qubits"])
         for run_id, rng in enumerate(rngs):
             result = pivot_grover_search(objective, config["box"], qubits, pivot_config, rng)
             print(
-                f"experiment={config['experiment']} run={run_id} "
+                f"experiment={experiment} run={run_id} "
                 f"best={result.best_value!r} point={tuple(result.best_point)} "
                 f"generations={result.num_generations} "
                 f"total_iterations={result.total_iterations} converged={result.converged}"
@@ -537,7 +537,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    config = load_config(args.experiment, args.config)
+    config = _run_config(args)
     objective = get_objective(config["objective"])
     layout = build_layout(config)
     reference = grid_brute_min(objective, layout)
@@ -595,8 +595,9 @@ def _run_config(args) -> dict:
             if key not in config:
                 raise ConfigError(f"experiment {config['experiment']!r} takes no --{key}")
             config[key] = value
-    _integer("seed", config["seed"], bits=64)
-    _integer("runs", config.get("runs", 1))
+    for key, bits in (("seed", 64), ("runs", None)):
+        if key in config:
+            _integer(key, config[key], bits)
     return config
 
 
@@ -610,16 +611,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config overriding the built-in defaults")
-    common.add_argument("--seed", type=int, help="base seed (64-bit unsigned)")
     common.add_argument("--out", help="directory for JSON traces and CSV files")
-
-    p_run = sub.add_parser("run", parents=[common], help="run one experiment")
-    p_run.add_argument("experiment", choices=EXPERIMENTS)
-    p_run.add_argument("--runs", type=int, help="number of independent seeded runs")
-    p_run.add_argument(
+    # Seeded searches; brute takes neither flag.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="base seed (64-bit unsigned)")
+    seeded.add_argument(
         "--schedule",
         help="round schedule: baritompa, incremental, or constant:K",
     )
+
+    p_run = sub.add_parser("run", parents=[common, seeded], help="run one experiment")
+    p_run.add_argument("experiment", choices=EXPERIMENTS)
+    p_run.add_argument("--runs", type=int, help="number of independent seeded runs")
     p_run.add_argument(
         "--emit-distributions",
         action="store_true",
@@ -634,21 +637,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_brute.set_defaults(func=cmd_brute)
 
     p_ens = sub.add_parser(
-        "ensemble", parents=[common], help="seeded ensemble statistics for a grid experiment"
+        "ensemble",
+        parents=[common, seeded],
+        help="seeded ensemble statistics for a grid experiment",
     )
     p_ens.add_argument("experiment", choices=MINSEARCH_EXPERIMENTS)
     p_ens.add_argument("--runs", type=int, help="ensemble size")
-    p_ens.add_argument(
-        "--schedule",
-        help="round schedule: baritompa, incremental, or constant:K",
-    )
     p_ens.set_defaults(func=cmd_ensemble)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Exit 0 on success, 1 when a run aborts on a numeric failure, and 2 on
-    bad input: any ValueError, raised by the CLI or by a library check."""
+    """Exit 0 on success and 2 on bad input: any ValueError, raised by the CLI
+    or by a library check."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -656,9 +657,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

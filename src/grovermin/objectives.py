@@ -105,6 +105,25 @@ def check_finite(name: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
+Box = list[tuple[float, float]]
+
+
+def check_box(box: Box, arity: int) -> Box:
+    """``box`` as float ``(lo, hi)`` pairs, one per variable, finite and lo <= hi."""
+    try:
+        box = [(float(lo), float(hi)) for lo, hi in box]
+    except (TypeError, ValueError):
+        raise ValueError(f"box must be a list of [lo, hi] pairs, got {box!r}") from None
+    if len(box) != arity:
+        raise ValueError(f"box has {len(box)} axes, objective takes {arity}")
+    for lo, hi in box:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"box bounds must be finite, got [{lo}, {hi}]")
+        if hi < lo:
+            raise ValueError(f"empty box axis [{lo}, {hi}]")
+    return box
+
+
 def gp_eval(x1, x2):
     """Goldstein-Price polynomial; global minimum 3 at (0, -1)."""
     a = 1 + (x1 + x2 + 1) ** 2 * (

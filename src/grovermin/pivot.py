@@ -23,9 +23,11 @@ import numpy as np
 from .grover import class_probabilities, optimal_iterations
 from .objectives import (
     LJ_TRIMER,
+    Box,
     ClusterGeometry,
     Objective,
     build_fixed_core,
+    check_box,
     free_atom_objective,
 )
 from .statevector import check_qubits
@@ -36,16 +38,12 @@ from .statevector import check_qubits
 from .grover import iterate  # noqa: F401
 from .statevector import MarkedSet, uniform_superposition  # noqa: F401
 
-Box = list[tuple[float, float]]
-
 #: Search window for the shared-bond trimer stage of cluster growth.
 TRIMER_BOX: Box = [(0.0001, 2.0), (0.0001, math.pi)]
 
-#: Free-coordinate windows for the growth stages.
-GROWTH_BOX_YZ: Box = [(0.01, 1.01), (0.01, 1.01)]
-GROWTH_BOX_YZ_MIRRORED: Box = [(0.01, 1.01), (-1.01, -0.01)]
-GROWTH_BOX_XYZ: Box = [(-0.5, 0.5), (0.01, 1.01), (0.01, 1.01)]
-GROWTH_BOX_XYZ_MIRRORED: Box = [(-0.5, 0.5), (0.01, 1.01), (-1.01, -0.01)]
+#: Free-atom (X, Y, Z) window for growth stages 4 and 5.  Method 2 pins X and
+#: searches the (Y, Z) axes; a mirrored fifth stage reflects Z below the plane.
+GROWTH_BOX: Box = [(-0.5, 0.5), (0.01, 1.01), (0.01, 1.01)]
 
 
 @dataclass
@@ -112,24 +110,11 @@ class PivotConfig:
             raise ValueError(f"sigma_floor must be >= 0, got {self.sigma_floor}")
 
 
-def _check_box(box: Box, arity: int) -> list[tuple[float, float]]:
-    try:
-        box = [(float(lo), float(hi)) for lo, hi in box]
-    except (TypeError, ValueError):
-        raise ValueError(f"box must be a list of [lo, hi] pairs, got {box!r}") from None
-    if len(box) != arity:
-        raise ValueError(f"box has {len(box)} axes, objective takes {arity}")
-    for lo, hi in box:
-        if hi < lo:
-            raise ValueError(f"empty box axis [{lo}, {hi}]")
-    return box
-
-
 def generate_probes(
     box: Box, n: int, rng: np.random.Generator, objective: Objective
 ) -> ProbeSet:
     """N points drawn independently and uniformly from the box."""
-    box = _check_box(box, objective.arity)
+    box = check_box(box, objective.arity)
     if n < 2:
         raise ValueError(f"need at least 2 probes, got {n}")
     lo = np.array([b[0] for b in box])
@@ -139,7 +124,9 @@ def generate_probes(
 
 
 def select_pivots(
-    probes: ProbeSet, fraction: float = 0.15, rng: np.random.Generator | None = None
+    probes: ProbeSet,
+    fraction: float = PivotConfig.fraction,
+    rng: np.random.Generator | None = None,
 ) -> PivotState:
     """Draw the lowest-``fraction`` probes via amplified sampling.
 
@@ -211,7 +198,7 @@ def select_pivots(
     )
 
 
-def boltzmann_weights(values: np.ndarray, kT: float = 50.0) -> np.ndarray:
+def boltzmann_weights(values: np.ndarray, kT: float = PivotConfig.kT) -> np.ndarray:
     """Normalized weights proportional to exp(-f/kT), shifted for safety."""
     if kT <= 0:
         raise ValueError(f"kT must be positive, got {kT}")
@@ -228,7 +215,7 @@ def resample(
     box: Box,
     rng: np.random.Generator,
     objective: Objective,
-    elitism: bool = True,
+    elitism: bool = PivotConfig.elitism,
 ) -> ProbeSet:
     """New population: pivots (under elitism) plus Gaussian offspring.
 
@@ -236,7 +223,7 @@ def resample(
     ``weights`` and adds a per-coordinate normal offset of width ``sigma``,
     clamped into the box.
     """
-    box = _check_box(box, objective.arity)
+    box = check_box(box, objective.arity)
     m = state.num_pivots
     num_children = n - m if elitism else n
     if num_children < 0:
@@ -306,7 +293,7 @@ def pivot_grover_search(
     consecutive generations; hitting ``max_generations`` instead reports
     converged=False.
     """
-    box = _check_box(box, objective.arity)
+    box = check_box(box, objective.arity)
     check_qubits(qubits)
     n = 1 << qubits
     probes = generate_probes(box, n, rng, objective)
@@ -367,8 +354,8 @@ class GrowthConfig:
     # hybrid first and freezes an equilateral triangle at the bond it finds.
     bond: float | None = None
     trimer_qubits: int = 10
-    # Stage-5 box for method 2: reflect the Z window below the triangle
-    # plane, where the second face-capping site lives.
+    # Stage-5 box: reflect the Z window below the triangle plane, where the
+    # second face-capping site lives.
     mirror_fifth: bool = True
     pivot: PivotConfig = field(default_factory=PivotConfig)
 
@@ -404,9 +391,10 @@ def lj_growth(
     """Grow a cluster one atom at a time, freezing each found position.
 
     Stage 3 finds the shared bond of the equilateral seed (or takes it from
-    config); stages 4 and 5 search one free atom around the frozen core.
-    Method 2 pins the free atom's X at 0 with Y, Z on qubits_per_axis qubits
-    each; method 1 frees X, Y, Z on 4+3+3 qubits.
+    config); stages 4 and 5 search one free atom around the frozen core in
+    ``GROWTH_BOX``.  Method 2 pins the free atom's X at 0 and searches Y, Z on
+    qubits_per_axis qubits each; method 1 frees X, Y, Z on a 10-qubit probe
+    register, since a continuous pivot search does not split qubits by axis.
     """
     if target_atoms not in (4, 5):
         raise ValueError(f"target_atoms must be 4 or 5, got {target_atoms}")
@@ -433,31 +421,26 @@ def lj_growth(
         )
     )
 
+    # Method 2 pins X at 0 and searches GROWTH_BOX without its X axis; the
+    # pinned coordinates lead each new atom's position.
+    pinned = (0.0,) if config.method == 2 else ()
+    qubits = 2 * config.qubits_per_axis if pinned else 10
     positions = core.fixed_atoms
     for num_atoms in range(4, target_atoms + 1):
-        geometry = ClusterGeometry(positions)
-        mirrored = num_atoms == 5 and config.mirror_fifth
-        if config.method == 2:
-            box = GROWTH_BOX_YZ_MIRRORED if mirrored else GROWTH_BOX_YZ
-            objective = free_atom_objective(geometry, pin_x=0.0)
-            qubits = 2 * config.qubits_per_axis
-        else:
-            box = GROWTH_BOX_XYZ_MIRRORED if mirrored else GROWTH_BOX_XYZ
-            objective = free_atom_objective(geometry)
-            qubits = 10
+        box = GROWTH_BOX[len(pinned) :]
+        if num_atoms == 5 and config.mirror_fifth:
+            lo, hi = box[-1]
+            box = [*box[:-1], (-hi, -lo)]
+        objective = free_atom_objective(ClusterGeometry(positions), *pinned)
         search = pivot_grover_search(objective, box, qubits, config.pivot, rng)
         total_iterations += search.total_iterations
-        if config.method == 2:
-            new_atom = np.array([0.0, search.best_point[0], search.best_point[1]])
-        else:
-            new_atom = np.array(search.best_point)
-        positions = np.vstack([positions, new_atom])
+        positions = np.vstack([positions, [*pinned, *search.best_point]])
         stages.append(
             GrowthStage(
                 num_atoms=num_atoms,
                 positions=positions.copy(),
                 energy=ClusterGeometry(positions).fixed_energy,
-                box=list(box),
+                box=box,
                 search=search,
             )
         )

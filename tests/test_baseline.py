@@ -262,3 +262,9 @@ def test_refine_validation():
         refine_min(GOLDSTEIN_PRICE, [(-1.0, 1.0)])
     with pytest.raises(ValueError, match="degenerate"):
         refine_min(GOLDSTEIN_PRICE, [(-1.0, 1.0), (2.0, 2.0)])
+    with pytest.raises(ValueError, match="empty box axis"):
+        refine_min(GOLDSTEIN_PRICE, [(-1.0, 1.0), (2.0, 1.0)])
+    with pytest.raises(ValueError, match="box bounds must be finite"):
+        refine_min(GOLDSTEIN_PRICE, [(-1.0, 1.0), (float("nan"), 1.0)])
+    with pytest.raises(ValueError, match=r"box must be a list of \[lo, hi\] pairs"):
+        refine_min(GOLDSTEIN_PRICE, [(-1.0, 1.0), (None, 1.0)])

@@ -1,9 +1,10 @@
 """Every grovermin name the benchmark under ``perfbench/`` binds still resolves.
 
 ``perfbench/spans.py`` rebinds the functions listed in its ``TARGETS`` and
-``perfbench/workloads.py`` checks results through a few ``encoding`` names,
-so deleting or renaming one of them would break ``perfbench/run.py --trace 1``
-without failing any other test.  This test only imports ``perfbench/``.
+``perfbench/workloads.py`` sets up and checks its workloads through a few
+more names, so deleting or renaming one of them, or changing how it is
+called, would break ``perfbench/run.py --trace 1`` without failing any other
+test.  This test only imports ``perfbench/``.
 """
 
 import importlib
@@ -11,10 +12,12 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from grovermin import baseline, cli
+from grovermin import baseline, cli, pivot
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
+from grovermin.minsearch import Schedule
 from grovermin.objectives import GOLDSTEIN_PRICE
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -66,3 +69,21 @@ def test_grid_brute_min_takes_the_workload_calls():
     signature.bind(GOLDSTEIN_PRICE, layout, values=values)
     scanned = baseline.grid_brute_min(GOLDSTEIN_PRICE, layout)
     assert baseline.grid_brute_min(GOLDSTEIN_PRICE, layout, values=values) == scanned
+
+
+@pytest.mark.parametrize("experiment", ["gp", "lj-trimer"])
+def test_ensemble_setup_calls_resolve(experiment):
+    # ensemble-10q's set-up: the default config, its layout and its schedule.
+    config = cli.load_config(experiment, None)
+    layout = cli.build_layout(config)
+    assert isinstance(layout, GridLayout)
+    assert isinstance(Schedule.parse(config["schedule"]), Schedule)
+
+
+def test_pivot_hybrid_growth_call_resolves():
+    # pivot-hybrid's small configs and its lj_growth call.
+    pivot_config = pivot.PivotConfig(max_generations=10)
+    config = pivot.GrowthConfig(qubits_per_axis=3, trimer_qubits=6, pivot=pivot_config)
+    result = pivot.lj_growth(5, config, np.random.default_rng(0))
+    assert [stage.num_atoms for stage in result.stages] == [3, 4, 5]
+    assert result.final_positions.shape == (5, 3)

@@ -536,6 +536,37 @@ def test_runs_flag_rejected_where_unsupported(capsys):
     assert "takes no --runs" in capsys.readouterr().err
 
 
+def test_seed_flag_rejected_by_appendix_demo(tmp_path, capsys):
+    argv = ["run", "appendix-demo", "--seed", "7", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: experiment 'appendix-demo' takes no --seed\n"
+    assert main([*argv, "--emit-distributions"]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["appendix-demo", "shubert-pivot", "lj-grow"])
+def test_emit_distributions_rejected_outside_grid_experiments(experiment, tmp_path, capsys):
+    argv = ["run", experiment, "--emit-distributions", "--out", str(tmp_path / "d")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: experiment {experiment!r} takes no --emit-distributions\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_brute_takes_no_seed_flag(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["brute", "gp", "--seed", "5"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+def test_brute_checks_the_config_seed(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"seed": -1}))
+    assert main(["brute", "gp", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "config error: seed must be an integer in [0, 2**64), got -1\n"
+
+
 def test_schedule_flag_rejected_where_unsupported(capsys):
     assert main(["run", "shubert-pivot", "--schedule", "baritompa"]) == 2
     assert "takes no --schedule" in capsys.readouterr().err
@@ -665,6 +696,11 @@ def test_oversized_register_exits_2_before_allocating(
         ),
         ("shubert-pivot", {"pivot": {"sigma_scale": math.inf}}, "sigma_scale must be finite"),
         ("shubert-pivot", {"pivot": {"sigma_floor": -1.0}}, "sigma_floor must be >= 0, got -1.0"),
+        (
+            "shubert-pivot",
+            {"box": [[-math.inf, math.inf], [-10, 10]]},
+            "box bounds must be finite, got [-inf, inf]",
+        ),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(

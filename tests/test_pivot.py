@@ -1,5 +1,6 @@
 """Hybrid pivot search: selection accounting, resampling, cluster growth."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,9 +13,6 @@ from grovermin.grover import iterate, optimal_iterations, success_probability
 from grovermin.objectives import ClusterGeometry, GOLDSTEIN_PRICE, SHUBERT, Objective, lj_pair
 from grovermin.statevector import MarkedSet, uniform_superposition
 from grovermin.pivot import (
-    GROWTH_BOX_XYZ,
-    GROWTH_BOX_YZ,
-    GROWTH_BOX_YZ_MIRRORED,
     TRIMER_BOX,
     GrowthConfig,
     PivotConfig,
@@ -571,8 +569,8 @@ def test_growth_method_two_pins_x():
     result = lj_growth(5, GrowthConfig(bond=1.0), np.random.default_rng(4))
     added = result.final_positions[3:]
     np.testing.assert_array_equal(added[:, 0], [0.0, 0.0])
-    assert result.stages[1].box == GROWTH_BOX_YZ
-    assert result.stages[2].box == GROWTH_BOX_YZ_MIRRORED
+    assert result.stages[1].box == [(0.01, 1.01), (0.01, 1.01)]
+    assert result.stages[2].box == [(0.01, 1.01), (-1.01, -0.01)]
 
 
 def test_growth_stage_energies_descend():
@@ -599,7 +597,7 @@ def test_growth_fifth_atom_mirrors_below_plane():
     flat = lj_growth(
         5, GrowthConfig(bond=1.0, mirror_fifth=False), np.random.default_rng(4)
     )
-    assert flat.stages[2].box == GROWTH_BOX_YZ
+    assert flat.stages[2].box == [(0.01, 1.01), (0.01, 1.01)]
     assert flat.final_positions[4, 2] > 0
     # the upper window collides with the apex atom: mirroring wins
     assert mirrored.final_energy < flat.final_energy
@@ -608,8 +606,40 @@ def test_growth_fifth_atom_mirrors_below_plane():
 def test_growth_method_one_frees_x():
     result = lj_growth(4, GrowthConfig(method=1, bond=1.0), np.random.default_rng(4))
     stage = result.stages[1]
-    assert stage.box == GROWTH_BOX_XYZ
+    assert stage.box == [(-0.5, 0.5), (0.01, 1.01), (0.01, 1.01)]
     assert len(stage.search.best_point) == 3
     np.testing.assert_allclose(stage.positions[3], stage.search.best_point)
     # converges to the tetrahedron apex over the triangle centroid
     assert result.final_energy == pytest.approx(-6.0, abs=1e-3)
+
+
+def growth_pin(result):
+    digest = hashlib.sha256(result.final_positions.tobytes()).hexdigest()[:16]
+    return result.final_energy.hex(), digest
+
+
+@pytest.mark.parametrize(
+    "method, mirror_fifth, energy, digest, boxes",
+    [
+        (1, True, "-0x1.234d09c7a883dp+3", "74e59358555f71c5",
+         [[(-0.5, 0.5), (0.01, 1.01), (0.01, 1.01)], [(-0.5, 0.5), (0.01, 1.01), (-1.01, -0.01)]]),
+        (1, False, "-0x1.ccc973fde2eb8p+2", "cbd25cb4719d6cd3",
+         [[(-0.5, 0.5), (0.01, 1.01), (0.01, 1.01)], [(-0.5, 0.5), (0.01, 1.01), (0.01, 1.01)]]),
+        (2, True, "-0x1.234d0a17da83fp+3", "79d5e65a3b177fa2",
+         [[(0.01, 1.01), (0.01, 1.01)], [(0.01, 1.01), (-1.01, -0.01)]]),
+        (2, False, "0x1.cc40974d32d52p+3", "c723add51fd91eb8",
+         [[(0.01, 1.01), (0.01, 1.01)], [(0.01, 1.01), (0.01, 1.01)]]),
+    ],
+)
+def test_growth_is_pinned_per_method_and_mirroring(method, mirror_fifth, energy, digest, boxes):
+    # Final energy (hex) and a position digest, both fixed by a seeded run.
+    config = GrowthConfig(method=method, bond=1.0, mirror_fifth=mirror_fifth)
+    result = lj_growth(5, config, np.random.default_rng(4))
+    assert growth_pin(result) == (energy, digest)
+    assert [stage.box for stage in result.stages[1:]] == boxes
+
+
+def test_growth_default_config_is_pinned():
+    result = lj_growth(5, GrowthConfig(), np.random.default_rng(np.random.SeedSequence(0)))
+    assert growth_pin(result) == ("-0x1.234b22ef29718p+3", "528cd8c8cfa27a79")
+    assert result.stages[0].box == [(0.0001, 2.0), (0.0001, math.pi)]
