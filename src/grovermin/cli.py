@@ -538,9 +538,10 @@ def cmd_run(args) -> int:
 
 def cmd_brute(args) -> int:
     config = _run_config(args)
-    objective = get_objective(config["objective"])
-    layout = build_layout(config)
-    reference = grid_brute_min(objective, layout)
+    # The scan uses only the objective and layout, but the search sections
+    # are checked as ``run`` checks them, so one file is good or bad for both.
+    setup = build_setup(config)
+    reference = grid_brute_min(setup.objective, setup.layout)
     payload = {"experiment": config["experiment"], **vars(reference)}
     print(json.dumps(payload, sort_keys=True, default=_json_default))
     if args.out:

@@ -37,8 +37,10 @@ class Objective:
     ``batch_fn``; it is then broadcast with ``np.vectorize``.  A product
     objective gives ``factor`` instead: f(x1, ..., xd) = g(x1) * ... * g(xd),
     with g mapping an array of coordinates elementwise, and every value is
-    that product taken left to right.  A grid scan then maps each axis
-    through g once (``GridLayout.slabs``).  A scalar call is a one-row batch.
+    that product taken left to right.  ``batch`` calls g once on the whole
+    ``(npoints, arity)`` array and multiplies its columns; a grid scan maps
+    each axis through g once (``GridLayout.slabs``).  A scalar call is a
+    one-row batch.
     """
 
     name: str
@@ -74,6 +76,9 @@ class Objective:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"expected shape (npoints, {self.arity}), got {pts.shape}")
+        if self.factor is not None:
+            factors = np.asarray(self.factor(pts), dtype=float)
+            return self._checked(reduce(operator.mul, factors.T), pts.shape[:1])
         return self._evaluate(*pts.T)
 
     def mesh(self, axes: list[np.ndarray]) -> np.ndarray:
@@ -90,8 +95,11 @@ class Objective:
 
     def _evaluate(self, *coords: np.ndarray) -> np.ndarray:
         """Values at the broadcast of the coordinate arrays; all must be finite."""
-        values = np.asarray(self._vectorized(*coords), dtype=float)
-        shape = np.broadcast(*coords).shape
+        return self._checked(self._vectorized(*coords), np.broadcast(*coords).shape)
+
+    def _checked(self, values, shape: tuple[int, ...]) -> np.ndarray:
+        """``values`` as a float array; ValueError unless it has ``shape`` and is finite."""
+        values = np.asarray(values, dtype=float)
         if values.shape != shape:
             raise ValueError(f"objective {self.name!r} gave shape {values.shape}, expected {shape}")
         return check_finite(self.name, values)
@@ -136,12 +144,24 @@ def gp_eval(x1, x2):
 
 
 def shubert_axis(x):
-    """Shubert's per-axis factor: the terms i*cos((i+1)x + i), i = 1..5, added in order."""
-    x = np.asarray(x)
-    total = np.cos(2 * x + 1)
+    """Shubert's per-axis factor: the terms i*cos((i+1)x + i), i = 1..5, added in order.
+
+    Elementwise over a scalar or an array of any shape.  Each term is built
+    in place in one scratch buffer, with the same operations in the same
+    order as the expression, so the values are bitwise the same.
+    """
+    x = np.asarray(x, dtype=float)
+    total, term = np.empty_like(x), np.empty_like(x)
+    np.multiply(x, 2, out=total)
+    total += 1
+    np.cos(total, out=total)
     for i in range(2, 6):
-        total += i * np.cos((i + 1) * x + i)
-    return total
+        np.multiply(x, i + 1, out=term)
+        term += i
+        np.cos(term, out=term)
+        term *= i
+        total += term
+    return total[()]  # a scalar in, a numpy scalar out
 
 
 def shubert_eval(x1, x2):
@@ -271,12 +291,27 @@ def free_atom_objective(geometry: ClusterGeometry, pin_x: float | None = None) -
 
 
 def _free_atom_batch(geometry: ClusterGeometry, x, y, z) -> np.ndarray:
-    positions = np.empty(np.broadcast(x, y, z).shape + (3,))
-    positions[..., 0], positions[..., 1], positions[..., 2] = x, y, z
-    diff = positions[..., None, :] - geometry.fixed_atoms
-    r = np.linalg.norm(diff, axis=-1)
-    bad = np.any(r <= CONTACT_EPS, axis=-1)
-    r = np.maximum(r, CONTACT_EPS)
+    """Cluster energy with the free atom at each broadcast (x, y, z).
+
+    The distance to each frozen atom is sqrt((dx*dx + dy*dy) + dz*dz),
+    summed in place in that order, which is the order in which
+    ``np.linalg.norm(diff, axis=-1)`` adds, so it is bitwise that norm.
+    """
+    atoms = geometry.fixed_atoms
+    shape = np.broadcast(x, y, z).shape + (len(atoms),)
+    r, d = np.empty(shape), np.empty(shape)
+    np.subtract(np.asarray(x)[..., None], atoms[:, 0], out=r)
+    r *= r
+    for axis, c in ((1, y), (2, z)):
+        np.subtract(np.asarray(c)[..., None], atoms[:, axis], out=d)
+        d *= d
+        r += d
+    np.sqrt(r, out=r)
+    close = r <= CONTACT_EPS
+    # Contact is rare, so the per-point test over the short atom axis runs
+    # only when some pair is close.
+    bad = close.any(axis=-1) if close.any() else False
+    np.maximum(r, CONTACT_EPS, out=r)
     total = geometry.fixed_energy + np.sum(_lj(r), axis=-1)
     return np.where(bad, ENERGY_CAP, total)
 

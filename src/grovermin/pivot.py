@@ -153,7 +153,7 @@ def select_pivots(
     quota = math.ceil(fraction * n)
     threshold = float(np.partition(probes.values, quota - 1)[quota - 1])
     mask = probes.values <= threshold
-    marked = np.flatnonzero(mask)
+    marked = mask.nonzero()[0]
     m = len(marked)
     k = optimal_iterations(m, n)
     # Amplification leaves two probabilities: a on each marked probe and b on
@@ -163,14 +163,17 @@ def select_pivots(
     # Keyed weighted sampling without replacement: draws run in descending
     # log(u)/prob order (ties to the lower index), which reproduces
     # sequential draws; a key of -inf (u = 0 or prob = 0) is never drawn.
+    log_u = rng.uniform(size=n)
     with np.errstate(divide="ignore"):
-        log_u = np.log(rng.uniform(size=n))
-        marked_keys = log_u[marked] / a
-        unmarked = np.flatnonzero(~mask)
-        unmarked_keys = log_u[unmarked] / b
-    order = np.argsort(-marked_keys, kind="stable")
-    drawn = order[: min(quota, np.count_nonzero(marked_keys > -np.inf))]
-    chosen = marked[drawn]
+        np.log(log_u, out=log_u)
+        marked_keys = log_u.take(marked)
+        marked_keys /= a
+        unmarked_keys = log_u[~mask]
+        unmarked_keys /= b
+    drawn = (-marked_keys).argsort(kind="stable")[:quota]
+    if marked_keys[drawn[-1]] == -np.inf:  # keep the live keys, which sort first
+        drawn = drawn[marked_keys.take(drawn) > -np.inf]
+    chosen = marked.take(drawn)
     # Draws stop at the quota-th marked probe; every live unmarked key that
     # sorts ahead of it was drawn and rejected.
     if len(chosen) == quota:
@@ -182,15 +185,14 @@ def select_pivots(
         left = np.delete(marked, drawn)
         extra = rng.choice(len(left), size=quota - len(chosen), replace=False)
         chosen = np.concatenate([chosen, left[extra]])
-    rejected = int(
-        np.count_nonzero(
-            (unmarked_keys > cut) | ((unmarked_keys == cut) & (unmarked < cut_index))
-        )
-    )
+    rejected = int(np.count_nonzero(unmarked_keys > cut))
+    tied = unmarked_keys == cut
+    if tied.any():  # rare: an equal key sorts ahead only from a lower index
+        rejected += int(np.count_nonzero(np.flatnonzero(~mask)[tied] < cut_index))
     draws = quota + rejected
     return PivotState(
-        points=probes.points[chosen],
-        values=probes.values[chosen],
+        points=probes.points.take(chosen, axis=0),
+        values=probes.values.take(chosen),
         threshold=threshold,
         optimal_k=k,
         grover_iterations=k * draws,
@@ -207,6 +209,35 @@ def boltzmann_weights(values: np.ndarray, kT: float = PivotConfig.kT) -> np.ndar
     return w / w.sum()
 
 
+#: Cells of the guide table that starts each inverse-CDF draw.  A power of
+#: two, so u * _GUIDE_CELLS and c / _GUIDE_CELLS are exact.
+_GUIDE_CELLS = 1024
+_GUIDE_EDGES = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
+
+#: How far the weights' exact sum may stray from 1.
+_WEIGHT_TOL = math.sqrt(np.finfo(float).eps)
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")``, with the same indices.
+
+    ``cdf`` is non-decreasing and ends at exactly 1, and every u is in
+    [0, 1).  A binary search over random keys mispredicts nearly every
+    branch, so each key starts from a guide table instead: guide[c] counts
+    the cdf entries <= c/K (K = ``_GUIDE_CELLS``), so for a u in cell c = floor(u*K) it never
+    passes the answer and every entry before it is <= u.  One step then
+    resolves each cell that holds at most one cdf entry, and the few keys
+    still short of their answer go to ``searchsorted``.
+    """
+    guide = cdf.searchsorted(_GUIDE_EDGES, side="right")
+    j = guide[(u * _GUIDE_CELLS).astype(np.intp)]
+    j += cdf[j] <= u
+    left = (cdf[j] <= u).nonzero()[0]
+    if len(left):
+        j[left] = cdf.searchsorted(u[left], side="right")
+    return j
+
+
 def resample(
     state: PivotState,
     weights: np.ndarray,
@@ -220,8 +251,10 @@ def resample(
     """New population: pivots (under elitism) plus Gaussian offspring.
 
     Each offspring picks a base pivot with its Boltzmann weight from
-    ``weights`` and adds a per-coordinate normal offset of width ``sigma``,
-    clamped into the box.
+    ``weights`` and adds a per-coordinate normal offset of width ``sigma``
+    (one width, or one per coordinate), clamped into the box.  The
+    population is written in place into arrays allocated once: pivots
+    first, then offspring.
     """
     box = check_box(box, objective.arity)
     m = state.num_pivots
@@ -231,26 +264,39 @@ def resample(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (m,):
         raise ValueError(f"weights must have shape ({m},), got {weights.shape}")
-    if not np.all(weights >= 0):
+    if not (weights >= 0).all():
         raise ValueError("weights must be non-negative and not NaN")
-    if abs(math.fsum(weights) - 1.0) > math.sqrt(np.finfo(float).eps):
-        raise ValueError(f"weights must sum to 1, got {math.fsum(weights)!r}")
+    total = math.fsum(weights.tolist())
+    if abs(total - 1.0) > _WEIGHT_TOL:
+        raise ValueError(f"weights must sum to 1, got {total!r}")
+    d = len(box)
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape not in ((), (d,)):
+        raise ValueError(f"sigma must be a number or have shape ({d},), got {sigma.shape}")
+    widths = sigma.tolist() if sigma.ndim else [sigma.item()] * d
+    if not all(0.0 <= s < math.inf for s in widths):
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma.tolist()}")
     # The inverse-CDF draw of rng.choice(m, num_children, p=weights), from the
     # same uniforms, without its per-call overhead.
-    cdf = np.cumsum(weights)
+    cdf = weights.cumsum()
     cdf /= cdf[-1]
-    base = np.searchsorted(cdf, rng.random(num_children), side="right")
-    offsets = rng.normal(0.0, 1.0, size=(num_children, len(box))) * sigma
-    children = state.points[base] + offsets
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    children = np.clip(children, lo, hi)
-    child_values = objective.batch(children)
+    base = _inverse_cdf(cdf, rng.random(num_children))
+    offsets = rng.normal(0.0, 1.0, size=(num_children, d))
+    points, values = np.empty((n, d)), np.empty(n)
+    children = points[n - num_children :]
     if elitism:
-        points = np.vstack([state.points, children])
-        values = np.concatenate([state.values, child_values])
-    else:
-        points, values = children, child_values
+        points[:m], values[:m] = state.points, state.values
+    # Every base is in range; mode="clip" skips take's buffered bounds check.
+    np.asarray(state.points, dtype=float).take(base, axis=0, out=children, mode="clip")
+    # One column at a time: a scalar per call is cheaper than broadcasting
+    # a d-vector over a short trailing axis, and the floats are the same.
+    for j, (lo, hi) in enumerate(box):
+        child, offset = children[:, j], offsets[:, j]
+        offset *= widths[j]
+        child += offset
+        np.maximum(child, lo, out=child)
+        np.minimum(child, hi, out=child)
+    values[n - num_children :] = objective.batch(children)
     return ProbeSet(points, values)
 
 
@@ -297,7 +343,7 @@ def pivot_grover_search(
     check_qubits(qubits)
     n = 1 << qubits
     probes = generate_probes(box, n, rng, objective)
-    i = int(np.argmin(probes.values))
+    i = int(probes.values.argmin())
     best_value = float(probes.values[i])
     best_point = probes.points[i].copy()
     sigma = np.array([(hi - lo) / config.sigma_scale for lo, hi in box])
@@ -311,7 +357,7 @@ def pivot_grover_search(
         total_iterations += state.grover_iterations
         weights = boltzmann_weights(state.values, config.kT)
         probes = resample(state, weights, sigma, n, box, rng, objective, elitism=config.elitism)
-        i = int(np.argmin(probes.values))
+        i = int(probes.values.argmin())
         if best_value - probes.values[i] > config.stall_tol:
             stall = 0
         else:
@@ -324,7 +370,7 @@ def pivot_grover_search(
             GenerationRecord(
                 generation=generation,
                 num_pivots=state.num_pivots,
-                sigma=tuple(float(s) for s in sigma),
+                sigma=tuple(sigma.tolist()),
                 threshold=state.threshold,
                 optimal_k=state.optimal_k,
                 grover_iterations=state.grover_iterations,

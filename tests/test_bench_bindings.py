@@ -18,7 +18,7 @@ import pytest
 from grovermin import baseline, cli, pivot
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
 from grovermin.minsearch import Schedule
-from grovermin.objectives import GOLDSTEIN_PRICE
+from grovermin.objectives import GOLDSTEIN_PRICE, SHUBERT
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,6 +78,19 @@ def test_ensemble_setup_calls_resolve(experiment):
     layout = cli.build_layout(config)
     assert isinstance(layout, GridLayout)
     assert isinstance(Schedule.parse(config["schedule"]), Schedule)
+
+
+def test_pivot_hybrid_shubert_call_resolves():
+    # pivot-hybrid's Shubert searches: positional objective, box, qubits,
+    # config and rng, and the result fields its check reads.
+    config = pivot.PivotConfig(max_generations=10)
+    result = pivot.pivot_grover_search(
+        SHUBERT, [(-10.0, 10.0), (-10.0, 10.0)], 6, config, np.random.default_rng(0)
+    )
+    assert SHUBERT(*result.best_point) == result.best_value
+    assert result.total_iterations == sum(g.grover_iterations for g in result.generations)
+    assert all(isinstance(g.optimal_k, int) for g in result.generations)
+    assert all(isinstance(g.rejected_draws, int) for g in result.generations)
 
 
 def test_pivot_hybrid_growth_call_resolves():

@@ -716,6 +716,31 @@ def test_bad_config_value_exits_2_with_one_line(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "brute"])
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (
+            {"schedule": "bogus", "stop": {"stall_window": -3}},
+            "unknown schedule 'bogus'; expected baritompa, incremental, or constant:K",
+        ),
+        ({"stop": {"stall_window": -3}}, "stop.stall_window must be an integer >= 1, got -3"),
+        ({"strict": "no"}, "strict must be true or false, got 'no'"),
+    ],
+)
+def test_brute_checks_the_search_config_as_run_does(
+    command, override, message, tmp_path, capsys, refuse_allocation
+):
+    # brute reads only the objective and layout, but a file that run refuses
+    # is refused by brute too, with the same line.
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(override))
+    argv = [command, "gp", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "ensemble", "brute"])
 def test_layout_arity_mismatch_exits_2_before_evaluating(
     command, tmp_path, capsys, refuse_allocation

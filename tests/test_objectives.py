@@ -221,6 +221,42 @@ def test_free_atom_batch_matches_scalar():
     np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-9)
 
 
+def norm_free_atom(geometry, x, y, z):
+    """The free-atom energy with distances from ``np.linalg.norm``: the reference."""
+    positions = np.empty(np.broadcast(x, y, z).shape + (3,))
+    positions[..., 0], positions[..., 1], positions[..., 2] = x, y, z
+    r = np.linalg.norm(positions[..., None, :] - geometry.fixed_atoms, axis=-1)
+    bad = np.any(r <= CONTACT_EPS, axis=-1)
+    r = np.maximum(r, CONTACT_EPS)
+    inv6 = r**-6
+    total = geometry.fixed_energy + np.sum(inv6 * inv6 - 2.0 * inv6, axis=-1)
+    return np.where(bad, ENERGY_CAP, total)
+
+
+@pytest.mark.parametrize("num_fixed", [1, 3, 4, 5, 9])
+def test_free_atom_energy_is_bitwise_the_norm_formula(num_fixed):
+    rng = np.random.default_rng(num_fixed)
+    atoms = rng.uniform(-1.0, 1.0, size=(num_fixed, 3))
+    atoms[:, 0] = np.linspace(-1.0, 1.0, num_fixed)  # no two atoms coincide
+    geometry = ClusterGeometry(atoms)
+    pts = rng.uniform(-1.5, 1.5, size=(700, 3)) * rng.uniform(0.0, 1.0, size=(700, 1))
+    pts[:num_fixed] = atoms  # coincident: capped
+    pts[num_fixed : 2 * num_fixed] = atoms + 0.5 * CONTACT_EPS  # within contact: capped
+    pts[2 * num_fixed] = (0.0, 0.0, 0.0)
+    full, pinned = free_atom_objective(geometry), free_atom_objective(geometry, pin_x=0.3)
+    x, y, z = pts.T
+    expected = norm_free_atom(geometry, x, y, z)
+    assert np.count_nonzero(expected == ENERGY_CAP) >= 2 * num_fixed
+    assert full.batch(pts).tobytes() == expected.tobytes()
+    assert pinned.batch(pts[:, 1:]).tobytes() == norm_free_atom(geometry, 0.3, y, z).tobytes()
+    assert [full(*p) for p in pts[:50]] == expected[:50].tolist()
+    assert [cluster_energy(geometry, p) for p in pts[:50]] == expected[:50].tolist()
+    axes = [x[:5], y[:7], z[:3]]
+    mesh = norm_free_atom(geometry, *np.ix_(*axes)).reshape(-1)
+    assert full.mesh(axes).tobytes() == mesh.tobytes()
+    assert full.mesh([atoms[:1, 0], atoms[:1, 1], atoms[:1, 2]]).tolist() == [ENERGY_CAP]
+
+
 @pytest.mark.parametrize("obj", [GOLDSTEIN_PRICE, SHUBERT])
 def test_grid_objective_batch_matches_scalar(obj):
     rng = np.random.default_rng(17)

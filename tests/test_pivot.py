@@ -225,7 +225,7 @@ def test_select_pivots_quarter_marked_leaves_no_unmarked_mass(n):
 
 
 class ZeroAtRng:
-    """Uniform draws of 0.5 except 0.0 at one index; ``choice`` from a seeded generator."""
+    """Uniform draws of 0.5 except 0.0 at ``index`` (one or a list); ``choice`` from a seeded generator."""
 
     def __init__(self, index):
         self.index = index
@@ -252,6 +252,17 @@ def test_select_pivots_fallback_fills_quota_from_undrawable_marked():
     assert state.grover_iterations == state.optimal_k * (2 + rejected)
 
 
+def test_select_pivots_fallback_draws_the_rest_in_generator_order():
+    # Three of the four marked probes (values 0 to 3) draw a zero uniform, so
+    # the fallback picks all three with the generator's choice, not by index.
+    probes = ProbeSet(np.arange(16.0).reshape(8, 2), np.arange(8.0))
+    state = select_pivots(probes, fraction=0.5, rng=ZeroAtRng([0, 1, 2]))
+    chosen, rejected = loop_select(probes, 0.5, ZeroAtRng([0, 1, 2]))
+    assert chosen[0] == 3 and chosen[1:] != [0, 1, 2]
+    np.testing.assert_array_equal(state.values, probes.values[chosen])
+    assert state.rejected_draws == rejected
+
+
 def test_select_pivots_equal_keys_draw_in_index_order():
     # Half marked, so no steps: every live key ties and draws run by index,
     # rejecting the unmarked probes 1, 3 and 5 before reaching marked 6.
@@ -261,6 +272,27 @@ def test_select_pivots_equal_keys_draw_in_index_order():
     assert state.optimal_k == 0 and chosen == [0, 2, 4, 6]
     np.testing.assert_array_equal(state.values, probes.values[chosen])
     assert state.rejected_draws == rejected == 3
+
+
+@pytest.mark.parametrize("n, fraction", [(256, 0.3), (1024, 0.15)])
+def test_rejected_draws_average_the_closed_form(n, fraction):
+    # Draws in key order are exponential clocks: rate a per marked probe and
+    # b per other one.  The quota-th marked arrival beats each unmarked clock
+    # with probability prod_{i<q} a(m-i) / (a(m-i) + b), so
+    # E[rejected] = (N - m) * (1 - that product).
+    values = np.random.default_rng(n).permutation(n).astype(float)  # distinct
+    probes = ProbeSet(np.zeros((n, 2)), values)
+    quota = m = math.ceil(fraction * n)
+    a, b = grover.class_probabilities(m, n, optimal_iterations(m, n))
+    beaten = math.prod(a * (m - i) / (a * (m - i) + b) for i in range(quota))
+    exact = (n - m) * (1.0 - beaten)
+    seeds = 2000
+    rejected = np.array(
+        [select_pivots(probes, fraction, np.random.default_rng(s)).rejected_draws for s in range(seeds)]
+    )
+    stderr = rejected.std(ddof=1) / math.sqrt(seeds)
+    assert abs(rejected.mean() - exact) < 4 * stderr
+    assert exact == pytest.approx({256: 10.90, 1024: 124.48}[n], abs=0.01)
 
 
 def test_select_pivots_copies_data():
@@ -403,6 +435,47 @@ def test_resample_draws_bases_as_rng_choice_does():
     assert rng.random() == reference.random()
 
 
+def guide_cases():
+    """(name, weights): the weight shapes the guide table must get right."""
+    zero_runs = boltzmann_weights(np.array([0.0, 3.0, 4.0e4, 5.0e4, 40.0]), kT=50.0)
+    dominant = np.full(154, 1e-13)
+    dominant[77] = 1.0 - 153e-13
+    tiny = np.full(300, 1e-7)  # 299 cdf entries inside one guide cell
+    tiny[0] = 1.0 - 299e-7
+    tiny_middle = np.full(400, 1e-7)
+    tiny_middle[[0, -1]] = 0.5 - 199e-7
+    boltzmann = boltzmann_weights(np.random.default_rng(1).uniform(-186.7, 200.0, 154))
+    uniform = np.full(1024, 1.0 / 1024)  # one cdf entry on every cell edge
+    return [
+        ("zero-runs", zero_runs), ("dominant", dominant), ("tiny-in-one-cell", tiny),
+        ("tiny-mid-cell", tiny_middle), ("boltzmann", boltzmann), ("uniform", uniform),
+        ("single", np.array([1.0])),
+    ]
+
+
+@pytest.mark.parametrize("name, weights", guide_cases(), ids=[c[0] for c in guide_cases()])
+def test_inverse_cdf_draw_is_searchsorted(name, weights):
+    assert weights.min() >= 0 and math.fsum(weights) == pytest.approx(1.0)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    below_one = np.nextafter(1.0, 0.0)
+    edges = np.arange(pivot._GUIDE_CELLS) / pivot._GUIDE_CELLS
+    inner = cdf[cdf < 1.0]
+    u = np.concatenate([
+        [0.0, below_one, 5e-324],
+        inner,  # u equal to a cdf value
+        np.nextafter(inner, 0.0),
+        np.nextafter(inner, 1.0),
+        edges,
+        np.nextafter(edges[1:], 0.0),
+        np.random.default_rng(len(weights)).random(5000),
+    ])
+    assert u.min() == 0.0 and u.max() == below_one
+    expected = np.searchsorted(cdf, u, side="right")
+    np.testing.assert_array_equal(pivot._inverse_cdf(cdf, u), expected)
+    assert expected.max() < len(weights)
+
+
 @pytest.mark.parametrize(
     "weights, match",
     [
@@ -418,6 +491,33 @@ def test_resample_rejects_bad_weights(weights, match):
     )
     with pytest.raises(ValueError, match=match):
         resample(state, weights, sigma, 8, [(0.0, 1.0), (0.0, 1.0)], np.random.default_rng(9), SPHERE)
+
+
+@pytest.mark.parametrize(
+    "sigma, match",
+    [
+        ([np.nan, 1.0], r"sigma must be finite and non-negative, got \[nan, 1.0\]"),
+        (np.nan, r"sigma must be finite and non-negative, got nan"),
+        ([np.inf, 1.0], r"sigma must be finite and non-negative, got \[inf, 1.0\]"),
+        ([-0.1, 1.0], r"sigma must be finite and non-negative, got \[-0.1, 1.0\]"),
+        ([0.1, 0.1, 0.1], r"sigma must be a number or have shape \(2,\), got \(3,\)"),
+        ([[0.1, 0.1]], r"sigma must be a number or have shape \(2,\), got \(1, 2\)"),
+    ],
+)
+def test_resample_rejects_bad_sigma(sigma, match):
+    state, weights, _ = pivot_state_for_resampling(
+        [[0.1, 0.1], [0.2, 0.2]], [1, 2], [0.5, 0.5], [0.1, 0.1]
+    )
+    with pytest.raises(ValueError, match=match):
+        resample(state, weights, sigma, 8, [(0.0, 1.0), (0.0, 1.0)], np.random.default_rng(9), SPHERE)
+
+
+def test_resample_takes_one_width_for_every_coordinate():
+    state, weights, _ = pivot_state_for_resampling([[0.5, 0.5]], [0.5], [1.0], [0.0, 0.0])
+    box = [(0.0, 1.0), (0.0, 1.0)]
+    one = resample(state, weights, 0.05, 64, box, np.random.default_rng(3), SPHERE)
+    each = resample(state, weights, [0.05, 0.05], 64, box, np.random.default_rng(3), SPHERE)
+    assert one.points.tobytes() == each.points.tobytes()
 
 
 def test_search_sphere_converges_to_origin():
@@ -484,6 +584,30 @@ def test_search_iteration_total_matches_records():
     )
     assert result.total_iterations == sum(g.grover_iterations for g in result.generations)
     assert all(g.num_pivots == math.ceil(0.15 * 256) for g in result.generations)
+
+
+def search_pin(result):
+    digest = hashlib.sha256(repr(result.generations).encode()).hexdigest()[:16]
+    return result.best_value.hex(), digest
+
+
+@pytest.mark.parametrize(
+    "seed, elitism, best, digest",
+    [
+        (0, True, "-0x1.7573999414486p+7", "63c8a873fb155280"),
+        (1, True, "-0x1.757639aea78d4p+7", "e6462dfd66ba3789"),
+        (2, True, "-0x1.757639ae8a8b6p+7", "f5cd727815bdaeb5"),
+        (3, False, "-0x1.757603461672ap+7", "891c134c4c7f55eb"),
+    ],
+)
+def test_shubert_search_is_pinned(seed, elitism, best, digest):
+    # Best value (hex) and a digest of every generation record, fixed by a
+    # seeded run: each float, index and draw of the loop feeds into them.
+    config = PivotConfig(elitism=elitism)
+    result = pivot_grover_search(
+        SHUBERT, [(-10, 10)] * 2, 10, config, np.random.default_rng(seed)
+    )
+    assert search_pin(result) == (best, digest)
 
 
 def test_search_box_arity_checked():
