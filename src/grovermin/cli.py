@@ -39,13 +39,7 @@ from .minsearch import (
 )
 from .objectives import get_objective
 from .pivot import TRIMER_BOX, GrowthConfig, PivotConfig, lj_growth, pivot_grover_search
-from .statevector import (
-    MarkedSet,
-    Statevector,
-    dense_reference_operators,
-    phase_flip,
-    uniform_superposition,
-)
+from .statevector import MarkedSet, dense_reference_operators, phase_flip, uniform_superposition
 
 MINSEARCH_EXPERIMENTS = ("gp", "lj-trimer")
 
@@ -137,12 +131,17 @@ def _integer(where: str, value, bits: int | None = None) -> int:
 
 
 def _build(section: str, cls, fields: dict, **extra):
-    """``cls(**fields, **extra)``, each ``int`` field checked by ``_integer`` and
-    the TypeError of any other wrong JSON type made a ConfigError."""
+    """``cls(**fields, **extra)``, each ``int`` field checked by ``_integer``, each
+    ``bool`` field refused unless JSON true or false, and the TypeError of any
+    other wrong JSON type made a ConfigError.  Fields are named
+    ``section.field``, or bare for the top-level section ``""``."""
     hints = typing.get_type_hints(cls)
     for name, value in fields.items():
+        where = f"{section}.{name}" if section else name
         if hints[name] in (int, int | None) and value is not None:
-            _integer(f"{section}.{name}", value)
+            _integer(where, value)
+        elif hints[name] is bool and type(value) is not bool:
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
     try:
         return cls(**fields, **extra)
     except TypeError as exc:
@@ -191,16 +190,14 @@ def build_layout(config: dict) -> GridLayout:
 
 
 def build_setup(config: dict) -> SearchSetup:
-    objective = get_objective(config["objective"])
-    layout = build_layout(config)
-    if type(config["strict"]) is not bool:
-        raise ConfigError(f"strict must be true or false, got {config['strict']!r}")
-    return SearchSetup(
-        objective=objective,
-        layout=layout,
+    return _build(
+        "",
+        SearchSetup,
+        {"strict": config["strict"]},
+        objective=get_objective(config["objective"]),
+        layout=build_layout(config),
         schedule=Schedule.parse(config["schedule"]),
         stop=_build("stop", StopRule, config["stop"]),
-        strict=config["strict"],
     )
 
 
@@ -304,27 +301,25 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
-def emit_distribution(state: Statevector, layout: GridLayout, values, path: Path) -> None:
+def emit_distribution(marked, probabilities, layout: GridLayout, values, path: Path) -> None:
     """Pre-measurement Born-rule distribution, one CSV row per grid index.
 
-    Rows are formatted a ``BLOCK_ROWS`` block at a time, column by column, so
-    no text of grid size is ever held.  A Grover register holds at most two
-    distinct probabilities, so each block formats each distinct one once.
+    ``marked`` is the round's mask and ``probabilities`` its ``(a, b)`` (see
+    ``minsearch.round_states``).  Rows are formatted a ``BLOCK_ROWS`` block at
+    a time, column by column, so no text of grid size is ever held.
     """
-    probs = state.probabilities()
+    texts = (repr(probabilities[1]), repr(probabilities[0]))  # False -> b, True -> a
     header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, layout.size, BLOCK_ROWS):
             idx = np.arange(start, min(start + BLOCK_ROWS, layout.size))
-            distinct, which = np.unique(probs[idx], return_inverse=True)
-            distinct_text = list(map(repr, distinct.tolist()))
             columns = [
                 map(str, idx.tolist()),
                 *(map(repr, axis) for axis in layout.decode_batch(idx).T.tolist()),
                 map(repr, values[idx].tolist()),
-                map(distinct_text.__getitem__, which.tolist()),
+                map(texts.__getitem__, marked[idx].tolist()),
             ]
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
@@ -486,11 +481,11 @@ def cmd_run(args) -> int:
                     search_result_json(result, setup.layout, run_id, seed, config),
                 )
                 if args.emit_distributions:
-                    for record, state, _ in round_states(
+                    for record, marked, probabilities in round_states(
                         values, setup.layout, result.trace, setup.strict
                     ):
                         path = out / f"dist_run{run_id:03d}_round{record.round:03d}.csv"
-                        emit_distribution(state, setup.layout, values, path)
+                        emit_distribution(marked, probabilities, setup.layout, values, path)
         return 0
 
     if experiment == "shubert-pivot":

@@ -7,10 +7,10 @@ marked subspace with probability sin^2((2k+1) theta); the best integer step
 count is round(pi/(4 theta) - 1/2).
 
 Because a register that starts uniform only ever holds two distinct
-amplitudes, one per class, ``sample`` draws the measured index of k steps
-in closed form, and pivot selection draws from ``success_probability``
-alone; ``iterate`` builds the dense register and serves as their
-cross-check oracle.
+amplitudes, one per class, ``class_probabilities`` is the one model of a
+round on every run path: ``sample`` draws from it in closed form, and pivot
+selection and the per-round distribution CSVs read it; ``iterate`` builds
+the dense register for the appendix demo and as their cross-check oracle.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ falls, so each marked set lies inside the last one: the search keeps the
 marked indices as one sorted array and narrows it to the cells still under
 the threshold, instead of rescanning the grid every round.  Rounds record
 indices; the search decodes only its best point.  The round budget comes
-from a Schedule; termination from a StopRule.  ``round_states`` rebuilds a
-finished search's dense pre-measurement registers from its trace.
+from a Schedule; termination from a StopRule.  ``round_states`` replays a
+finished search's rounds as marked masks and class probabilities.
 """
 
 from __future__ import annotations
@@ -24,9 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import GridLayout
-from .grover import iterate, sample
+from .grover import class_probabilities, sample
 from .objectives import Objective
-from .statevector import MarkedSet, uniform_superposition
+
+# The search builds no register; perfbench/spans.py wraps these bindings, so they
+# stay until the benchmark is retargeted (ROADMAP item 1).
+from .grover import iterate  # noqa: F401
+from .statevector import MarkedSet, uniform_superposition  # noqa: F401
 
 #: Fixed per-round iteration counts of the Baritompa-style schedule.
 BARITOMPA_ENTRIES = (0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 2, 3, 1, 4, 5, 1, 6, 2, 7, 9, 11, 13, 16, 5)
@@ -274,17 +278,17 @@ def adapted_grover_min(
 def round_states(
     values: np.ndarray, layout: GridLayout, trace: SearchTrace, strict: bool = False
 ):
-    """Yield ``(record, state, marked)`` for each ``RoundRecord`` of a search's ``trace``.
+    """Yield ``(record, marked, (a, b))`` for each ``RoundRecord`` of a search's ``trace``.
 
-    ``state`` is the round's dense pre-measurement ``Statevector`` and
-    ``marked`` its ``MarkedSet``, rebuilt from the record's threshold and step
-    count by the marking rule the search used (``values`` and ``strict`` must
-    be the search's).  One register is held at a time.
+    ``marked`` is the round's boolean mask, rebuilt from the record's threshold
+    by the marking rule the search used (``values`` and ``strict`` must be the
+    search's), and ``(a, b)`` the probability of each marked and each unmarked
+    cell that ``grover.sample`` drew from (``class_probabilities``).
     """
-    n = layout.total_qubits
     for record in trace.rounds:
-        marked = MarkedSet(n, _under(values, record.threshold_before, strict))
-        yield record, iterate(uniform_superposition(n), marked, record.iterations), marked
+        marked = _under(values, record.threshold_before, strict)
+        count = int(np.count_nonzero(marked))
+        yield record, marked, class_probabilities(count, layout.size, record.iterations)
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,14 @@ def cluster_energy(geometry: ClusterGeometry, free_pos) -> float:
     return float(_free_atom_batch(geometry, *pos[:, None])[0])
 
 
+def check_bond(bond: float) -> None:
+    """Raise ValueError unless ``bond`` is a finite length > 0."""
+    if math.isinf(bond):
+        raise ValueError(f"bond must be finite, got {bond}")
+    if not bond > 0:
+        raise ValueError(f"bond must be positive, got {bond}")
+
+
 def build_fixed_core(num_fixed: int, bond: float) -> ClusterGeometry:
     """Equilateral triangle of side ``bond`` in the z=0 plane, optionally
     capped by the regular-tetrahedron apex over its centroid.
@@ -250,8 +258,7 @@ def build_fixed_core(num_fixed: int, bond: float) -> ClusterGeometry:
     Triangle: (-bond/2, 0, 0), (bond/2, 0, 0), (0, bond*sqrt(3)/2, 0).
     Apex (num_fixed=4): (0, bond*sqrt(3)/6, bond*sqrt(2/3)).
     """
-    if bond <= 0:
-        raise ValueError(f"bond must be positive, got {bond}")
+    check_bond(bond)
     if num_fixed not in (3, 4):
         raise ValueError(f"num_fixed must be 3 or 4, got {num_fixed}")
     atoms = [

@@ -27,14 +27,14 @@ from .objectives import (
     ClusterGeometry,
     Objective,
     build_fixed_core,
+    check_bond,
     check_box,
     free_atom_objective,
 )
 from .statevector import check_qubits
 
-# Selection builds no register.  These names stay bound here only because
-# perfbench/spans.py wraps the dense primitives under each caller's binding,
-# pivot's included; they go when the benchmark is retargeted (ROADMAP item 6).
+# Selection builds no register; perfbench/spans.py wraps these bindings, so they
+# stay until the benchmark is retargeted (ROADMAP item 1).
 from .grover import iterate  # noqa: F401
 from .statevector import MarkedSet, uniform_superposition  # noqa: F401
 
@@ -104,8 +104,9 @@ class PivotConfig:
         for name in ("kT", "sigma_scale", "sigma_decay", "sigma_floor", "stall_tol"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must be a number, got nan")
-        if math.isinf(self.sigma_scale):
-            raise ValueError("sigma_scale must be finite, got inf")
+        for name in ("sigma_scale", "sigma_floor"):
+            if math.isinf(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_floor < 0:
             raise ValueError(f"sigma_floor must be >= 0, got {self.sigma_floor}")
 
@@ -410,8 +411,8 @@ class GrowthConfig:
             raise ValueError(f"method must be 1 or 2, got {self.method}")
         if self.qubits_per_axis < 1 or self.trimer_qubits < 2:
             raise ValueError("qubit counts must be positive")
-        if self.bond is not None and not self.bond > 0:
-            raise ValueError(f"bond must be positive, got {self.bond}")
+        if self.bond is not None:
+            check_bond(self.bond)
 
 
 @dataclass

@@ -2,12 +2,12 @@
 
 The register state is the full vector of 2**n amplitudes, with uniform
 preparation, selective phase inversion of a marked index set, and inversion
-about the average amplitude.  Neither the threshold search nor pivot
-selection runs on it: both draw from the two class probabilities in closed
-form (``grover.sample``, ``pivot.select_pivots``).  The dense register
-serves the appendix demo, the per-round distributions ``minsearch.round_states``
-rebuilds from a search trace, and the tests, where it is the oracle the
-closed form is checked against.
+about the average amplitude.  No run path but the appendix demo builds it:
+the threshold search, pivot selection and the per-round distributions all
+take the two class probabilities in closed form (``grover.sample``,
+``pivot.select_pivots``, ``minsearch.round_states``).  The dense register
+serves the appendix demo and the tests, where it is the oracle the closed
+form is checked against.
 """
 
 from __future__ import annotations

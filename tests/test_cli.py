@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,20 +10,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grovermin.cli as cli
+import grovermin.grover as grover
+import grovermin.minsearch as minsearch
 import grovermin.pivot as pivot
+import grovermin.statevector as statevector
 from grovermin import encoding
 from grovermin.cli import main
 from grovermin.baseline import grid_brute_min
-from grovermin.encoding import GridLayout
+from grovermin.encoding import GridLayout, square_layout
+from grovermin.grover import class_probabilities, iterate
 from grovermin.minsearch import (
     Schedule,
     SearchSetup,
+    SearchTrace,
     StopRule,
     adapted_grover_min,
     round_states,
     run_ensemble,
 )
 from grovermin.objectives import Objective, get_objective
+from grovermin.statevector import MarkedSet, uniform_superposition
 
 RUN_KEYS = {
     "run_id",
@@ -191,15 +198,15 @@ def test_run_emit_distributions(tmp_path, capsys):
     assert lines[1 + 523] == "523,0.0,-1.0,3.0,0.0009765625"
 
 
-def row_wise_distribution_csv(state, layout, values):
+def row_wise_distribution_csv(marked, probabilities, layout, values):
     """The CSV emit_distribution wrote when it formatted row by row, cell by cell."""
-    probs = state.probabilities()
+    a, b = probabilities
     header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
     lines = [",".join(header)]
     idx = np.arange(layout.size)
-    columns = (layout.decode_batch(idx).tolist(), values.tolist(), probs.tolist())
-    for i, point, value, p in zip(idx.tolist(), *columns):
-        row = [i, *point, value, p]
+    columns = (layout.decode_batch(idx).tolist(), values.tolist(), marked.tolist())
+    for i, point, value, is_marked in zip(idx.tolist(), *columns):
+        row = [i, *point, value, a if is_marked else b]
         lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
     return "\n".join(lines) + "\n"
 
@@ -214,12 +221,71 @@ def test_emit_distribution_matches_the_row_wise_formatter(monkeypatch, tmp_path)
         np.random.default_rng(0), values=values,
     )
     distinct = set()
-    for record, state, _ in round_states(values, setup.layout, result.trace):
+    for record, marked, probabilities in round_states(values, setup.layout, result.trace):
         path = tmp_path / f"round{record.round}.csv"
-        cli.emit_distribution(state, setup.layout, values, path)
-        assert path.read_text() == row_wise_distribution_csv(state, setup.layout, values)
-        distinct.add(len(np.unique(state.probabilities())))
+        cli.emit_distribution(marked, probabilities, setup.layout, values, path)
+        expected = row_wise_distribution_csv(marked, probabilities, setup.layout, values)
+        assert path.read_text() == expected
+        distinct.add(len(set(np.where(marked, *probabilities).tolist())))
     assert distinct == {1, 2}  # uniform rounds and amplified rounds
+
+
+@pytest.mark.parametrize("experiment", ["gp", "lj-trimer"])
+def test_emit_distributions_reads_the_sampler_probabilities(
+    experiment, monkeypatch, tmp_path, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run built a dense register")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(grover, "iterate", refuse)
+        patched.setattr(minsearch, "iterate", refuse)
+        patched.setattr(minsearch, "uniform_superposition", refuse)
+        patched.setattr(minsearch, "MarkedSet", refuse)
+        patched.setattr(statevector.Statevector, "__init__", refuse)
+        argv = ["run", experiment, "--runs", "2", "--out", str(tmp_path), "--emit-distributions"]
+        assert main(argv) == 0
+    capsys.readouterr()
+    # Each round's column is the repr of the (a, b) grover.sample drew from,
+    # and the dense register, rebuilt here as the oracle, agrees with it.
+    setup = cli.build_setup(cli.DEFAULT_CONFIGS[experiment])
+    values = setup.layout.objective_values(setup.objective)
+    n, size = setup.layout.total_qubits, setup.layout.size
+    amplified = 0
+    for run_id in range(2):
+        threshold = math.inf
+        for rec in read_json(tmp_path / f"run_{run_id:03d}.json")["rounds"]:
+            mask, k = values <= threshold, rec["iterations"]
+            a, b = class_probabilities(int(mask.sum()), size, k)
+            path = tmp_path / f"dist_run{run_id:03d}_round{rec['round']:03d}.csv"
+            column = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+            assert column == [repr(a) if m else repr(b) for m in mask.tolist()]
+            dense = iterate(uniform_superposition(n), MarkedSet(n, mask), k).probabilities()
+            assert 0.5 * np.abs(np.array(column, dtype=float) - dense).sum() <= 1e-12
+            amplified += k > 0 and a != b
+            threshold = rec["threshold"]
+    assert amplified
+
+
+def test_writing_a_round_allocates_less_than_a_register(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 1024)
+    objective, layout = get_objective("gp"), square_layout(["x1", "x2"], -3.2, 3.0, 8)
+    values = layout.objective_values(objective)
+    result = adapted_grover_min(
+        objective, layout, Schedule("constant", constant=2),
+        StopRule(stall_window=None, max_rounds=2), np.random.default_rng(0), values=values,
+    )
+    # Round 2 amplifies the cells under round 1's value.
+    trace = SearchTrace(result.trace.rounds[1:])
+    tracemalloc.start()
+    try:
+        for record, marked, probabilities in round_states(values, layout, trace):
+            assert record.iterations == 2 and 0 < marked.sum() < layout.size
+            cli.emit_distribution(marked, probabilities, layout, values, tmp_path / "round.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * layout.size  # one complex128 register of 2**16 amplitudes
 
 
 def test_emit_distributions_without_out_exits_2_before_any_grid(capsys, refuse_allocation):
@@ -701,6 +767,20 @@ def test_oversized_register_exits_2_before_allocating(
             {"box": [[-math.inf, math.inf], [-10, 10]]},
             "box bounds must be finite, got [-inf, inf]",
         ),
+        ("lj-grow", {"growth": {"bond": math.inf}}, "bond must be finite, got inf"),
+        ("lj-grow", {"pivot": {"elitism": "no"}}, "pivot.elitism must be true or false, got 'no'"),
+        (
+            "shubert-pivot",
+            {"pivot": {"elitism": 0}},
+            "pivot.elitism must be true or false, got 0",
+        ),
+        (
+            "lj-grow",
+            {"growth": {"mirror_fifth": "false"}},
+            "growth.mirror_fifth must be true or false, got 'false'",
+        ),
+        ("shubert-pivot", {"pivot": {"sigma_floor": math.inf}}, "sigma_floor must be finite"),
+        ("lj-grow", {"pivot": {"sigma_floor": math.inf}}, "sigma_floor must be finite"),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(

@@ -158,6 +158,19 @@ def test_build_fixed_core_validation():
         build_fixed_core(5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "bond, message",
+    [
+        (math.inf, "bond must be finite, got inf"),
+        (-math.inf, "bond must be finite, got -inf"),
+        (math.nan, "bond must be positive, got nan"),
+    ],
+)
+def test_build_fixed_core_refuses_a_bond_that_is_not_a_finite_length(bond, message):
+    with pytest.raises(ValueError, match=message):
+        build_fixed_core(3, bond)
+
+
 def test_cluster_energy_rigid_motion_invariance():
     rng = np.random.default_rng(11)
     core = build_fixed_core(4, 1.0)
