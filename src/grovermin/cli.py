@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .baseline import grid_brute_min
 from .encoding import BLOCK_ROWS, GridLayout, VariableSpec
-from .grover import iterate
 from .minsearch import (
     Schedule,
     SearchResult,
@@ -39,7 +38,7 @@ from .minsearch import (
 )
 from .objectives import get_objective
 from .pivot import TRIMER_BOX, GrowthConfig, PivotConfig, lj_growth, pivot_grover_search
-from .statevector import MarkedSet, dense_reference_operators, phase_flip, uniform_superposition
+from .statevector import MarkedSet, dense_reference_operators, iterate, uniform_superposition
 
 MINSEARCH_EXPERIMENTS = ("gp", "lj-trimer")
 
@@ -409,7 +408,7 @@ def appendix_demo() -> dict:
     marked = MarkedSet.from_indices(2, [reference.index])
     state = uniform_superposition(2)
     p_s, p_t = dense_reference_operators(2, marked)
-    after_flip = phase_flip(state, marked)
+    after_flip = (p_t @ state.amplitudes).real
     final = iterate(state, marked, 1)
     return {
         "layout": [vars(v) for v in layout.variables],
@@ -420,7 +419,7 @@ def appendix_demo() -> dict:
         "uniform": state.amplitudes.real.tolist(),
         "p_s": p_s.tolist(),
         "p_t": p_t.tolist(),
-        "after_phase_flip": after_flip.amplitudes.real.tolist(),
+        "after_phase_flip": after_flip.tolist(),
         "final": final.amplitudes.real.tolist(),
     }
 

@@ -41,6 +41,8 @@ class VariableSpec:
             raise ValueError(f"{self.name}: bounds must be finite")
         if self.hi <= self.lo:
             raise ValueError(f"{self.name}: hi must exceed lo, got [{self.lo}, {self.hi}]")
+        if not np.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError(f"{self.name}: width hi - lo overflows, got [{self.lo}, {self.hi}]")
 
     @property
     def levels(self) -> int:
@@ -59,14 +61,11 @@ class VariableSpec:
         """Nearest grid level, half-away-from-zero; clamped flag if x was outside."""
         if np.isnan(x):
             raise ValueError(f"{self.name}: cannot encode NaN")
-        t = (x - self.lo) / self.step
-        k = int(np.floor(t + 0.5))
-        clamped = False
-        if k < 0:
-            k, clamped = 0, True
-        elif k >= self.levels:
-            k, clamped = self.levels - 1, True
-        return k, clamped
+        if x < self.lo:
+            return 0, True
+        if x > self.hi:
+            return self.levels - 1, True
+        return int(np.floor((x - self.lo) / self.step + 0.5)), False
 
     def level_values(self, k: np.ndarray) -> np.ndarray:
         """Coordinates of an int array of levels; the end levels snap to exactly lo and hi."""

@@ -1,4 +1,4 @@
-"""Amplitude amplification: repeated phase-flip + diffusion, and its theory.
+"""Amplitude amplification in closed form: the search engine.
 
 One amplification step is G = P_s P_t (phase inversion of the marked set,
 then inversion about the average).  With m marked indices out of N = 2**n
@@ -9,8 +9,9 @@ count is round(pi/(4 theta) - 1/2).
 Because a register that starts uniform only ever holds two distinct
 amplitudes, one per class, ``class_probabilities`` is the one model of a
 round on every run path: ``sample`` draws from it in closed form, and pivot
-selection and the per-round distribution CSVs read it; ``iterate`` builds
-the dense register for the appendix demo and as their cross-check oracle.
+selection and the per-round distribution CSVs read it.  Nothing here builds
+a register; the dense one in ``statevector`` is the oracle these formulas
+are tested against.
 """
 
 from __future__ import annotations
@@ -20,28 +21,11 @@ import math
 
 import numpy as np
 
-from .statevector import MarkedSet, Statevector, marked_probability, uniform_superposition
-
-
-def iterate(state: Statevector, marked: MarkedSet, iterations: int) -> Statevector:
-    """Apply ``iterations`` amplification steps G = P_s P_t to a copy of ``state``."""
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    if marked.num_qubits != state.num_qubits:
-        raise ValueError("marked set qubit count does not match state")
-    amps = state.amplitudes.copy()
-    mask = marked.mask
-    # In-place loop: flip marked signs, then a -> 2*mean(a) - a.
-    for _ in range(iterations):
-        amps[mask] = -amps[mask]
-        mean = amps.mean()
-        np.subtract(2.0 * mean, amps, out=amps)
-    return Statevector(amps)
-
 
 def sample(marked: np.ndarray, size: int, iterations: int, rng: np.random.Generator) -> int:
-    """Measure ``iterate(uniform_superposition(n), marked, iterations)`` without building it.
+    """Measure the register ``statevector.iterate`` would build, without building it.
 
+    The register is ``iterate(uniform_superposition(n), marked, iterations)``;
     ``marked`` holds the sorted, distinct marked indices of a register of
     ``size`` cells.  Each of the m marked cells carries a = P/m and each
     unmarked cell b = (1 - P)/(N - m), with P = success_probability(m, N, k).
@@ -117,25 +101,3 @@ def optimal_iterations(num_marked: int, size: int) -> int:
     theta = math.asin(math.sqrt(num_marked / size))
     k = round(math.pi / (4.0 * theta) - 0.5)
     return max(0, int(k))
-
-
-def amplify(marked: MarkedSet, iterations: int | None = None) -> tuple[Statevector, int]:
-    """Prepare the uniform state and amplify the marked set.
-
-    When ``iterations`` is None the optimal count is used (0 if nothing is
-    marked).  Returns the amplified state and the step count actually applied.
-    """
-    state = uniform_superposition(marked.num_qubits)
-    if iterations is None:
-        if marked.count == 0:
-            iterations = 0
-        else:
-            iterations = optimal_iterations(marked.count, state.size)
-    out = iterate(state, marked, iterations)
-    return out, iterations
-
-
-def measured_success_probability(marked: MarkedSet, iterations: int) -> float:
-    """Simulated counterpart of :func:`success_probability` (exact, no sampling)."""
-    state, _ = amplify(marked, iterations)
-    return marked_probability(state, marked)

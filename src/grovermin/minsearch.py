@@ -1,4 +1,4 @@
-"""Minimum search by repeated prepare-mark-amplify-measure rounds.
+"""Minimum search by repeated rounds of preparation, marking, amplification and measurement.
 
 A round's marked set is every index whose objective value is at or below
 the current threshold, the best value measured so far (round 1's threshold
@@ -29,8 +29,7 @@ from .objectives import Objective
 
 # The search builds no register; perfbench/spans.py wraps these bindings, so they
 # stay until the benchmark is retargeted (ROADMAP item 1).
-from .grover import iterate  # noqa: F401
-from .statevector import MarkedSet, uniform_superposition  # noqa: F401
+from .statevector import MarkedSet, iterate, uniform_superposition  # noqa: F401
 
 #: Fixed per-round iteration counts of the Baritompa-style schedule.
 BARITOMPA_ENTRIES = (0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 2, 3, 1, 4, 5, 1, 6, 2, 7, 9, 11, 13, 16, 5)

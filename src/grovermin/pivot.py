@@ -35,8 +35,7 @@ from .statevector import check_qubits
 
 # Selection builds no register; perfbench/spans.py wraps these bindings, so they
 # stay until the benchmark is retargeted (ROADMAP item 1).
-from .grover import iterate  # noqa: F401
-from .statevector import MarkedSet, uniform_superposition  # noqa: F401
+from .statevector import MarkedSet, iterate, uniform_superposition  # noqa: F401
 
 #: Search window for the shared-bond trimer stage of cluster growth.
 TRIMER_BOX: Box = [(0.0001, 2.0), (0.0001, math.pi)]
@@ -107,8 +106,9 @@ class PivotConfig:
         for name in ("sigma_scale", "sigma_floor"):
             if math.isinf(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sigma_floor < 0:
-            raise ValueError(f"sigma_floor must be >= 0, got {self.sigma_floor}")
+        for name in ("sigma_floor", "stall_tol"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def generate_probes(

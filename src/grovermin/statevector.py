@@ -1,13 +1,14 @@
-"""Dense complex-amplitude register, the marked index set, and the primitives.
+"""Dense complex-amplitude register, the oracle the closed forms are checked against.
 
 The register state is the full vector of 2**n amplitudes, with uniform
-preparation, selective phase inversion of a marked index set, and inversion
-about the average amplitude.  No run path but the appendix demo builds it:
-the threshold search, pivot selection and the per-round distributions all
-take the two class probabilities in closed form (``grover.sample``,
-``pivot.select_pivots``, ``minsearch.round_states``).  The dense register
-serves the appendix demo and the tests, where it is the oracle the closed
-form is checked against.
+preparation and the amplification step G = P_s P_t (``iterate``: selective
+phase inversion of a marked index set, then inversion about the average
+amplitude), plus the explicit matrices of P_s and P_t for small registers.
+No run path but the appendix demo builds it: the threshold search, pivot
+selection and the per-round distributions all take the two class
+probabilities in closed form (``grover``).  The dense register serves the
+appendix demo and the tests.  ``check_qubits`` is the one register cap, and
+grids and probe registers use it too.
 """
 
 from __future__ import annotations
@@ -72,12 +73,6 @@ class Statevector:
         """Born-rule probabilities |a_i|^2."""
         return np.abs(self.amplitudes) ** 2
 
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.amplitudes.copy())
-
     def __repr__(self) -> str:
         return f"Statevector(num_qubits={self.num_qubits})"
 
@@ -107,15 +102,8 @@ class MarkedSet:
             mask[idx] = True
         return cls(num_qubits, mask)
 
-    @classmethod
-    def empty(cls, num_qubits: int) -> "MarkedSet":
-        return cls(num_qubits, np.zeros(1 << num_qubits, dtype=bool))
-
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self.mask[index])
 
     def __repr__(self) -> str:
         return f"MarkedSet(num_qubits={self.num_qubits}, count={self.count})"
@@ -131,19 +119,19 @@ def uniform_superposition(num_qubits: int) -> Statevector:
     return Statevector(amps)
 
 
-def phase_flip(state: Statevector, marked: MarkedSet) -> Statevector:
-    """Negate the amplitude of every marked index (selective phase inversion)."""
+def iterate(state: Statevector, marked: MarkedSet, iterations: int) -> Statevector:
+    """Apply ``iterations`` amplification steps G = P_s P_t to a copy of ``state``."""
+    if iterations < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     _check_compatible(state, marked)
     amps = state.amplitudes.copy()
-    amps[marked.mask] = -amps[marked.mask]
+    mask = marked.mask
+    # In-place loop: flip marked signs, then a -> 2*mean(a) - a.
+    for _ in range(iterations):
+        amps[mask] = -amps[mask]
+        mean = amps.mean()
+        np.subtract(2.0 * mean, amps, out=amps)
     return Statevector(amps)
-
-
-def diffusion(state: Statevector) -> Statevector:
-    """Invert every amplitude about the mean: a_i -> 2*mean - a_i."""
-    amps = state.amplitudes
-    new = 2.0 * amps.mean() - amps
-    return Statevector(new)
 
 
 def marked_probability(state: Statevector, marked: MarkedSet) -> float:
@@ -153,7 +141,7 @@ def marked_probability(state: Statevector, marked: MarkedSet) -> float:
 
 
 def dense_reference_operators(num_qubits: int, marked: MarkedSet) -> tuple[np.ndarray, np.ndarray]:
-    """Explicit matrices of the two primitives, for cross-checking only.
+    """Explicit matrices of the two reflections in G = P_s P_t, for cross-checking only.
 
     Returns ``(P_s, P_t)`` where ``P_s[i, j] = 2/2^n - delta_ij`` (inversion
     about average) and ``P_t`` is the identity with -1 at marked diagonal

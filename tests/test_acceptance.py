@@ -30,7 +30,7 @@ from grovermin import (
     iterate,
     lj_growth,
     lj_pair,
-    measured_success_probability,
+    marked_probability,
     pivot_grover_search,
     refine_min,
     run_ensemble,
@@ -148,7 +148,7 @@ def test_c4_amplification_law():
                 n, rng.choice(size, size=m, replace=False)
             )
             for k in range(31):
-                sim = measured_success_probability(marked, k)
+                sim = marked_probability(iterate(uniform_superposition(n), marked, k), marked)
                 ref = success_probability(m, size, k)
                 worst = max(worst, abs(sim - ref))
                 cases += 1

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grovermin.cli as cli
-import grovermin.grover as grover
 import grovermin.minsearch as minsearch
 import grovermin.pivot as pivot
 import grovermin.statevector as statevector
@@ -18,7 +17,7 @@ from grovermin import encoding
 from grovermin.cli import main
 from grovermin.baseline import grid_brute_min
 from grovermin.encoding import GridLayout, square_layout
-from grovermin.grover import class_probabilities, iterate
+from grovermin.grover import class_probabilities
 from grovermin.minsearch import (
     Schedule,
     SearchSetup,
@@ -29,7 +28,7 @@ from grovermin.minsearch import (
     run_ensemble,
 )
 from grovermin.objectives import Objective, get_objective
-from grovermin.statevector import MarkedSet, uniform_superposition
+from grovermin.statevector import MarkedSet, iterate, uniform_superposition
 
 RUN_KEYS = {
     "run_id",
@@ -238,7 +237,7 @@ def test_emit_distributions_reads_the_sampler_probabilities(
         raise AssertionError("a run built a dense register")
 
     with monkeypatch.context() as patched:
-        patched.setattr(grover, "iterate", refuse)
+        patched.setattr(statevector, "iterate", refuse)
         patched.setattr(minsearch, "iterate", refuse)
         patched.setattr(minsearch, "uniform_superposition", refuse)
         patched.setattr(minsearch, "MarkedSet", refuse)
@@ -781,6 +780,17 @@ def test_oversized_register_exits_2_before_allocating(
         ),
         ("shubert-pivot", {"pivot": {"sigma_floor": math.inf}}, "sigma_floor must be finite"),
         ("lj-grow", {"pivot": {"sigma_floor": math.inf}}, "sigma_floor must be finite"),
+        (
+            "gp",
+            {
+                "layout": [
+                    {"name": "x1", "lo": -1e308, "hi": 1e308, "qubits": 3},
+                    {"name": "x2", "lo": -3.2, "hi": 3.0, "qubits": 3},
+                ]
+            },
+            "x1: width hi - lo overflows, got [-1e+308, 1e+308]",
+        ),
+        ("shubert-pivot", {"pivot": {"stall_tol": -1.0}}, "stall_tol must be >= 0, got -1.0"),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(

@@ -242,6 +242,14 @@ def test_clamping_flags():
     index, clamped = GP_LAYOUT.encode((-100.0, 0.0))
     assert clamped is True
     assert GP_LAYOUT.levels(index)[0] == 0
+    # values too far out for (x - lo) / step to be finite clamp the same way
+    v = VariableSpec("x", -1, 1, 3)
+    for x, end in [(1e308, 7), (math.inf, 7), (-1e308, 0), (-math.inf, 0)]:
+        assert v.value_to_level(x) == (end, True)
+    layout = GridLayout([v, VariableSpec("y", -1, 1, 3)])
+    assert layout.encode((1e308, 0.0)) == (7 << 3 | 4, True)  # x at its top level, y = 0 at 4
+    with pytest.raises(ValueError, match="NaN"):
+        v.value_to_level(math.nan)
 
 
 def test_encode_rejects_nan():
@@ -272,6 +280,8 @@ def test_variable_validation():
         VariableSpec("v", 1.0, 1.0, 2)
     with pytest.raises(ValueError, match="finite"):
         VariableSpec("v", 0.0, float("inf"), 2)
+    with pytest.raises(ValueError, match=r"v: width hi - lo overflows, got \[-1e\+308, 1e\+308\]"):
+        VariableSpec("v", -1e308, 1e308, 2)
 
 
 def test_layout_validation():

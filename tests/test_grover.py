@@ -8,25 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from grovermin.grover import (
-    amplify,
-    class_probabilities,
-    iterate,
-    measured_success_probability,
-    optimal_iterations,
-    sample,
-    success_probability,
-)
-from grovermin.statevector import (
-    MarkedSet,
-    marked_probability,
-    uniform_superposition,
-)
+import grovermin.grover as grover
+import grovermin.statevector as statevector
+from grovermin.grover import class_probabilities, optimal_iterations, sample, success_probability
+from grovermin.statevector import MarkedSet, iterate, marked_probability, uniform_superposition
 
 
 def test_one_step_two_qubits_is_certain():
     marked = MarkedSet.from_indices(2, [1])
-    state, k = amplify(marked)
+    k = optimal_iterations(marked.count, 4)
+    state = iterate(uniform_superposition(2), marked, k)
     assert k == 1
     np.testing.assert_allclose(state.amplitudes, [0, 1, 0, 0], atol=1e-12)
     assert success_probability(1, 4, 1) == pytest.approx(1.0, abs=1e-15)
@@ -42,7 +33,7 @@ def test_zero_iterations_is_identity():
 def test_three_qubits_two_steps_frozen():
     # n=3, m=1, k=2: sin^2(5 asin(sqrt(1/8))) = 0.94531...
     marked = MarkedSet.from_indices(3, [5])
-    prob = measured_success_probability(marked, 2)
+    prob = marked_probability(iterate(uniform_superposition(3), marked, 2), marked)
     assert prob == pytest.approx(0.9453125, abs=1e-9)
     assert success_probability(1, 8, 2) == pytest.approx(0.9453125, abs=1e-12)
 
@@ -74,7 +65,7 @@ def test_measured_matches_formula(num_qubits, num_marked):
     indices = rng.choice(size, size=num_marked, replace=False)
     marked = MarkedSet.from_indices(num_qubits, indices)
     for k in (0, 1, 5, 17, 30):
-        measured = measured_success_probability(marked, k)
+        measured = marked_probability(iterate(uniform_superposition(num_qubits), marked, k), marked)
         predicted = success_probability(num_marked, size, k)
         assert measured == pytest.approx(predicted, abs=1e-9)
 
@@ -130,21 +121,17 @@ def test_optimal_is_argmax_over_neighbors():
 def test_iterate_validation():
     state = uniform_superposition(3)
     with pytest.raises(ValueError, match="iterations"):
-        iterate(state, MarkedSet.empty(3), -1)
-    with pytest.raises(ValueError, match="does not match"):
-        iterate(state, MarkedSet.empty(2), 1)
+        iterate(state, MarkedSet.from_indices(3, []), -1)
+    with pytest.raises(ValueError, match="marked set is over 2 qubits, state has 3"):
+        iterate(state, MarkedSet.from_indices(2, []), 1)
 
 
-def test_amplify_empty_set_defaults_to_zero_steps():
-    state, k = amplify(MarkedSet.empty(3))
-    assert k == 0
-    np.testing.assert_allclose(state.amplitudes, np.full(8, 1 / np.sqrt(8)), atol=1e-15)
-
-
-def test_amplify_reports_requested_iterations():
-    marked = MarkedSet.from_indices(4, [2])
-    _, k = amplify(marked, iterations=3)
-    assert k == 3
+def test_empty_marked_set_keeps_the_state_uniform():
+    marked = MarkedSet.from_indices(3, [])
+    for k in range(4):
+        state = iterate(uniform_superposition(3), marked, k)
+        np.testing.assert_allclose(state.amplitudes, np.full(8, 1 / np.sqrt(8)), atol=1e-15)
+        assert success_probability(marked.count, 8, k) == 0.0
 
 
 @given(
@@ -159,11 +146,11 @@ def test_marked_probability_matches_theory(num_qubits, seed, k):
     num_marked = int(rng.integers(1, size + 1))
     indices = rng.choice(size, size=num_marked, replace=False)
     marked = MarkedSet.from_indices(num_qubits, indices)
-    state, _ = amplify(marked, iterations=k)
+    state = iterate(uniform_superposition(num_qubits), marked, k)
     assert marked_probability(state, marked) == pytest.approx(
         success_probability(num_marked, size, k), abs=1e-9
     )
-    assert abs(state.norm_squared() - 1.0) < 1e-12
+    assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
 
 
 def test_success_oscillates_with_period():
@@ -253,4 +240,14 @@ def test_sample_follows_born_rule():
 
 def test_sample_validation():
     with pytest.raises(ValueError, match="iterations"):
-        sample(MarkedSet.empty(3).indices(), 8, -1, np.random.default_rng(0))
+        sample(MarkedSet.from_indices(3, []).indices(), 8, -1, np.random.default_rng(0))
+
+
+def test_engine_binds_nothing_from_the_dense_module():
+    # The closed forms are the engine; the dense register is only their oracle.
+    dense = [
+        name
+        for name, value in vars(grover).items()
+        if value is statevector or getattr(value, "__module__", None) == statevector.__name__
+    ]
+    assert dense == []

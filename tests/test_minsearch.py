@@ -9,7 +9,7 @@ from scipy import stats
 
 import grovermin.minsearch as minsearch
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
-from grovermin.grover import iterate, success_probability
+from grovermin.grover import success_probability
 from grovermin.minsearch import (
     BARITOMPA_ENTRIES,
     RoundRecord,
@@ -23,11 +23,7 @@ from grovermin.minsearch import (
     spawn_rngs,
 )
 from grovermin.objectives import ENERGY_CAP, GOLDSTEIN_PRICE, LJ_TRIMER, Objective
-from grovermin.statevector import (
-    MarkedSet,
-    RegisterTooLarge,
-    uniform_superposition,
-)
+from grovermin.statevector import MarkedSet, RegisterTooLarge, iterate, uniform_superposition
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
 

@@ -9,9 +9,9 @@ import pytest
 import grovermin.grover as grover
 import grovermin.pivot as pivot
 import grovermin.statevector as statevector
-from grovermin.grover import iterate, optimal_iterations, success_probability
+from grovermin.grover import optimal_iterations, success_probability
 from grovermin.objectives import ClusterGeometry, GOLDSTEIN_PRICE, SHUBERT, Objective, lj_pair
-from grovermin.statevector import MarkedSet, uniform_superposition
+from grovermin.statevector import MarkedSet, iterate, uniform_superposition
 from grovermin.pivot import (
     TRIMER_BOX,
     GrowthConfig,
@@ -630,7 +630,7 @@ def test_search_builds_no_dense_register(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a dense register")
 
-    monkeypatch.setattr(grover, "iterate", refuse)
+    monkeypatch.setattr(statevector, "iterate", refuse)
     monkeypatch.setattr(pivot, "iterate", refuse)
     monkeypatch.setattr(statevector.Statevector, "__init__", refuse)
     result = pivot_grover_search(

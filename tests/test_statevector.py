@@ -1,4 +1,4 @@
-"""Register primitives: preparation, phase inversion, diffusion."""
+"""The dense register: preparation, the amplification step and its matrices."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,8 @@ from grovermin.statevector import (
     RegisterTooLarge,
     Statevector,
     dense_reference_operators,
-    diffusion,
+    iterate,
     marked_probability,
-    phase_flip,
     uniform_superposition,
 )
 
@@ -52,8 +51,9 @@ def test_uniform_refuses_qubits_past_the_cap():
 def test_phase_flip_two_qubits_single_mark():
     state = uniform_superposition(2)
     marked = MarkedSet.from_indices(2, [3])
-    flipped = phase_flip(state, marked)
-    np.testing.assert_array_equal(flipped.amplitudes, [0.5, 0.5, 0.5, -0.5])
+    _, p_t = dense_reference_operators(2, marked)
+    flipped = p_t @ state.amplitudes
+    np.testing.assert_array_equal(flipped, [0.5, 0.5, 0.5, -0.5])
     # input untouched
     np.testing.assert_array_equal(state.amplitudes, np.full(4, 0.5))
 
@@ -62,16 +62,15 @@ def test_two_qubit_one_step_is_exact():
     # n=2, m=1: a single flip+diffusion concentrates all probability.
     state = uniform_superposition(2)
     marked = MarkedSet.from_indices(2, [2])
-    after = diffusion(phase_flip(state, marked))
+    after = iterate(state, marked, 1)
     np.testing.assert_allclose(after.amplitudes, [0, 0, 1, 0], atol=1e-12)
     assert marked_probability(after, marked) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diffusion_formula_small_vector():
     amps = np.array([0.5, 0.5, 0.5, -0.5])
-    state = Statevector(amps)
-    out = diffusion(state)
-    np.testing.assert_allclose(out.amplitudes, 2 * amps.mean() - amps, atol=1e-15)
+    p_s, _ = dense_reference_operators(2, MarkedSet.from_indices(2, []))
+    np.testing.assert_allclose(p_s @ amps, 2 * amps.mean() - amps, atol=1e-15)
 
 
 def test_dense_operator_matrices_two_qubits():
@@ -89,33 +88,30 @@ def test_dense_operators_match_fast_path(n):
     marked = MarkedSet.from_indices(n, indices)
     p_s, p_t = dense_reference_operators(n, marked)
     state = uniform_superposition(n)
-    fast = diffusion(phase_flip(state, marked))
-    dense = p_s @ (p_t @ state.amplitudes)
+    fast = iterate(state, marked, 1)
+    dense = p_s @ p_t @ state.amplitudes
     np.testing.assert_allclose(fast.amplitudes, dense, atol=1e-10)
 
 
 def test_dense_operators_reject_large_register():
-    marked = MarkedSet.empty(MAX_DENSE_QUBITS + 1)
+    marked = MarkedSet.from_indices(MAX_DENSE_QUBITS + 1, [])
     with pytest.raises(ValueError, match="dense operators"):
         dense_reference_operators(MAX_DENSE_QUBITS + 1, marked)
 
 
 def test_dense_operators_reject_mismatched_marked_set():
     with pytest.raises(ValueError, match="does not match"):
-        dense_reference_operators(3, MarkedSet.empty(2))
+        dense_reference_operators(3, MarkedSet.from_indices(2, []))
 
 
 def test_phase_flip_is_involution():
-    state = random_state(4, seed=7)
-    marked = MarkedSet.from_indices(4, [0, 5, 9])
-    twice = phase_flip(phase_flip(state, marked), marked)
-    np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-15)
+    _, p_t = dense_reference_operators(4, MarkedSet.from_indices(4, [0, 5, 9]))
+    np.testing.assert_allclose(p_t @ p_t, np.eye(16), atol=1e-15)
 
 
 def test_diffusion_is_involution():
-    state = random_state(4, seed=8)
-    twice = diffusion(diffusion(state))
-    np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
+    p_s, _ = dense_reference_operators(4, MarkedSet.from_indices(4, []))
+    np.testing.assert_allclose(p_s @ p_s, np.eye(16), atol=1e-12)
 
 
 @given(
@@ -128,16 +124,16 @@ def test_primitives_preserve_norm(n, seed):
     state = random_state(n, seed)
     indices = [i for i in range(1 << n) if rng.random() < 0.5]
     marked = MarkedSet.from_indices(n, indices)
-    out = diffusion(phase_flip(state, marked))
-    assert abs(out.norm_squared() - 1.0) < 1e-12
+    out = iterate(state, marked, 1)
+    assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1.0) < 1e-12
 
 
 def test_norm_stable_over_many_rounds():
     state = uniform_superposition(6)
     marked = MarkedSet.from_indices(6, [11, 40, 63])
     for _ in range(200):
-        state = diffusion(phase_flip(state, marked))
-    assert abs(state.norm_squared() - 1.0) < 1e-12
+        state = iterate(state, marked, 1)
+    assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
 
 
 def test_statevector_rejects_non_1d():
@@ -164,8 +160,9 @@ def test_statevector_rejects_unnormalized():
 
 
 def test_copy_is_independent():
+    # iterate steps a copy of the register, even with no steps
     state = uniform_superposition(2)
-    dup = state.copy()
+    dup = iterate(state, MarkedSet.from_indices(2, []), 0)
     dup.amplitudes[0] = 0.0
     assert state.amplitudes[0] == 0.5
 
@@ -179,9 +176,9 @@ def test_marked_set_basics():
     marked = MarkedSet.from_indices(3, [6, 1, 6])
     assert marked.count == 2
     assert list(marked.indices()) == [1, 6]
-    assert 6 in marked
-    assert 0 not in marked
-    assert MarkedSet.empty(3).count == 0
+    assert marked.mask[6]
+    assert not marked.mask[0]
+    assert MarkedSet.from_indices(3, []).count == 0
 
 
 def test_marked_set_from_mask():
@@ -204,4 +201,4 @@ def test_marked_set_rejects_wrong_mask_length():
 
 def test_marked_probability_requires_matching_register():
     with pytest.raises(ValueError, match="marked set is over"):
-        marked_probability(uniform_superposition(3), MarkedSet.empty(2))
+        marked_probability(uniform_superposition(3), MarkedSet.from_indices(2, []))
