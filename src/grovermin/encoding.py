@@ -43,6 +43,16 @@ class VariableSpec:
             raise ValueError(f"{self.name}: hi must exceed lo, got [{self.lo}, {self.hi}]")
         if not np.isfinite(float(self.hi) - float(self.lo)):
             raise ValueError(f"{self.name}: width hi - lo overflows, got [{self.lo}, {self.hi}]")
+        # A variable past the cap fits no layout, and its level count may not
+        # convert to a float for ``step``.
+        check_qubits(self.qubits)
+        # Adjacent levels must stay distinct floats: a step within two ulps of
+        # the larger bound rounds levels together (or to zero width).
+        if self.step <= 2 * np.spacing(max(abs(self.lo), abs(self.hi))):
+            raise ValueError(
+                f"{self.name}: step {self.step:g} cannot separate the levels of"
+                f" [{self.lo}, {self.hi}] on {self.qubits} qubits"
+            )
 
     @property
     def levels(self) -> int:

@@ -115,7 +115,8 @@ class StopRule:
     threshold improvement.  ``target``: stop as soon as the best value
     reaches it (used when the grid minimum is known).  ``max_rounds``:
     unconditional cap; stopping on it (or on schedule exhaustion) reports
-    converged=False.
+    converged=False.  A target alone is refused: a grid may never reach it,
+    so ``stall_window`` or ``max_rounds`` must bound the loop.
     """
 
     stall_window: int | None = 8
@@ -129,8 +130,10 @@ class StopRule:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.target is not None and math.isnan(self.target):
             raise ValueError("target must be a number, got nan")
-        if self.stall_window is None and self.target is None and self.max_rounds is None:
-            raise ValueError("at least one stop condition is required")
+        if self.stall_window is None and self.max_rounds is None:
+            raise ValueError(
+                "stop needs stall_window or max_rounds; a target alone may never be reached"
+            )
 
 
 @dataclass(frozen=True)

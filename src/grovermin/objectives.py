@@ -1,13 +1,13 @@
 """Objective functions for the search experiments.
 
-Three families: the Goldstein-Price polynomial, the Shubert cosine
-product, and Lennard-Jones cluster energies.  LJ energies use reduced
-units with pair well depth 1 at separation 1, V(r) = r^-12 - 2 r^-6;
-all cluster energies are sums of V over distinct pairs.  Geometries
-with a pair closer than ``CONTACT_EPS`` return the finite ``ENERGY_CAP``
-instead of overflowing (grids reach bond lengths as small as 1e-4,
-where r^-12 is large but still representable; only genuine coincidence
-is capped).
+An ``Objective`` is a checked coordinate function or a checked product of
+one per-axis factor.  Three families: the Goldstein-Price polynomial, the
+Shubert cosine product, and Lennard-Jones cluster energies.  LJ energies use
+reduced units with pair well depth 1 at separation 1, V(r) = r^-12 - 2 r^-6;
+all cluster energies are sums of V over distinct pairs.  Geometries with a
+pair closer than ``CONTACT_EPS`` return the finite ``ENERGY_CAP`` instead of
+overflowing (grids reach bond lengths as small as 1e-4, where r^-12 is large
+but still representable; only genuine coincidence is capped).
 """
 
 from __future__ import annotations
@@ -29,47 +29,33 @@ ENERGY_CAP = 1e12
 
 @dataclass(frozen=True)
 class Objective:
-    """Named real-valued function of ``arity`` scalar coordinates.
+    """Named real-valued function of ``arity`` scalar coordinates, of one of two kinds.
 
-    ``batch_fn`` takes one coordinate array per variable; the arrays
-    broadcast against each other, and the values have their broadcast shape.
-    ``fn`` evaluates one point and is only needed for objectives that have no
-    ``batch_fn``; it is then broadcast with ``np.vectorize``.  A product
-    objective gives ``factor`` instead: f(x1, ..., xd) = g(x1) * ... * g(xd),
-    with g mapping an array of coordinates elementwise, and every value is
-    that product taken left to right.  ``batch`` calls g once on the whole
-    ``(npoints, arity)`` array and multiplies its columns; a grid scan maps
-    each axis through g once (``GridLayout.slabs``).  A scalar call is a
-    one-row batch.
+    A coordinate function gives ``batch_fn``, which takes one coordinate
+    array per variable; the arrays broadcast against each other, and the
+    values have their broadcast shape.  A product objective gives ``factor``
+    instead: f(x1, ..., xd) = g(x1) * ... * g(xd), with g mapping an array
+    of coordinates elementwise, and every value is that product taken left
+    to right.  ``batch`` calls g once on the whole ``(npoints, arity)``
+    array; ``mesh`` maps each axis through g once.  Both fields are
+    keyword-only; a function of one point is passed as a ``batch_fn`` through
+    numpy's ``vectorize`` with ``otypes=[float]``.  A scalar call is a
+    one-row batch, and every path refuses NaN or infinite values.
     """
 
     name: str
     arity: int
-    fn: Callable[..., float] | None = None
-    batch_fn: Callable[..., np.ndarray] | None = None
-    factor: Callable[[np.ndarray], np.ndarray] | None = None
-    _vectorized: Callable[..., np.ndarray] = field(init=False, repr=False, compare=False)
+    batch_fn: Callable[..., np.ndarray] | None = field(default=None, kw_only=True)
+    factor: Callable[[np.ndarray], np.ndarray] | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        if self.factor is not None:
-            if self.fn is not None or self.batch_fn is not None:
-                raise ValueError(f"objective {self.name!r}: factor excludes fn and batch_fn")
-
-            def vectorized(*coords):
-                return reduce(operator.mul, map(self.factor, coords))
-
-        elif self.batch_fn is not None:
-            vectorized = self.batch_fn
-        elif self.fn is not None:
-            vectorized = np.vectorize(self.fn, otypes=[float])
-        else:
-            raise ValueError(f"objective {self.name!r} needs fn or batch_fn, or a factor")
-        object.__setattr__(self, "_vectorized", vectorized)
+        if (self.batch_fn is None) == (self.factor is None):
+            raise ValueError(f"objective {self.name!r} needs exactly one of batch_fn and factor")
 
     def __call__(self, *coords: float) -> float:
         if len(coords) != self.arity:
             raise ValueError(f"{self.name} takes {self.arity} coordinates, got {len(coords)}")
-        return float(self._vectorized(*np.array([coords], dtype=float).T)[0])
+        return float(self.batch([coords])[0])
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         """Values at each row of ``points``, shape (npoints,); all must be finite."""
@@ -79,23 +65,22 @@ class Objective:
         if self.factor is not None:
             factors = np.asarray(self.factor(pts), dtype=float)
             return self._checked(reduce(operator.mul, factors.T), pts.shape[:1])
-        return self._evaluate(*pts.T)
+        return self._checked(self.batch_fn(*pts.T), pts.shape[:1])
 
     def mesh(self, axes: list[np.ndarray]) -> np.ndarray:
         """Values on the C-order grid of 1-D ``axes``, one per variable, flattened.
 
-        The objective sees the open mesh ``np.ix_(*axes)``, so a term that
+        ``batch_fn`` sees the open mesh ``np.ix_(*axes)``, so a term that
         depends on one variable is computed once per level of that axis.
         """
-        return self._evaluate(*np.ix_(*axes)).reshape(-1)
+        if self.factor is not None:
+            return self.factor_mesh([self.factor(axis) for axis in axes])
+        grid = np.ix_(*axes)
+        return self._checked(self.batch_fn(*grid), np.broadcast(*grid).shape).reshape(-1)
 
     def factor_mesh(self, factors: list[np.ndarray]) -> np.ndarray:
         """A product objective's ``mesh``, given each axis already mapped through g."""
         return check_finite(self.name, reduce(operator.mul, np.ix_(*factors)).reshape(-1))
-
-    def _evaluate(self, *coords: np.ndarray) -> np.ndarray:
-        """Values at the broadcast of the coordinate arrays; all must be finite."""
-        return self._checked(self._vectorized(*coords), np.broadcast(*coords).shape)
 
     def _checked(self, values, shape: tuple[int, ...]) -> np.ndarray:
         """``values`` as a float array; ValueError unless it has ``shape`` and is finite."""
@@ -146,21 +131,16 @@ def gp_eval(x1, x2):
 def shubert_axis(x):
     """Shubert's per-axis factor: the terms i*cos((i+1)x + i), i = 1..5, added in order.
 
-    Elementwise over a scalar or an array of any shape.  Each term is built
-    in place in one scratch buffer, with the same operations in the same
-    order as the expression, so the values are bitwise the same.
+    Elementwise over a scalar or an array of any shape.
     """
     x = np.asarray(x, dtype=float)
-    total, term = np.empty_like(x), np.empty_like(x)
-    np.multiply(x, 2, out=total)
-    total += 1
-    np.cos(total, out=total)
-    for i in range(2, 6):
-        np.multiply(x, i + 1, out=term)
-        term += i
-        np.cos(term, out=term)
-        term *= i
-        total += term
+    total = (
+        np.cos(2 * x + 1)
+        + 2 * np.cos(3 * x + 2)
+        + 3 * np.cos(4 * x + 3)
+        + 4 * np.cos(5 * x + 4)
+        + 5 * np.cos(6 * x + 5)
+    )
     return total[()]  # a scalar in, a numpy scalar out
 
 

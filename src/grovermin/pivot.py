@@ -413,6 +413,10 @@ class GrowthConfig:
             raise ValueError("qubit counts must be positive")
         if self.bond is not None:
             check_bond(self.bond)
+        # Refuse an over-cap stage register now, not after the trimer search.
+        check_qubits(self.trimer_qubits)
+        if self.method == 2:
+            check_qubits(2 * self.qubits_per_axis)
 
 
 @dataclass

@@ -203,7 +203,8 @@ def test_c6_lj_reference_energies():
         )
 
     pentamer = refine_min(
-        Objective("lj5-bipyramid", 2, bipyramid), [(0.4, 0.8), (0.6, 1.0)]
+        Objective("lj5-bipyramid", 2, batch_fn=np.vectorize(bipyramid, otypes=[float])),
+        [(0.4, 0.8), (0.6, 1.0)],
     )
     elapsed = time.perf_counter() - t0
     errors = (

@@ -39,7 +39,9 @@ def test_trimer_grid_minimum_frozen():
 def test_grid_ties_break_to_first_index():
     layout = GridLayout([VariableSpec("t", 0.0, 3.0, 2)])
     table = [3.0, 1.0, 1.0, 2.0]
-    objective = Objective("lookup", 1, lambda t: table[int(round(t))])
+    objective = Objective(
+        "lookup", 1, batch_fn=np.vectorize(lambda t: table[int(round(t))], otypes=[float])
+    )
     out = grid_brute_min(objective, layout)
     assert out.index == 1
     assert out.value == 1.0
@@ -207,7 +209,8 @@ def test_refine_counts_evaluations():
 
 
 def test_refine_one_dimensional():
-    objective = Objective("parabola", 1, lambda t: (t - 0.3) ** 2)
+    parabola = np.vectorize(lambda t: (t - 0.3) ** 2, otypes=[float])
+    objective = Objective("parabola", 1, batch_fn=parabola)
     out = refine_min(objective, [(0.0, 1.0)])
     assert out.value == pytest.approx(0.0, abs=1e-6)
     assert out.point[0] == pytest.approx(0.3, abs=1e-3)
@@ -242,7 +245,10 @@ def _bipyramid(a, h):
     [
         (GOLDSTEIN_PRICE, [(-2.0, 2.0), (-2.0, 2.0)]),
         (SHUBERT, [(-10.0, 10.0), (-10.0, 10.0)]),
-        (Objective("lj5-bipyramid", 2, _bipyramid), [(0.4, 0.8), (0.6, 1.0)]),
+        (
+            Objective("lj5-bipyramid", 2, batch_fn=np.vectorize(_bipyramid, otypes=[float])),
+            [(0.4, 0.8), (0.6, 1.0)],
+        ),
     ],
     ids=["gp", "shubert", "scalar-fn"],
 )

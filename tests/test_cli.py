@@ -543,7 +543,9 @@ def test_run_lj_grow_artifact(tmp_path, capsys):
 
 def test_config_file_overrides(tmp_path, capsys):
     config = tmp_path / "gp.json"
-    config.write_text(json.dumps({"stop": {"target": 3.0, "stall_window": None}}))
+    # A target needs a bound beside it; the run reaches 3.0 long before 500 rounds.
+    stop = {"target": 3.0, "stall_window": None, "max_rounds": 500}
+    config.write_text(json.dumps({"stop": stop}))
     assert main(
         ["run", "gp", "--config", str(config), "--out", str(tmp_path)]
     ) == 0
@@ -702,6 +704,7 @@ WIDE_GP = {
         (["brute", "gp"], WIDE_GP, 26),
         (["run", "shubert-pivot"], {"qubits": 30}, 30),
         (["run", "lj-grow"], {"growth": {"bond": 1.0, "qubits_per_axis": 13}}, 26),
+        (["run", "lj-grow"], {"growth": {"qubits_per_axis": 13}}, 26),
     ],
 )
 def test_oversized_register_exits_2_before_allocating(
@@ -791,6 +794,11 @@ def test_oversized_register_exits_2_before_allocating(
             "x1: width hi - lo overflows, got [-1e+308, 1e+308]",
         ),
         ("shubert-pivot", {"pivot": {"stall_tol": -1.0}}, "stall_tol must be >= 0, got -1.0"),
+        (
+            "lj-trimer",
+            {"stop": {"stall_window": None, "target": -3.0}},
+            "stop needs stall_window or max_rounds; a target alone may never be reached",
+        ),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(
@@ -816,6 +824,15 @@ def test_bad_config_value_exits_2_with_one_line(
         ),
         ({"stop": {"stall_window": -3}}, "stop.stall_window must be an integer >= 1, got -3"),
         ({"strict": "no"}, "strict must be true or false, got 'no'"),
+        (
+            {
+                "layout": [
+                    {"name": "x1", "lo": 0.0, "hi": 5e-324, "qubits": 2},
+                    {"name": "x2", "lo": -3.2, "hi": 3.0, "qubits": 3},
+                ]
+            },
+            "x1: step 0 cannot separate the levels of [0.0, 5e-324] on 2 qubits",
+        ),
     ],
 )
 def test_brute_checks_the_search_config_as_run_does(

@@ -138,7 +138,13 @@ EVALUATE_CASES = [
     (free_atom_objective(build_fixed_core(4, 1.0)), GRID_4_3_3, 100),
     (free_atom_objective(build_fixed_core(4, 1.0)), GRID_4_3_3, 48),
     (GOLDSTEIN_PRICE, GRID_1_9, 100),
-    (Objective("gp-scalar", 2, lambda x, y: float(gp_eval(x, y))), GRID_5_5, 100),
+    (
+        Objective(
+            "gp-scalar", 2, batch_fn=np.vectorize(lambda x, y: float(gp_eval(x, y)), otypes=[float])
+        ),
+        GRID_5_5,
+        100,
+    ),
 ]
 EVALUATE_IDS = [
     "gp", "shubert", "lj-trimer", "lj-grow-yz", "lj-grow-xyz",
@@ -168,7 +174,9 @@ def test_evaluate_hands_the_objective_per_axis_vectors(monkeypatch, objective, l
 
     def spy(*coords):
         sizes.append([np.size(c) for c in coords])
-        return objective._vectorized(*coords)
+        if objective.factor is None:
+            return objective.batch_fn(*coords)
+        return math.prod(map(objective.factor, coords))
 
     values = layout.evaluate(Objective(objective.name, objective.arity, batch_fn=spy))
     assert values.tobytes() == expected.tobytes()
@@ -282,6 +290,12 @@ def test_variable_validation():
         VariableSpec("v", 0.0, float("inf"), 2)
     with pytest.raises(ValueError, match=r"v: width hi - lo overflows, got \[-1e\+308, 1e\+308\]"):
         VariableSpec("v", -1e308, 1e308, 2)
+    # Levels that round together: a zero step, then 6 distinct levels of 1024.
+    with pytest.raises(ValueError, match=r"v: step 0 cannot separate the levels of \[0.0, 5e-32"):
+        VariableSpec("v", 0.0, 5e-324, 2)
+    message = r"v: step 1.08526e-18 cannot separate the levels of \[1.0, 1.000000000000001\]"
+    with pytest.raises(ValueError, match=message):
+        VariableSpec("v", 1.0, 1.0 + 1e-15, 10)
 
 
 def test_layout_validation():

@@ -30,7 +30,8 @@ GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
 
 def lookup_objective(table):
     """Arity-1 objective over the integer grid 0..len(table)-1."""
-    return Objective("lookup", 1, lambda t: table[int(round(t))])
+    lookup = np.vectorize(lambda t: table[int(round(t))], otypes=[float])
+    return Objective("lookup", 1, batch_fn=lookup)
 
 
 def int_layout(num_qubits):
@@ -107,8 +108,11 @@ def test_stop_rule_validation():
         StopRule(stall_window=0)
     with pytest.raises(ValueError, match="max_rounds"):
         StopRule(max_rounds=0)
-    with pytest.raises(ValueError, match="at least one stop condition"):
+    with pytest.raises(ValueError, match="stop needs stall_window or max_rounds"):
         StopRule(stall_window=None)
+    # A target the grid never reaches would loop forever without a bound.
+    with pytest.raises(ValueError, match="a target alone may never be reached"):
+        StopRule(stall_window=None, target=-3.0)
     assert StopRule().stall_window == 8
 
 

@@ -299,14 +299,14 @@ def test_objective_batch_checks_shape():
         GOLDSTEIN_PRICE.batch(np.zeros((4, 3)))
 
 
-def test_objective_without_batch_fn_falls_back():
+def test_objective_of_a_vectorized_point_function():
     seen = []
 
     def add(a, b):
         seen.append((type(a), type(b)))
         return a + b
 
-    obj = Objective("sum", 2, add)
+    obj = Objective("sum", 2, batch_fn=np.vectorize(add, otypes=[float]))
     np.testing.assert_array_equal(obj.batch([[1.0, 2.0], [3.0, 4.0]]), [3.0, 7.0])
     # The mesh broadcasts the scalar function too: one call per grid point.
     seen.clear()
@@ -316,9 +316,14 @@ def test_objective_without_batch_fn_falls_back():
     assert obj(1.0, 2.0) == 3.0
 
 
-def test_objective_needs_fn_or_batch_fn():
-    with pytest.raises(ValueError, match="'empty' needs fn or batch_fn"):
+def test_objective_needs_batch_fn_or_factor():
+    with pytest.raises(ValueError, match="'empty' needs exactly one of batch_fn and factor"):
         Objective("empty", 2)
+    # Both fields are keyword-only, and there is no scalar ``fn``.
+    with pytest.raises(TypeError):
+        Objective("f", 1, lambda t: t)
+    with pytest.raises(TypeError):
+        Objective("f", 1, fn=lambda t: t)
     # batch_fn takes one coordinate array per variable, and they broadcast.
     shapes = []
 
@@ -395,7 +400,7 @@ def test_product_objective_is_the_product_of_its_factors():
     assert mesh.tobytes() == objective.batch(list(itertools.product(*axes))).tobytes()
     with pytest.raises(ValueError, match="objective 'cos3' gave 2 non-finite values"):
         objective.factor_mesh([np.array([np.inf]), np.ones(2), np.ones(1)])
-    with pytest.raises(ValueError, match="factor excludes fn and batch_fn"):
+    with pytest.raises(ValueError, match="'both' needs exactly one of batch_fn and factor"):
         Objective("both", 2, batch_fn=shubert_eval, factor=shubert_axis)
 
 
@@ -403,9 +408,28 @@ def test_batch_rejects_non_finite_values():
     holes = Objective("holes", 1, batch_fn=lambda t: np.where(t > 0, np.nan, t))
     with pytest.raises(ValueError, match="objective 'holes' gave 2 non-finite values"):
         holes.batch([[-1.0], [1.0], [2.0]])
-    scalar = Objective("pole", 1, lambda t: 1.0 / t if t else math.inf)
+    scalar = Objective(
+        "pole", 1, batch_fn=np.vectorize(lambda t: 1.0 / t if t else math.inf, otypes=[float])
+    )
     with pytest.raises(ValueError, match="objective 'pole' gave 1 non-finite values"):
         scalar.batch([[0.0], [1.0]])
+
+
+@pytest.mark.parametrize(
+    "objective, coords",
+    [
+        (GOLDSTEIN_PRICE, (1e200, 0.0)),
+        (Objective("holes", 1, batch_fn=lambda t: np.where(t > 0, np.nan, t)), (1.0,)),
+        (Objective("cos-inf", 2, factor=lambda x: np.where(x > 0, np.inf, np.cos(x))), (1.0, 0.0)),
+    ],
+    ids=["gp-overflow", "nan", "product-inf"],
+)
+def test_scalar_call_rejects_non_finite_values(objective, coords):
+    # A scalar call is a one-row batch, so it fails with the batch's message;
+    # GP at 1e200 overflows to inf, which is the value under test.
+    message = f"objective '{objective.name}' gave 1 non-finite values"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+        objective(*coords)
 
 
 def test_registry_lookup():

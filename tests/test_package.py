@@ -1,8 +1,11 @@
 """The package namespace: every exported name resolves, and removed ones stay gone."""
 
+import dataclasses
+
 import grovermin
 import grovermin.grover as grover
 import grovermin.statevector as statevector
+from grovermin.objectives import Objective
 from grovermin.statevector import MarkedSet, Statevector
 
 
@@ -41,3 +44,11 @@ def test_removed_dense_api_is_gone():
     assert {"amplify", "measured_success_probability", "phase_flip", "diffusion"}.isdisjoint(
         grovermin.__all__
     )
+
+
+def test_objective_has_two_kinds_and_no_scalar_fn():
+    # A scalar-only function is passed as a vectorized batch_fn; there is no
+    # separate ``fn`` field or unchecked scalar path.
+    fields = [f.name for f in dataclasses.fields(Objective)]
+    assert fields == ["name", "arity", "batch_fn", "factor"]
+    assert not hasattr(Objective, "_vectorized")

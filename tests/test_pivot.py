@@ -11,7 +11,7 @@ import grovermin.pivot as pivot
 import grovermin.statevector as statevector
 from grovermin.grover import optimal_iterations, success_probability
 from grovermin.objectives import ClusterGeometry, GOLDSTEIN_PRICE, SHUBERT, Objective, lj_pair
-from grovermin.statevector import MarkedSet, iterate, uniform_superposition
+from grovermin.statevector import MarkedSet, RegisterTooLarge, iterate, uniform_superposition
 from grovermin.pivot import (
     TRIMER_BOX,
     GrowthConfig,
@@ -28,7 +28,7 @@ from grovermin.pivot import (
 
 GP_BOX = [(-3.2, 3.0), (-3.2, 3.0)]
 
-SPHERE = Objective("sphere", 2, lambda x, y: x * x + y * y, lambda x, y: x**2 + y**2)
+SPHERE = Objective("sphere", 2, batch_fn=lambda x, y: x**2 + y**2)
 
 
 def test_pivot_config_defaults():
@@ -653,6 +653,13 @@ def test_growth_config_validation():
         GrowthConfig(qubits_per_axis=0)
     with pytest.raises(ValueError, match="bond"):
         GrowthConfig(bond=0.0)
+    # Every stage register is checked against the cap when the config is built;
+    # method 1 always searches 10 qubits, so its qubits_per_axis is unused.
+    with pytest.raises(RegisterTooLarge, match="26 qubits exceeds the register cap"):
+        GrowthConfig(qubits_per_axis=13)
+    with pytest.raises(RegisterTooLarge, match="25 qubits exceeds the register cap"):
+        GrowthConfig(trimer_qubits=25)
+    assert GrowthConfig(method=1, qubits_per_axis=13).method == 1
     config = GrowthConfig()
     assert config.method == 2
     assert config.qubits_per_axis == 5
