@@ -3,10 +3,12 @@
 Subcommands: ``run <experiment>``, ``brute <experiment>``, and
 ``ensemble <experiment>``.  Every experiment has a complete built-in
 config, so e.g. ``grovermin run gp`` works with no arguments; a JSON
-config file and a handful of flags override the defaults.  All output is
-deterministic for a fixed (config, seed) pair: traces are JSON with
-sorted keys, histograms and distributions are CSV, and nothing
-time-dependent is ever written.
+config file and a handful of flags override the defaults.  Each command is
+a generator that only computes: it yields ``(stdout lines, {file name:
+artifact})`` items, and ``main`` alone loads the config, prints the lines
+and writes the artifacts under ``--out``.  All output is deterministic for
+a fixed (config, seed) pair: traces are JSON with sorted keys, histograms
+and distributions are CSV, and nothing time-dependent is ever written.
 """
 
 from __future__ import annotations
@@ -287,17 +289,7 @@ def _dumps(obj) -> str:
 
 def write_json(path: Path, obj) -> None:
     """Write ``obj`` as sorted-key, two-space-indented JSON (see ``_dumps``)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_dumps(obj) + "\n")
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``rows`` under ``header``, each cell as ``str`` writes it."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
 
 
 def emit_distribution(marked, probabilities, layout: GridLayout, values, path: Path) -> None:
@@ -309,7 +301,6 @@ def emit_distribution(marked, probabilities, layout: GridLayout, values, path: P
     """
     texts = (repr(probabilities[1]), repr(probabilities[0]))  # False -> b, True -> a
     header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, layout.size, BLOCK_ROWS):
@@ -355,44 +346,6 @@ def search_result_json(
     }
 
 
-def pivot_result_json(result, run_id: int, seed: int, config: dict) -> dict:
-    return {
-        "run_id": run_id,
-        "seed": seed,
-        "experiment": config["experiment"],
-        "box": config["box"],
-        "qubits": config["qubits"],
-        **asdict(result),
-    }
-
-
-def growth_result_json(result, run_id: int, seed: int, config: dict) -> dict:
-    stages = []
-    for stage in result.stages:
-        stages.append(
-            {
-                "num_atoms": stage.num_atoms,
-                "positions": stage.positions,
-                "energy": stage.energy,
-                "box": stage.box,
-                "search_best": stage.search.best_value if stage.search else None,
-                "search_generations": stage.search.num_generations if stage.search else None,
-                "search_iterations": stage.search.total_iterations if stage.search else None,
-                "search_converged": stage.search.converged if stage.search else None,
-            }
-        )
-    return {
-        "run_id": run_id,
-        "seed": seed,
-        "experiment": config["experiment"],
-        "method": config["growth"]["method"],
-        "stages": stages,
-        "final_energy": result.final_energy,
-        "final_positions": result.final_positions,
-        "total_iterations": result.total_iterations,
-    }
-
-
 def appendix_demo() -> dict:
     """Two-qubit walkthrough: one amplification step pins the lowest corner.
 
@@ -424,33 +377,29 @@ def appendix_demo() -> dict:
     }
 
 
-def _print_matrix(name: str, matrix) -> None:
-    print(f"{name} =")
-    for row in matrix:
-        print("  [" + "  ".join(f"{x:5.2f}" for x in row) + "]")
-
-
-def cmd_run(args) -> int:
-    config = _run_config(args)
-    out = Path(args.out) if args.out else None
+def cmd_run(args, config: dict):
     experiment = config["experiment"]
     if args.emit_distributions and experiment not in MINSEARCH_EXPERIMENTS:
         raise ConfigError(f"experiment {experiment!r} takes no --emit-distributions")
-    if args.emit_distributions and out is None:
+    if args.emit_distributions and not args.out:
         raise ConfigError("--emit-distributions needs --out")
 
     if experiment == "appendix-demo":
         demo = appendix_demo()
-        print("two-qubit demo over the GP corner grid")
-        print(f"uniform state     |s> = {demo['uniform']}")
-        _print_matrix("P_s", demo["p_s"])
-        _print_matrix("P_t", demo["p_t"])
-        print(f"marked index {demo['marked_index']} -> point {demo['marked_point']}")
-        print(f"P_t|s> = {demo['after_phase_flip']}")
-        print(f"G|s>   = {demo['final']}")
-        if out is not None:
-            write_json(out / "appendix_demo.json", demo)
-        return 0
+        lines = [
+            "two-qubit demo over the GP corner grid",
+            f"uniform state     |s> = {demo['uniform']}",
+        ]
+        for name, key in (("P_s", "p_s"), ("P_t", "p_t")):
+            lines.append(f"{name} =")
+            lines += ["  [" + "  ".join(f"{x:5.2f}" for x in row) + "]" for row in demo[key]]
+        lines += [
+            f"marked index {demo['marked_index']} -> point {demo['marked_point']}",
+            f"P_t|s> = {demo['after_phase_flip']}",
+            f"G|s>   = {demo['final']}",
+        ]
+        yield lines, {"appendix_demo.json": demo}
+        return
 
     seed = config["seed"]
     rngs = spawn_rngs(seed, config["runs"])
@@ -468,24 +417,25 @@ def cmd_run(args) -> int:
                 values=values,
                 strict=setup.strict,
             )
-            print(
+            line = (
                 f"experiment={experiment} run={run_id} "
                 f"best={result.best_value!r} point={tuple(result.best_point)} "
                 f"rounds={result.num_rounds} total_iterations={result.total_iterations} "
                 f"converged={result.converged}"
             )
-            if out is not None:
-                write_json(
-                    out / f"run_{run_id:03d}.json",
-                    search_result_json(result, setup.layout, run_id, seed, config),
-                )
-                if args.emit_distributions:
-                    for record, marked, probabilities in round_states(
-                        values, setup.layout, result.trace, setup.strict
-                    ):
-                        path = out / f"dist_run{run_id:03d}_round{record.round:03d}.csv"
-                        emit_distribution(marked, probabilities, setup.layout, values, path)
-        return 0
+            if not args.out:  # a trace decodes every round point; build it only to write it
+                yield [line], {}
+                continue
+            trace = search_result_json(result, setup.layout, run_id, seed, config)
+            yield [line], {f"run_{run_id:03d}.json": trace}
+            # Streamed after the run's trace is written, a block at a time.
+            if args.emit_distributions:
+                for record, marked, probabilities in round_states(
+                    values, setup.layout, result.trace, setup.strict
+                ):
+                    path = Path(args.out) / f"dist_run{run_id:03d}_round{record.round:03d}.csv"
+                    emit_distribution(marked, probabilities, setup.layout, values, path)
+        return
 
     if experiment == "shubert-pivot":
         objective = get_objective(config["objective"])
@@ -493,18 +443,22 @@ def cmd_run(args) -> int:
         qubits = _integer("qubits", config["qubits"])
         for run_id, rng in enumerate(rngs):
             result = pivot_grover_search(objective, config["box"], qubits, pivot_config, rng)
-            print(
+            line = (
                 f"experiment={experiment} run={run_id} "
                 f"best={result.best_value!r} point={tuple(result.best_point)} "
                 f"generations={result.num_generations} "
                 f"total_iterations={result.total_iterations} converged={result.converged}"
             )
-            if out is not None:
-                write_json(
-                    out / f"run_{run_id:03d}.json",
-                    pivot_result_json(result, run_id, seed, config),
-                )
-        return 0
+            trace = {
+                "run_id": run_id,
+                "seed": seed,
+                "experiment": experiment,
+                "box": config["box"],
+                "qubits": config["qubits"],
+                **asdict(result),
+            }
+            yield [line], {f"run_{run_id:03d}.json": trace}
+        return
 
     # lj-grow, the one experiment left
     growth = dict(config["growth"])
@@ -513,43 +467,54 @@ def cmd_run(args) -> int:
     growth_config = _build("growth", GrowthConfig, growth, pivot=pivot_config)
     for run_id, rng in enumerate(rngs):
         result = lj_growth(target_atoms, growth_config, rng)
-        for stage in result.stages:
-            print(
-                f"experiment=lj-grow run={run_id} atoms={stage.num_atoms} "
-                f"energy={stage.energy!r}"
-            )
-        print(
+        lines = [
+            f"experiment=lj-grow run={run_id} atoms={stage.num_atoms} energy={stage.energy!r}"
+            for stage in result.stages
+        ]
+        lines.append(
             f"experiment=lj-grow run={run_id} final_energy={result.final_energy!r} "
             f"total_iterations={result.total_iterations}"
         )
-        if out is not None:
-            write_json(
-                out / f"run_{run_id:03d}.json",
-                growth_result_json(result, run_id, seed, config),
-            )
-    return 0
+        trace = {
+            "run_id": run_id,
+            "seed": seed,
+            "experiment": experiment,
+            "method": growth_config.method,
+            "stages": [
+                {
+                    "num_atoms": stage.num_atoms,
+                    "positions": stage.positions,
+                    "energy": stage.energy,
+                    "box": stage.box,
+                    "search_best": stage.search.best_value if stage.search else None,
+                    "search_generations": stage.search.num_generations if stage.search else None,
+                    "search_iterations": stage.search.total_iterations if stage.search else None,
+                    "search_converged": stage.search.converged if stage.search else None,
+                }
+                for stage in result.stages
+            ],
+            "final_energy": result.final_energy,
+            "final_positions": result.final_positions,
+            "total_iterations": result.total_iterations,
+        }
+        yield lines, {f"run_{run_id:03d}.json": trace}
 
 
-def cmd_brute(args) -> int:
-    config = _run_config(args)
+def cmd_brute(args, config: dict):
     # The scan uses only the objective and layout, but the search sections
     # are checked as ``run`` checks them, so one file is good or bad for both.
     setup = build_setup(config)
     reference = grid_brute_min(setup.objective, setup.layout)
     payload = {"experiment": config["experiment"], **vars(reference)}
-    print(json.dumps(payload, sort_keys=True, default=_json_default))
-    if args.out:
-        write_json(Path(args.out) / "brute.json", payload)
-    return 0
+    yield [json.dumps(payload, sort_keys=True, default=_json_default)], {"brute.json": payload}
 
 
-def cmd_ensemble(args) -> int:
-    config = _run_config(args)
+def cmd_ensemble(args, config: dict):
     runs = config["runs"]
     seed = config["seed"]
     setup = build_setup(config)
     stats = run_ensemble(setup, runs, seed)
-    print(
+    line = (
         f"experiment={config['experiment']} runs={runs} "
         f"success_fraction={stats.success_fraction!r} "
         f"mean_rounds={stats.mean_rounds!r} median_rounds={stats.median_rounds!r} "
@@ -557,28 +522,27 @@ def cmd_ensemble(args) -> int:
         f"median_total_iterations={stats.median_total_iterations!r} "
         f"mean_iterations_to_best={stats.mean_iterations_to_best!r}"
     )
-    if args.out:
-        out = Path(args.out)
-        payload = {
-            "experiment": config["experiment"],
-            "seed": seed,
-            "runs": runs,
-            "schedule": config["schedule"],
-            **{k: v for k, v in vars(stats).items() if k != "results"},
-            # String keys, as JSON writes them, so sort_keys orders them as text.
-            "rounds_histogram": {str(k): n for k, n in stats.rounds_histogram.items()},
-            "runs_detail": [
-                search_result_json(result, setup.layout, run_id, seed, config)
-                for run_id, result in enumerate(stats.results)
-            ],
-        }
-        write_json(out / "ensemble.json", payload)
-        write_csv(
-            out / "rounds_histogram.csv",
-            ["bin", "count"],
-            sorted(stats.rounds_histogram.items()),
-        )
-    return 0
+    if not args.out:  # the detail decodes every run's rounds; build it only to write it
+        yield [line], {}
+        return
+    histogram = sorted(stats.rounds_histogram.items())
+    payload = {
+        "experiment": config["experiment"],
+        "seed": seed,
+        "runs": runs,
+        "schedule": config["schedule"],
+        **{k: v for k, v in vars(stats).items() if k != "results"},
+        # String keys, as JSON writes them, so sort_keys orders them as text.
+        "rounds_histogram": {str(k): n for k, n in histogram},
+        "runs_detail": [
+            search_result_json(result, setup.layout, run_id, seed, config)
+            for run_id, result in enumerate(stats.results)
+        ],
+    }
+    yield [line], {
+        "ensemble.json": payload,
+        "rounds_histogram.csv": "bin,count\n" + "".join(f"{k},{n}\n" for k, n in histogram),
+    }
 
 
 def _run_config(args) -> dict:
@@ -642,16 +606,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(out: str | None) -> Path | None:
+    """``--out`` as a Path, refused before any work unless it or its nearest
+    existing ancestor is a directory."""
+    if not out:
+        return None
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
+    return path
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Exit 0 on success and 2 on bad input: any ValueError, raised by the CLI
+    """Load the config, print each item the command yields and write its
+    artifacts under ``--out``: JSON for a dict, text for a str.  Every config
+    check runs before the first item, so bad input prints and writes nothing.
+    Exit 0 on success and 2 on bad input: any ValueError, raised by the CLI
     or by a library check."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out = _out_dir(args.out)
+        for lines, artifacts in args.func(args, _run_config(args)):
+            for line in lines:
+                print(line)
+            if out is not None:
+                out.mkdir(parents=True, exist_ok=True)
+                for name, artifact in artifacts.items():
+                    if isinstance(artifact, str):
+                        (out / name).write_text(artifact)
+                    else:
+                        write_json(out / name, artifact)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

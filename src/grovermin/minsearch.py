@@ -18,7 +18,7 @@ finished search's rounds as marked masks and class probabilities.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +30,12 @@ from .objectives import Objective
 # The search builds no register; perfbench/spans.py wraps these bindings, so they
 # stay until the benchmark is retargeted (ROADMAP item 1).
 from .statevector import MarkedSet, iterate, uniform_superposition  # noqa: F401
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer, False for a bool (JSON true/false)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 #: Fixed per-round iteration counts of the Baritompa-style schedule.
 BARITOMPA_ENTRIES = (0, 0, 0, 1, 1, 0, 1, 1, 2, 1, 2, 3, 1, 4, 5, 1, 6, 2, 7, 9, 11, 13, 16, 5)
@@ -52,11 +58,18 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("baritompa", "incremental", "constant", "custom"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "constant" and self.constant < 0:
-            raise ValueError(f"constant iteration count must be >= 0, got {self.constant}")
+        if self.kind == "constant":
+            if not _is_int(self.constant):
+                raise ValueError(
+                    f"constant iteration count must be an integer, got {self.constant!r}"
+                )
+            if self.constant < 0:
+                raise ValueError(f"constant iteration count must be >= 0, got {self.constant}")
         if self.kind == "custom":
             if not self.entries:
                 raise ValueError("custom schedule needs at least one entry")
+            if not all(map(_is_int, self.entries)):
+                raise ValueError(f"schedule entries must be integers, got {list(self.entries)!r}")
             if any(e < 0 for e in self.entries):
                 raise ValueError(f"schedule entries must be >= 0: {self.entries}")
 
@@ -83,13 +96,7 @@ class Schedule:
     def parse(cls, text) -> "Schedule":
         """Parse "baritompa", "incremental", "constant:K", or an entry list."""
         if isinstance(text, (list, tuple)):
-            try:
-                if any(isinstance(k, bool) for k in text):
-                    raise TypeError  # JSON true/false are not step counts
-                entries = tuple(operator.index(k) for k in text)
-            except TypeError:
-                raise ValueError(f"schedule entries must be integers, got {text!r}") from None
-            return cls("custom", entries=entries)
+            return cls("custom", entries=tuple(text))
         if not isinstance(text, str):
             raise ValueError(f"schedule must be a string or a list, got {text!r}")
         if text == "baritompa":
@@ -124,10 +131,10 @@ class StopRule:
     max_rounds: int | None = None
 
     def __post_init__(self):
-        if self.stall_window is not None and self.stall_window < 1:
-            raise ValueError(f"stall_window must be >= 1, got {self.stall_window}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        for name in ("stall_window", "max_rounds"):
+            value = getattr(self, name)
+            if value is not None and not (_is_int(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.target is not None and math.isnan(self.target):
             raise ValueError("target must be a number, got nan")
         if self.stall_window is None and self.max_rounds is None:

@@ -541,6 +541,77 @@ def test_run_lj_grow_artifact(tmp_path, capsys):
     )
 
 
+PINNED_STDOUT = {
+    "run appendix-demo": """\
+two-qubit demo over the GP corner grid
+uniform state     |s> = [0.5, 0.5, 0.5, 0.5]
+P_s =
+  [-0.50   0.50   0.50   0.50]
+  [ 0.50  -0.50   0.50   0.50]
+  [ 0.50   0.50  -0.50   0.50]
+  [ 0.50   0.50   0.50  -0.50]
+P_t =
+  [-1.00   0.00   0.00   0.00]
+  [ 0.00   1.00   0.00   0.00]
+  [ 0.00   0.00   1.00   0.00]
+  [ 0.00   0.00   0.00   1.00]
+marked index 0 -> point [-3.2, -3.2]
+P_t|s> = [-0.5, 0.5, 0.5, 0.5]
+G|s>   = [1.0, 0.0, 0.0, 0.0]
+""",
+    "run gp --runs 2": """\
+experiment=gp run=0 best=3.0 point=(0.0, -1.0) rounds=27 total_iterations=107 converged=True
+experiment=gp run=1 best=3.0 point=(0.0, -1.0) rounds=28 total_iterations=112 converged=True
+""",
+    "brute gp": """\
+{"experiment": "gp", "index": 523, "num_evaluations": 1024, "point": [0.0, -1.0], "value": 3.0}
+""",
+    "ensemble gp --runs 5": (
+        "experiment=gp runs=5 success_fraction=0.8 mean_rounds=22.6 median_rounds=27.0 "
+        "mean_total_iterations=76.4 median_total_iterations=107.0 mean_iterations_to_best=35.6\n"
+    ),
+    "run lj-grow --seed 5 --runs 2": """\
+experiment=lj-grow run=0 atoms=3 energy=-2.9999999999606834
+experiment=lj-grow run=0 atoms=4 energy=-5.9999999390293475
+experiment=lj-grow run=0 atoms=5 energy=-9.103143780834804
+experiment=lj-grow run=0 final_energy=-9.103143780834804 total_iterations=50187
+experiment=lj-grow run=1 atoms=3 energy=-2.9999999999886757
+experiment=lj-grow run=1 atoms=4 energy=-5.999999999885557
+experiment=lj-grow run=1 atoms=5 energy=-9.103154592441701
+experiment=lj-grow run=1 final_energy=-9.103154592441701 total_iterations=76059
+""",
+    "run shubert-pivot --seed 5 --runs 2": (
+        "experiment=shubert-pivot run=0 best=-186.73090882789072 "
+        "point=(-7.083505220230587, -7.708313649347076) generations=111 "
+        "total_iterations=31077 converged=True\n"
+        "experiment=shubert-pivot run=1 best=-186.73083830321352 "
+        "point=(-1.4251336796511371, 5.482685641142206) generations=50 "
+        "total_iterations=14110 converged=True\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_STDOUT))
+@pytest.mark.parametrize("with_out", [False, True])
+def test_stdout_is_pinned(command, with_out, tmp_path, capsys):
+    # Whole text, line order included; writing under --out changes none of it.
+    argv = command.split() + (["--out", str(tmp_path / "out")] if with_out else [])
+    assert main(argv) == 0
+    assert capsys.readouterr() == (PINNED_STDOUT[command], "")
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+def test_search_traces_are_built_only_to_be_written(command, monkeypatch, capsys):
+    # Decoding every round point costs about a quarter of a search; without
+    # --out nothing reads the traces.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a trace that nothing writes")
+
+    monkeypatch.setattr(cli, "search_result_json", refuse)
+    assert main([command, "gp", "--runs", "2"]) == 0
+    assert capsys.readouterr().out.startswith("experiment=gp run")
+
+
 def test_config_file_overrides(tmp_path, capsys):
     config = tmp_path / "gp.json"
     # A target needs a bound beside it; the run reaches 3.0 long before 500 rounds.
@@ -846,6 +917,24 @@ def test_brute_checks_the_search_config_as_run_does(
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "gp"], ["brute", "gp"], ["ensemble", "gp", "--runs", "3"]]
+)
+@pytest.mark.parametrize("below", ["", "sub", "sub/deeper"])
+def test_out_that_is_no_directory_exits_2_before_any_work(
+    argv, below, tmp_path, capsys, refuse_allocation
+):
+    # A file at --out, or at any existing part of it, is refused before the
+    # command runs: no result line, no traceback, nothing created.
+    blocker = tmp_path / "taken"
+    blocker.write_text("x")
+    out = blocker / below if below else blocker
+    assert main(argv + ["--out", str(out)]) == 2
+    message = f"config error: --out {out}: {blocker} is not a directory\n"
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
 
 
 @pytest.mark.parametrize("command", ["run", "ensemble", "brute"])

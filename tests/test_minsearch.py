@@ -99,6 +99,17 @@ def test_schedule_validation():
         Schedule("custom", entries=())
     with pytest.raises(ValueError, match=">= 0"):
         Schedule("custom", entries=(1, -2))
+    # Step counts are integers, and a bool is not one; the CLI's messages come
+    # from these same checks.
+    with pytest.raises(ValueError, match=r"count must be an integer, got 2\.5"):
+        Schedule("constant", constant=2.5)
+    with pytest.raises(ValueError, match="count must be an integer, got True"):
+        Schedule("constant", constant=True)
+    with pytest.raises(ValueError, match=r"entries must be integers, got \[1\.5, True\]"):
+        Schedule("custom", entries=(1.5, True))
+    with pytest.raises(ValueError, match=r"entries must be integers, got \[1, None\]"):
+        Schedule.parse([1, None])
+    assert Schedule("custom", entries=(np.int64(2),)).iterations(1) == 2
     with pytest.raises(ValueError, match="round_index"):
         Schedule("baritompa").iterations(0)
 
@@ -113,6 +124,11 @@ def test_stop_rule_validation():
     # A target the grid never reaches would loop forever without a bound.
     with pytest.raises(ValueError, match="a target alone may never be reached"):
         StopRule(stall_window=None, target=-3.0)
+    # Round counts are integers: 2.5 would stop after round 3 and True after 2.
+    with pytest.raises(ValueError, match=r"max_rounds must be an integer >= 1, got 2\.5"):
+        StopRule(max_rounds=2.5)
+    with pytest.raises(ValueError, match="stall_window must be an integer >= 1, got True"):
+        StopRule(stall_window=True)
     assert StopRule().stall_window == 8
 
 
