@@ -37,6 +37,7 @@ def grid_brute_min(
         i = int(np.argmin(slab))
         if slab[i] < best:
             idx, best = start + i, slab[i]
+        del slab  # not held while the next slab is computed
     return GridMinimum(
         index=idx,
         point=layout.decode(idx),

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grover import class_probabilities, optimal_iterations
+from .minsearch import _is_int
 from .objectives import (
     LJ_TRIMER,
     Box,
@@ -98,6 +99,9 @@ class PivotConfig:
             raise ValueError(f"kT must be positive, got {self.kT}")
         if self.sigma_scale <= 0 or self.sigma_decay <= 0 or self.sigma_decay >= 1:
             raise ValueError("sigma_scale must be > 0 and sigma_decay in (0, 1)")
+        for name in ("stall_generations", "max_generations"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.stall_generations < 1 or self.max_generations < 1:
             raise ValueError("stall_generations and max_generations must be >= 1")
         for name in ("kT", "sigma_scale", "sigma_decay", "sigma_floor", "stall_tol"):
@@ -407,6 +411,9 @@ class GrowthConfig:
     pivot: PivotConfig = field(default_factory=PivotConfig)
 
     def __post_init__(self):
+        for name in ("method", "qubits_per_axis", "trimer_qubits"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.method not in (1, 2):
             raise ValueError(f"method must be 1 or 2, got {self.method}")
         if self.qubits_per_axis < 1 or self.trimer_qubits < 2:

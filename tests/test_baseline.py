@@ -128,6 +128,35 @@ def test_streaming_minimum_holds_no_values_array(objective):
     assert peak < bound
 
 
+def brute_keeps_no_values(objective, layout):
+    grid_brute_min(objective, layout)
+    return 0
+
+
+#: Each scan, returning the bytes of values it keeps.
+SCANS = {
+    "grid_brute_min": brute_keeps_no_values,
+    "evaluate": lambda objective, layout: layout.evaluate(objective).nbytes,
+}
+
+
+@pytest.mark.parametrize("scan", SCANS)
+@pytest.mark.parametrize("objective", [GOLDSTEIN_PRICE, SHUBERT, LJ_TRIMER], ids=lambda o: o.name)
+def test_scans_hold_under_four_blocks_beyond_the_values(objective, scan):
+    # One block is one slab of float64 values.  A 10+10 scan holds the slab
+    # being built and its kernel's full-size arrays: about 3.3 blocks for GP,
+    # 2.3 for the trimer and 1.3 for Shubert (5.3, 7.2 and 2.3 when every
+    # broadcast step allocated and the previous slab was still held).
+    layout = square_layout(["x", "y"], 0.0, 3.0, 10)
+    tracemalloc.start()
+    try:
+        kept = SCANS[scan](objective, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 4 * 8 * encoding.BLOCK_ROWS
+
+
 #: The three grids of the 24-qubit scan benchmark at 12+12 qubits and their
 #: minima as (index, value.hex()).  Shubert's grid is symmetric under swapping
 #: the axes, so its minimum is tied and the pin also checks the lowest index.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from grovermin.objectives import (
     ClusterGeometry,
     Objective,
     build_fixed_core,
+    check_finite,
     cluster_energy,
     free_atom_objective,
     get_objective,
@@ -388,6 +390,127 @@ def test_shubert_term_sum_equals_the_reduction_formula_bitwise():
     np.testing.assert_array_equal(SHUBERT.factor_mesh(factors), reduced(rows, cols).reshape(-1))
 
 
+def gp_expression(x1, x2):
+    # The reference for gp_eval: Goldstein-Price as one plain numpy expression.
+    a = 1 + (x1 + x2 + 1) ** 2 * (
+        19 - 14 * x1 + 3 * x1**2 - 14 * x2 + 6 * x1 * x2 + 3 * x2**2
+    )
+    b = 30 + (2 * x1 - 3 * x2) ** 2 * (
+        18 - 32 * x1 + 12 * x1**2 + 48 * x2 - 36 * x1 * x2 + 27 * x2**2
+    )
+    return a * b
+
+
+def lj_expression(r):
+    inv6 = np.asarray(r, dtype=float) ** -6
+    return inv6 * inv6 - 2.0 * inv6
+
+
+def trimer_expression(b, a):
+    # The reference for LJ_TRIMER's kernel, in plain numpy expressions.
+    r12_sq = 2.0 * b * b * (1.0 - np.cos(a))
+    r12 = np.sqrt(np.maximum(r12_sq, 0.0))
+    # A zero bond gives inf/nan in _lj(b); the cap replaces exactly those cells.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bonds = 2.0 * lj_expression(b)
+    return np.where(
+        r12 > CONTACT_EPS, bonds + lj_expression(np.maximum(r12, CONTACT_EPS)), ENERGY_CAP
+    )
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype == np.float64
+    assert actual.tobytes() == expected.tobytes()
+
+
+def read_only(*arrays):
+    """``arrays``, made read-only so that a kernel writing into them raises."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+#: Open-mesh shapes of the two coordinate arrays: a 16 x 4096 grid slab, one
+#: row and one column.
+MESH_SHAPES = [((16, 1), (1, 4096)), ((1, 1), (1, 300)), ((300, 1), (1, 1))]
+
+
+@pytest.mark.parametrize("shapes", MESH_SHAPES, ids=["16x4096", "1xN", "Nx1"])
+def test_gp_in_place_is_bitwise_the_expression_on_a_mesh(shapes):
+    rng = np.random.default_rng(41)
+    x1, x2 = read_only(*(rng.uniform(-3.2, 3.0, size=shape) for shape in shapes))
+    assert_same_bits(gp_eval(x1, x2), gp_expression(x1, x2))
+
+
+@pytest.mark.parametrize("shapes", MESH_SHAPES, ids=["16x4096", "1xN", "Nx1"])
+def test_trimer_in_place_is_bitwise_the_expression_on_a_mesh(shapes):
+    rng = np.random.default_rng(43)
+    b = rng.uniform(1e-4, 2.0, size=shapes[0])
+    a = rng.uniform(1e-4, math.pi, size=shapes[1])
+    b, a = read_only(b, a)
+    assert_same_bits(LJ_TRIMER.batch_fn(b, a), trimer_expression(b, a))
+
+
+def test_in_place_kernels_are_bitwise_the_expressions_on_columns():
+    rng = np.random.default_rng(47)
+    gp_pts = rng.uniform(-3.2, 3.0, size=(20000, 2))
+    trimer_pts = np.column_stack(
+        [rng.uniform(1e-4, 2.0, size=20000), rng.uniform(1e-4, math.pi, size=20000)]
+    )
+    for pts in read_only(gp_pts, trimer_pts):
+        assert not pts.T[0].flags.contiguous  # the column views batch passes
+    for kernel, expression, pts in [
+        (gp_eval, gp_expression, gp_pts),
+        (LJ_TRIMER.batch_fn, trimer_expression, trimer_pts),
+    ]:
+        expected = expression(*pts.T)
+        assert_same_bits(kernel(*pts.T), expected)
+        assert_same_bits(kernel(*np.ascontiguousarray(pts.T)), expected)
+    assert_same_bits(GOLDSTEIN_PRICE.batch(gp_pts), gp_expression(*gp_pts.T))
+    assert_same_bits(LJ_TRIMER.batch(trimer_pts), trimer_expression(*trimer_pts.T))
+
+
+def test_gp_in_place_is_bitwise_the_expression_on_scalars():
+    assert gp_eval(0.0, -1.0) == 3.0
+    assert np.ndim(gp_eval(0.0, -1.0)) == 0 and not isinstance(gp_eval(0.0, -1.0), np.ndarray)
+    rng = np.random.default_rng(53)
+    for x1, x2 in rng.uniform(-3.2, 3.0, size=(500, 2)).tolist():
+        assert gp_eval(x1, x2).hex() == gp_expression(x1, x2).hex()
+        assert GOLDSTEIN_PRICE(x1, x2).hex() == gp_expression(x1, x2).hex()
+
+
+def test_trimer_in_place_caps_exactly_the_expression_cells():
+    # A zero bond, the collinear angle, a coincident third pair (tiny angle)
+    # and NaN in either coordinate, which gives ENERGY_CAP.
+    b = np.array([0.0, 1.0, 1.0, 1.0, np.nan, 1.5, 1e-4])
+    a = np.array([1.0, math.pi, 1e-12, np.nan, 1.0, math.pi, 1e-4])
+    b, a = read_only(b, a)
+    energy = LJ_TRIMER.batch_fn(b, a)
+    assert_same_bits(energy, trimer_expression(b, a))
+    assert energy.tolist()[0] == ENERGY_CAP and energy.tolist()[2:5] == [ENERGY_CAP] * 3
+    assert max(energy[1], energy[5]) < ENERGY_CAP  # collinear cells are not capped
+    rows, cols = np.ix_(b, a)
+    assert_same_bits(LJ_TRIMER.batch_fn(rows, cols), trimer_expression(rows, cols))
+
+
+@pytest.mark.parametrize(
+    "objective, mib", [(GOLDSTEIN_PRICE, 32.0), (LJ_TRIMER, 57.0)], ids=["gp", "lj-trimer"]
+)
+def test_batch_of_columns_peaks_no_higher_than_the_expression(objective, mib):
+    # On 1-D columns numpy reuses the plain expressions' temporaries; their
+    # peaks for 2**20 points, read to 0.1 MiB, are four columns' worth for GP
+    # and seven and an eighth (a cap mask) for the trimer.
+    pts = np.random.default_rng(59).uniform(0.1, 3.0, size=(1 << 20, 2))
+    tracemalloc.start()
+    try:
+        objective.batch(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < mib + 0.05
+
+
 def test_product_objective_is_the_product_of_its_factors():
     objective = Objective("cos3", 3, factor=np.cos)
     x, y, z = np.random.default_rng(5).uniform(-3.0, 3.0, size=(3, 50))
@@ -413,6 +536,39 @@ def test_batch_rejects_non_finite_values():
     )
     with pytest.raises(ValueError, match="objective 'pole' gave 1 non-finite values"):
         scalar.batch([[0.0], [1.0]])
+
+
+@pytest.mark.parametrize(
+    "holes, count",
+    [
+        ({0: np.nan}, 1),
+        ({-1: np.inf}, 1),
+        ({5: -np.inf}, 1),
+        ({3: np.nan, 4: np.inf, 7: -np.inf}, 3),
+        ({i: np.nan for i in range(10)}, 10),
+    ],
+    ids=["nan", "inf", "-inf", "mixed", "all-nan"],
+)
+def test_check_finite_counts_every_non_finite_value(holes, count):
+    values = np.linspace(-1.0, 1.0, 10)
+    for i, hole in holes.items():
+        values[i] = hole
+    with pytest.raises(ValueError, match=rf"^objective 'f' gave {count} non-finite values$"):
+        check_finite("f", values)
+
+
+def test_check_finite_passes_finite_values_without_a_mask():
+    empty = np.empty(0)
+    assert check_finite("f", empty) is empty
+    values = np.random.default_rng(61).uniform(-1.0, 1.0, size=1 << 20)
+    values[[0, -1]] = np.finfo(float).max, -np.finfo(float).max
+    tracemalloc.start()
+    try:
+        assert check_finite("f", values) is values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.size // 64  # an isfinite mask would take one byte per value
 
 
 @pytest.mark.parametrize(

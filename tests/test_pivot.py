@@ -57,6 +57,14 @@ def test_pivot_config_validation():
         PivotConfig(stall_generations=0)
 
 
+@pytest.mark.parametrize("value", [2.5, True, 20.0], ids=["float", "bool", "integral-float"])
+@pytest.mark.parametrize("name", ["stall_generations", "max_generations"])
+def test_pivot_config_refuses_a_count_that_is_not_an_integer(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        PivotConfig(**{name: value})
+    assert getattr(PivotConfig(**{name: np.int64(7)}), name) == 7
+
+
 def test_generate_probes_in_box():
     rng = np.random.default_rng(0)
     probes = generate_probes(GP_BOX, 256, rng, GOLDSTEIN_PRICE)
@@ -644,6 +652,14 @@ def test_search_over_nan_region_is_rejected():
     holes = Objective("holes", 2, batch_fn=lambda x, y: np.where(x > 0, np.nan, y))
     with pytest.raises(ValueError, match="objective 'holes' gave .* non-finite values"):
         pivot_grover_search(holes, GP_BOX, 6, PivotConfig(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("value", [2.5, True, 2.0], ids=["float", "bool", "integral-float"])
+@pytest.mark.parametrize("name", ["method", "qubits_per_axis", "trimer_qubits"])
+def test_growth_config_refuses_a_count_that_is_not_an_integer(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        GrowthConfig(**{name: value})
+    assert getattr(GrowthConfig(**{name: np.int64(2)}), name) == 2
 
 
 def test_growth_config_validation():
