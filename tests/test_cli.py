@@ -816,17 +816,6 @@ def test_oversized_register_exits_2_before_allocating(
             {"growth": {"qubits_per_axis": 2.5}},
             "growth.qubits_per_axis must be an integer >= 1, got 2.5",
         ),
-        (
-            "shubert-pivot",
-            {"pivot": {"stall_generations": True}},
-            "pivot.stall_generations must be an integer >= 1, got True",
-        ),
-        ("lj-grow", {"growth": {"method": True}}, "growth.method must be an integer >= 1, got True"),
-        (
-            "lj-grow",
-            {"growth": {"trimer_qubits": 2.5}},
-            "growth.trimer_qubits must be an integer >= 1, got 2.5",
-        ),
         ("gp", {"stop": {"max_rounds": 2.5}}, "stop.max_rounds must be an integer >= 1, got 2.5"),
         ("gp", {"layout": 5}, "layout must be a list of variables, got 5"),
         ("gp", {"objective": [1]}, "unknown objective [1]"),
@@ -880,6 +869,17 @@ def test_oversized_register_exits_2_before_allocating(
             "lj-trimer",
             {"stop": {"stall_window": None, "target": -3.0}},
             "stop needs stall_window or max_rounds; a target alone may never be reached",
+        ),
+        (
+            "shubert-pivot",
+            {"pivot": {"stall_generations": True}},
+            "pivot.stall_generations must be an integer >= 1, got True",
+        ),
+        ("lj-grow", {"growth": {"method": True}}, "growth.method must be an integer >= 1, got True"),
+        (
+            "lj-grow",
+            {"growth": {"trimer_qubits": 2.5}},
+            "growth.trimer_qubits must be an integer >= 1, got 2.5",
         ),
     ],
 )
