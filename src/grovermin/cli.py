@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 import typing
 from dataclasses import asdict
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -215,76 +215,76 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+class _FloatTexts(dict):
+    """float -> its JSON text, formatted on first use; 0.0 == -0.0, so no zero is stored."""
+
+    def __missing__(self, v):
+        text = float.__repr__(v)
+        text = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+        if v:
+            self[v] = text
+        return text
+
+
 def _dumps(obj) -> str:
     """The text of ``json.dumps(obj, sort_keys=True, indent=2, default=_json_default)``.
 
     That call always runs ``json``'s pure-Python encoder (its C encoder is used
-    only without ``indent``), one generator per container.  Here each
-    container is one ``join``, the common scalars (exact ``float``, ``int``,
-    ``str``, ``bool``, ``None``) are written inline in a comprehension, and a
-    dict's sorted keys and ``"key": `` prefixes are built once per key set and
-    depth, since an ensemble's round dicts all share one key set.  Dict keys
-    must be ``str``; any other key raises TypeError.
+    only without ``indent``), one value at a time.  ``texts`` encodes a column,
+    up to 32 values at one depth, at once: dicts that share a key set split into
+    one column per sorted key, joined into rows by one ``%`` template per (keys,
+    depth); lists and tuples flatten into one column a level deeper; all-float
+    and all-int columns are one ``map``.  Each distinct float is formatted once
+    per document, zeros excepted (0.0 == -0.0, but their texts differ).  Dict
+    keys must be ``str``; any other key raises TypeError.
     """
-    # (keys in insertion order, depth) -> (sorted keys, item prefixes)
-    layouts: dict[tuple, tuple[list, list[str]]] = {}
+    floats = _FloatTexts()
+    layouts: dict[tuple, tuple[list, str]] = {}  # (keys, depth) -> (sorted keys, row)
 
-    def texts(values, depth: int) -> list[str]:
-        # The first five branches repeat encode's tests for the exact types,
-        # so a finite float, int, str, bool or None in a container costs no
-        # call; anything else, non-finite floats too, goes through encode.
+    def texts(values: list, depth: int) -> list[str]:
+        if len(values) > 32:  # short columns: fewer small texts alive at once, a lower peak RSS
+            return [t for i in range(0, len(values), 32) for t in texts(values[i : i + 32], depth)]
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            return list(map(floats.__getitem__, values))
+        if kinds == {int}:
+            return list(map(int.__repr__, values))
+        pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        if all(issubclass(t, dict) for t in kinds) and len(keysets := set(map(tuple, values))) == 1:
+            if not (keys := keysets.pop()):
+                return ["{}"] * len(values)
+            if (layout := layouts.get((keys, depth))) is None:
+                if bad := [k for k in keys if not isinstance(k, str)]:
+                    raise TypeError(f"keys must be str, not {type(bad[0]).__name__}")
+                order = sorted(keys)
+                items = [f"{pad}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in order]
+                layout = layouts[keys, depth] = (order, f"{{{','.join(items)}{end}}}")
+            order, row = layout
+            columns = [texts([d[k] for d in values], depth + 1) for k in order]
+            return list(map(row.__mod__, zip(*columns)))
+        if all(issubclass(t, (list, tuple)) for t in kinds):
+            if not any(lengths := list(map(len, values))):
+                return ["[]"] * len(values)
+            items = texts([x for v in values for x in v], depth + 1)
+            if lengths.count(n := lengths[0]) == len(lengths):
+                row = f"[{pad}{(',' + pad).join(['%s'] * n)}{end}]"
+                return list(map(row.__mod__, zip(*[iter(items)] * n)))
+            ends = list(accumulate(lengths, initial=0))
+            return [
+                f"[{pad}{(',' + pad).join(items[i:j])}{end}]" if j > i else "[]"
+                for i, j in zip(ends, ends[1:])
+            ]
         return [
-            repr(v) if (t := type(v)) is float and v - v == 0.0
-            else repr(v) if t is int
-            else encode_basestring_ascii(v) if t is str
-            else ("true" if v else "false") if t is bool
+            encode_basestring_ascii(v) if isinstance(v, str)
             else "null" if v is None
-            else encode(v, depth)
+            else ("true" if v else "false") if type(v) is bool
+            else int.__repr__(v) if isinstance(v, int)
+            else floats[v] if isinstance(v, float)
+            else texts([v if isinstance(v, (dict, list, tuple)) else _json_default(v)], depth)[0]
             for v in values
         ]
 
-    def encode(o, depth: int) -> str:
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            if o != o:
-                return "NaN"
-            if o in (math.inf, -math.inf):
-                return "Infinity" if o > 0 else "-Infinity"
-            return float.__repr__(o)
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            pad = "\n" + "  " * (depth + 1)
-            return f"[{pad}{(',' + pad).join(texts(o, depth + 1))}\n{'  ' * depth}]"
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            keys = tuple(o)
-            layout = layouts.get((keys, depth))
-            if layout is None:
-                for k in keys:
-                    if not isinstance(k, str):
-                        raise TypeError(f"keys must be str, not {type(k).__name__}")
-                order = sorted(keys)
-                pad = "\n" + "  " * (depth + 1)
-                prefixes = [f",{pad}{encode_basestring_ascii(k)}: " for k in order]
-                prefixes[0] = prefixes[0][1:]
-                layout = layouts[keys, depth] = (order, prefixes)
-            order, prefixes = layout
-            items = texts(map(o.__getitem__, order), depth + 1)
-            return f"{{{''.join(map(str.__add__, prefixes, items))}\n{'  ' * depth}}}"
-        return encode(_json_default(o), depth)
-
-    return encode(obj, 0)
+    return texts([obj], 0)[0]
 
 
 def write_json(path: Path, obj) -> None:
@@ -297,19 +297,23 @@ def emit_distribution(marked, probabilities, layout: GridLayout, values, path: P
 
     ``marked`` is the round's mask and ``probabilities`` its ``(a, b)`` (see
     ``minsearch.round_states``).  Rows are formatted a ``BLOCK_ROWS`` block at
-    a time, column by column, so no text of grid size is ever held.
+    a time, column by column, so no text of grid size is ever held.  Each
+    axis's 2^q level texts are formatted once and picked by level.
     """
     texts = (repr(probabilities[1]), repr(probabilities[0]))  # False -> b, True -> a
+    axes = [list(map(repr, v.axis_points().tolist())) for v in layout.variables]
     header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, layout.size, BLOCK_ROWS):
-            idx = np.arange(start, min(start + BLOCK_ROWS, layout.size))
+            stop = min(start + BLOCK_ROWS, layout.size)
+            idx = np.arange(start, stop)
+            levels = zip(axes, layout.level_fields(idx))
             columns = [
                 map(str, idx.tolist()),
-                *(map(repr, axis) for axis in layout.decode_batch(idx).T.tolist()),
-                map(repr, values[idx].tolist()),
-                map(texts.__getitem__, marked[idx].tolist()),
+                *(map(axis.__getitem__, k.tolist()) for axis, k in levels),
+                map(repr, values[start:stop].tolist()),
+                map(texts.__getitem__, marked[start:stop].tolist()),
             ]
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 

@@ -120,9 +120,17 @@ class GridLayout:
     def levels(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} outside [0, {self.size})")
-        return tuple(
-            (index >> s) & (v.levels - 1) for v, s in zip(self.variables, self._shifts)
-        )
+        return tuple(self.level_fields(index))
+
+    def level_fields(self, indices) -> Iterator:
+        """Each variable's level field of ``indices`` (an int or an int array), in turn.
+
+        The one reading of the packed index; unchecked.  A field is computed
+        only when the previous one has been taken, so a caller that maps over
+        it holds one field at a time.
+        """
+        for v, s in zip(self.variables, self._shifts):
+            yield (indices >> s) & (v.levels - 1)
 
     def decode(self, index: int) -> tuple[float, ...]:
         """Grid point for a basis index: one row of ``decode_batch``."""
@@ -133,11 +141,8 @@ class GridLayout:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.size):
             raise ValueError("index outside register range")
-        cols = [
-            v.level_values((idx >> s) & (v.levels - 1))
-            for v, s in zip(self.variables, self._shifts)
-        ]
-        return np.stack(cols, axis=-1)
+        cols = map(VariableSpec.level_values, self.variables, self.level_fields(idx))
+        return np.stack(list(cols), axis=-1)
 
     def all_points(self) -> np.ndarray:
         """Every grid point in index order, shape (size, arity)."""

@@ -45,18 +45,15 @@ def sample(marked: np.ndarray, size: int, iterations: int, rng: np.random.Genera
         return int(u * size)  # every cell is equally likely
     a, b = class_probabilities(m, size, iterations)
     target = u * (a * m + b * (size - m))
-
-    def before(j):  # unmarked cells ahead of marked cell j
-        return int(marked[j]) - j
-
-    # CDF just past each marked cell; j marked cells lie wholly below target.
-    j = bisect.bisect_right(range(m), target, key=lambda i: a * (i + 1) + b * before(i))
+    # CDF just past each marked cell i, with marked[i] - i unmarked cells
+    # ahead of it; j marked cells lie wholly below target.
+    j = bisect.bisect_right(range(m), target, key=lambda i: a * (i + 1) + b * (int(marked[i]) - i))
     if b == 0.0:
         return int(marked[min(j, m - 1)])
     # Unmarked cells wholly below target.  Rounding in the division can put q
     # outside the run between marks j-1 and j that the search found; clamp it.
-    q = max(math.floor((target - a * j) / b), before(j - 1) if j else 0)
-    if j < m and q >= before(j):
+    q = max(math.floor((target - a * j) / b), int(marked[j - 1]) - (j - 1) if j else 0)
+    if j < m and q >= int(marked[j]) - j:
         return int(marked[j])
     return j + min(q, size - m - 1)
 

@@ -380,11 +380,18 @@ json_scalars = (
     | st.text()
     | st.text(st.characters(max_codepoint=0x1F))
 )
+# Keys from a small alphabet, so that sibling dicts often share a key set
+# (one column per key, rows joined by a template in which "%" is escaped).
+column_keys = st.sampled_from(["a", "b", "%", "%s", "\u00e9"])
 json_values = st.recursive(
     json_scalars,
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
-    | st.dictionaries(st.text(), children),
+    | st.dictionaries(st.text(), children)
+    | st.lists(st.dictionaries(column_keys, children), min_size=2)
+    | st.integers(0, 3).flatmap(
+        lambda n: st.lists(st.lists(children, min_size=n, max_size=n), min_size=2)
+    ),
     max_leaves=40,
 )
 
@@ -396,6 +403,15 @@ json_values = st.recursive(
     "b": [{"a": 2.5, "b": None}, {"b": True, "a": "\u00e9\x00\u2028"}],
     "c": (math.nan, math.inf, -math.inf, -0.0, 1e300, 10**30),
 })
+@example([
+    # Each distinct float is formatted once per document, zeros excepted:
+    # 0.0 == -0.0, yet their texts differ, in whichever order they come.
+    [-0.0, 0.0, 0.1, math.nan, 0.1, math.inf, -math.inf, -0.0, 2.5, 0.0, 2.5],
+    [0.0, -0.0, np.float64(-0.0), np.float64(0.1), 0.1, np.float64(math.nan), 0.0],
+    [{"%": -0.0, "x": [0.0, 0.1]}, {"%": 0.0, "x": [-0.0, np.float64(0.1)]}],
+])
+# A column longer than the writer's 32-value chunks, with lists of uneven length.
+@example([{"a": i / 4, "b": [i] * (i % 3), "c": [-0.0] * 2} for i in range(150)])
 def test_json_writer_matches_json_dumps(value):
     assert cli._dumps(value) == reference_json(value)
 
@@ -428,6 +444,7 @@ def test_json_writer_matches_json_dumps_on_numpy_values():
         ["brute", "lj-trimer"],
         ["ensemble", "gp", "--runs", "5"],
         ["ensemble", "lj-trimer", "--runs", "5"],
+        ["ensemble", "gp", "--runs", "100"],
     ],
     ids=[
         "appendix-demo",
@@ -439,6 +456,7 @@ def test_json_writer_matches_json_dumps_on_numpy_values():
         "brute-lj-trimer",
         "ensemble-gp",
         "ensemble-lj-trimer",
+        "ensemble-gp-100",
     ],
 )
 def test_every_json_artifact_is_what_json_dumps_writes(argv, monkeypatch, tmp_path, capsys):

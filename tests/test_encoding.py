@@ -99,6 +99,12 @@ def test_decode_batch_matches_scalar_decode():
         np.testing.assert_array_equal(batch[i], TRIMER_LAYOUT.decode(i))
 
 
+def test_level_fields_of_an_index_array_are_each_index_levels():
+    idx = np.arange(TRIMER_LAYOUT.size, dtype=np.int64)
+    expected = zip(*map(TRIMER_LAYOUT.levels, range(TRIMER_LAYOUT.size)))
+    assert [f.tolist() for f in TRIMER_LAYOUT.level_fields(idx)] == [list(c) for c in expected]
+
+
 def test_all_points_shape_and_order():
     pts = GP_LAYOUT.all_points()
     assert pts.shape == (1024, 2)
@@ -235,6 +241,20 @@ def test_evaluate_holds_the_values_and_a_few_blocks(objective):
     finally:
         tracemalloc.stop()
     assert peak < values.nbytes + 8 * encoding.BLOCK_ROWS * 8
+
+
+def test_decode_batch_holds_one_level_field_at_a_time():
+    # Beyond the result, the two coordinate columns; a level field taken
+    # before the previous axis was decoded would add one more column.
+    layout = square_layout(["x", "y"], 0.0, 3.0, 9)
+    idx = np.arange(layout.size)
+    tracemalloc.start()
+    try:
+        points = layout.decode_batch(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < points.nbytes + 2.5 * idx.nbytes
 
 
 def test_half_ties_round_up():
