@@ -176,17 +176,40 @@ def load_config(experiment: str, config_path: str | None) -> dict:
     return _merge(config, overrides)
 
 
+#: The keys of one ``layout`` entry, as ``_variable`` writes them; all required.
+_LAYOUT_KEYS = ("name", "lo", "hi", "qubits")
+
+
+def _number(where: str, value) -> float:
+    """``value`` as a float if a JSON number: neither a string nor true or false."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ConfigError(f"{where} must be finite, got an integer too large") from None
+
+
 def build_layout(config: dict) -> GridLayout:
-    """The config's grid, refused by ``GridLayout`` past the register cap."""
+    """The config's grid: each variable an object with exactly the keys of
+    ``_variable``, its name and levels checked by ``VariableSpec`` and the
+    register cap by ``GridLayout``."""
     if not isinstance(config["layout"], list):
         raise ConfigError(f"layout must be a list of variables, got {config['layout']!r}")
     variables = []
     for i, spec in enumerate(config["layout"]):
-        try:
-            name, lo, hi, qubits = spec["name"], float(spec["lo"]), float(spec["hi"]), spec["qubits"]
-        except (KeyError, TypeError, ValueError) as exc:  # a missing key or a non-number bound
-            raise ConfigError(f"layout[{i}]: {exc}") from exc
-        variables.append(VariableSpec(name, lo, hi, _integer(f"layout[{i}].qubits", qubits)))
+        where = f"layout[{i}]"
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where} must be an object, got {spec!r}")
+        for key in spec:
+            if key not in _LAYOUT_KEYS:
+                raise ConfigError(f"unknown config key '{where}.{key}'")
+        for key in _LAYOUT_KEYS:
+            if key not in spec:
+                raise ConfigError(f"{where} needs the key {key!r}")
+        lo, hi = (_number(f"{where}.{key}", spec[key]) for key in ("lo", "hi"))
+        qubits = _integer(f"{where}.qubits", spec["qubits"])
+        variables.append(VariableSpec(spec["name"], lo, hi, qubits))
     return GridLayout(variables)
 
 

@@ -1,4 +1,4 @@
-"""Basis-index <-> grid-point codec for multivariable search domains.
+"""Basis-index -> grid-point decoding for multivariable search domains.
 
 Each variable gets ``q`` qubits and an endpoint-inclusive uniform grid of
 2**q levels: level k maps to ``lo + k*(hi - lo)/(2**q - 1)``, so level 0 is
@@ -12,6 +12,7 @@ decode goes through ``VariableSpec.level_values``, the one level map.
 from __future__ import annotations
 
 import itertools
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -28,6 +29,11 @@ from .statevector import check_qubits
 BLOCK_ROWS = 1 << 16
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer, False for a bool (JSON true/false)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class VariableSpec:
     """One search variable: closed interval [lo, hi] sampled on 2**qubits levels."""
@@ -38,8 +44,14 @@ class VariableSpec:
     qubits: int
 
     def __post_init__(self):
-        if self.qubits < 1:
-            raise ValueError(f"{self.name}: qubits must be >= 1, got {self.qubits}")
+        # The name heads a distribution CSV column, so it may not break the header.
+        if not isinstance(self.name, str) or not self.name or set(',"\r\n') & set(self.name):
+            raise ValueError(
+                "variable name must be a non-empty string without ',', '\"' or a line break,"
+                f" got {self.name!r}"
+            )
+        if not (_is_int(self.qubits) and self.qubits >= 1):
+            raise ValueError(f"{self.name}: qubits must be an integer >= 1, got {self.qubits!r}")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ValueError(f"{self.name}: bounds must be finite")
         if self.hi <= self.lo:
@@ -69,16 +81,6 @@ class VariableSpec:
         if not 0 <= k < self.levels:
             raise ValueError(f"{self.name}: level {k} outside [0, {self.levels})")
         return float(self.level_values(np.array([k]))[0])
-
-    def value_to_level(self, x: float) -> tuple[int, bool]:
-        """Nearest grid level, half-away-from-zero; clamped flag if x was outside."""
-        if np.isnan(x):
-            raise ValueError(f"{self.name}: cannot encode NaN")
-        if x < self.lo:
-            return 0, True
-        if x > self.hi:
-            return self.levels - 1, True
-        return int(np.floor((x - self.lo) / self.step + 0.5)), False
 
     def level_values(self, k: np.ndarray) -> np.ndarray:
         """Coordinates of an int array of levels; the end levels snap to exactly lo and hi."""
@@ -224,18 +226,6 @@ class GridLayout:
             raise ValueError(
                 f"objective {objective.name!r} has arity {objective.arity}, layout has {self.arity}"
             )
-
-    def encode(self, values: tuple[float, ...] | list[float]) -> tuple[int, bool]:
-        """Index of the nearest grid point; flag is True if any value was clamped."""
-        if len(values) != self.arity:
-            raise ValueError(f"expected {self.arity} values, got {len(values)}")
-        index = 0
-        clamped_any = False
-        for v, s, x in zip(self.variables, self._shifts, values):
-            k, clamped = v.value_to_level(float(x))
-            index |= k << s
-            clamped_any |= clamped
-        return index, clamped_any
 
     def __repr__(self) -> str:
         parts = ", ".join(

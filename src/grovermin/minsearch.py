@@ -18,23 +18,17 @@ finished search's rounds as marked masks and class probabilities.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import GridLayout
+from .encoding import GridLayout, _is_int
 from .grover import class_probabilities, sample
 from .objectives import Objective
 
 # The search builds no register; perfbench/spans.py wraps these bindings, so they
 # stay until the benchmark is retargeted (ROADMAP item 1).
 from .statevector import MarkedSet, iterate, uniform_superposition  # noqa: F401
-
-
-def _is_int(value) -> bool:
-    """True for a Python or numpy integer, False for a bool (JSON true/false)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 #: Fixed per-round iteration counts of the Baritompa-style schedule.

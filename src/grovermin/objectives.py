@@ -174,14 +174,6 @@ def shubert_axis(x):
     return total[()]  # a scalar in, a numpy scalar out
 
 
-def shubert_eval(x1, x2):
-    """Shubert product of two 5-term cosine sums; 18 global minima at -186.7309.
-
-    Scalars or arrays that broadcast.
-    """
-    return shubert_axis(x1) * shubert_axis(x2)
-
-
 def lj_pair(r: float) -> float:
     """Reduced-unit pair energy V(r) = r^-12 - 2 r^-6 (minimum -1 at r = 1)."""
     if r <= 0:
@@ -194,23 +186,6 @@ def _lj(r):
     # Vectorized pair energy without the positivity guard (callers pre-check).
     inv6 = np.asarray(r, dtype=float) ** -6
     return inv6 * inv6 - 2.0 * inv6
-
-
-def trimer_energy(b1: float, b2: float, a1: float) -> float:
-    """Energy of three atoms given two bond lengths and the angle between them.
-
-    The third pair distance follows from the law of cosines.  The angle may
-    equal pi exactly (collinear); a coincident third pair returns ENERGY_CAP.
-    """
-    if b1 <= 0 or b2 <= 0:
-        raise ValueError(f"bond lengths must be positive, got {b1}, {b2}")
-    if not 0 < a1 <= math.pi:
-        raise ValueError(f"bond angle must be in (0, pi], got {a1}")
-    r12_sq = b1 * b1 + b2 * b2 - 2.0 * b1 * b2 * math.cos(a1)
-    r12 = math.sqrt(max(r12_sq, 0.0))
-    if r12 <= CONTACT_EPS:
-        return ENERGY_CAP
-    return lj_pair(b1) + lj_pair(b2) + lj_pair(r12)
 
 
 @dataclass(frozen=True)
@@ -233,25 +208,6 @@ class ClusterGeometry:
                     raise ValueError(f"fixed atoms {i} and {j} coincide (r = {r})")
                 energy += lj_pair(r)
         object.__setattr__(self, "fixed_energy", energy)
-
-    @property
-    def num_fixed(self) -> int:
-        return self.fixed_atoms.shape[0]
-
-
-def cluster_energy(geometry: ClusterGeometry, free_pos) -> float:
-    """Total pair energy of the frozen atoms plus one free atom.
-
-    Returns ENERGY_CAP if the free atom sits within CONTACT_EPS of any
-    frozen atom.
-    """
-    pos = np.asarray(free_pos, dtype=float)
-    if pos.shape != (3,):
-        raise ValueError(f"free position must be a 3-vector, got shape {pos.shape}")
-    if not np.isfinite(pos).all():
-        raise ValueError("free position must be finite")
-    return float(_free_atom_batch(geometry, *pos[:, None])[0])
-
 
 def check_bond(bond: float) -> None:
     """Raise ValueError unless ``bond`` is a finite length > 0."""

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoding import _is_int
 from .grover import class_probabilities, optimal_iterations
-from .minsearch import _is_int
 from .objectives import (
     LJ_TRIMER,
     Box,

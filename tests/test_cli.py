@@ -777,6 +777,16 @@ def refuse_allocation(monkeypatch):
     monkeypatch.setattr(pivot, "generate_probes", refuse)
 
 
+#: The message ``VariableSpec`` refuses a variable name with.
+NAME_RULE = "variable name must be a non-empty string without ',', '\"' or a line break"
+GP_X2 = {"name": "x2", "lo": -3.2, "hi": 3.0, "qubits": 3}
+
+
+def gp_layout(**first):
+    """A ``gp`` override whose first variable is x1 with ``first`` set on it."""
+    return {"layout": [{"name": "x1", "lo": -3.2, "hi": 3.0, "qubits": 3, **first}, GP_X2]}
+
+
 WIDE_GP = {
     "layout": [
         {"name": "x1", "lo": -3.2, "hi": 3.0, "qubits": 13},
@@ -899,6 +909,23 @@ def test_oversized_register_exits_2_before_allocating(
             {"growth": {"trimer_qubits": 2.5}},
             "growth.trimer_qubits must be an integer >= 1, got 2.5",
         ),
+        ("gp", gp_layout(name=[1]), f"{NAME_RULE}, got [1]"),
+        ("gp", gp_layout(name=5), f"{NAME_RULE}, got 5"),
+        ("gp", gp_layout(name="a,b"), f"{NAME_RULE}, got 'a,b'"),
+        ("gp", gp_layout(name='a"b'), f"{NAME_RULE}, got 'a\"b'"),
+        ("gp", gp_layout(name="a\nb"), f"{NAME_RULE}, got 'a\\nb'"),
+        ("gp", gp_layout(name=""), f"{NAME_RULE}, got ''"),
+        ("gp", gp_layout(qbits=7), "unknown config key 'layout[0].qbits'"),
+        ("gp", gp_layout(lo="-3.2"), "layout[0].lo must be a number, got '-3.2'"),
+        ("gp", gp_layout(hi=True), "layout[0].hi must be a number, got True"),
+        ("gp", gp_layout(lo=None), "layout[0].lo must be a number, got None"),
+        ("gp", gp_layout(lo=-(10**400)), "layout[0].lo must be finite, got an integer too large"),
+        ("gp", {"layout": [5, GP_X2]}, "layout[0] must be an object, got 5"),
+        (
+            "gp",
+            {"layout": [GP_X2, {"name": "x1", "lo": 0.0, "hi": 1.0}]},
+            "layout[1] needs the key 'qubits'",
+        ),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(
@@ -912,6 +939,20 @@ def test_bad_config_value_exits_2_with_one_line(
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", [5, "a,b"])
+def test_bad_variable_name_exits_2_before_any_distribution(name, tmp_path, capsys):
+    # A number would break the CSV header only after run_000.json and a CSV
+    # were written, and a comma would add a column to the header: both are
+    # refused before any output.
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(gp_layout(name=name)))
+    out = tmp_path / "out"
+    argv = ["run", "gp", "--config", str(config), "--out", str(out), "--emit-distributions"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {NAME_RULE}, got {name!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "brute"])

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grovermin import encoding
@@ -36,11 +36,21 @@ def test_gp_axis_step_and_levels():
     assert x.level_to_value(11) == -1.0
 
 
+def pack(layout, levels):
+    """The register index of per-variable ``levels``, packed with the layout's shifts."""
+    index = 0
+    for v, k in zip(layout.variables, levels):
+        index = index << v.qubits | k
+    return index
+
+
 def test_gp_encode_decode_minimum_point():
-    index, clamped = GP_LAYOUT.encode((0.0, -1.0))
-    assert (index, clamped) == (523, False)
-    assert GP_LAYOUT.decode(523) == (0.0, -1.0)
+    # The minimum (0, -1) sits on levels 16 and 11, which pack to index 523.
+    x, y = GP_LAYOUT.variables
+    assert (x.axis_points()[16], y.axis_points()[11]) == (0.0, -1.0)
+    assert pack(GP_LAYOUT, (16, 11)) == 523
     assert GP_LAYOUT.levels(523) == (16, 11)
+    assert GP_LAYOUT.decode(523) == (0.0, -1.0)
 
 
 def test_trimer_decode_frozen():
@@ -80,15 +90,22 @@ def test_first_variable_in_most_significant_bits():
     assert layout.size == 32
     # index = a_level * 8 + b_level
     assert layout.levels(0b10011) == (0b10, 0b011)
-    index, _ = layout.encode((layout.variables[0].level_to_value(3), 0.0))
-    assert index == 3 << 3
+    assert layout.levels(3 << 3) == (3, 0)
+    assert layout.decode(3 << 3) == (1.0, 0.0)
+    assert layout.decode(0b00111) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("layout", [GP_LAYOUT, TRIMER_LAYOUT])
 def test_round_trip_exhaustive(layout):
+    # Every index is its levels packed back, and decodes to those levels' axis points.
+    axes = [v.axis_points() for v in layout.variables]
+    points = layout.decode_batch(np.arange(layout.size))
     for index in range(layout.size):
-        point = layout.decode(index)
-        assert layout.encode(point) == (index, False)
+        levels = layout.levels(index)
+        assert pack(layout, levels) == index
+        expected = tuple(axis[k] for axis, k in zip(axes, levels))
+        assert layout.decode(index) == expected
+        assert tuple(points[index]) == expected
 
 
 def test_decode_batch_matches_scalar_decode():
@@ -257,39 +274,6 @@ def test_decode_batch_holds_one_level_field_at_a_time():
     assert peak < points.nbytes + 2.5 * idx.nbytes
 
 
-def test_half_ties_round_up():
-    v = VariableSpec("t", 0.0, 2.0, 1)  # levels at 0 and 2, tie at 1
-    assert v.value_to_level(1.0) == (1, False)
-    assert v.value_to_level(1.0 - 1e-9) == (0, False)
-
-
-def test_clamping_flags():
-    v = GP_LAYOUT.variables[0]
-    assert v.value_to_level(-100.0) == (0, True)
-    assert v.value_to_level(100.0) == (31, True)
-    index, clamped = GP_LAYOUT.encode((-100.0, 0.0))
-    assert clamped is True
-    assert GP_LAYOUT.levels(index)[0] == 0
-    # values too far out for (x - lo) / step to be finite clamp the same way
-    v = VariableSpec("x", -1, 1, 3)
-    for x, end in [(1e308, 7), (math.inf, 7), (-1e308, 0), (-math.inf, 0)]:
-        assert v.value_to_level(x) == (end, True)
-    layout = GridLayout([v, VariableSpec("y", -1, 1, 3)])
-    assert layout.encode((1e308, 0.0)) == (7 << 3 | 4, True)  # x at its top level, y = 0 at 4
-    with pytest.raises(ValueError, match="NaN"):
-        v.value_to_level(math.nan)
-
-
-def test_encode_rejects_nan():
-    with pytest.raises(ValueError, match="NaN"):
-        GP_LAYOUT.encode((float("nan"), 0.0))
-
-
-def test_encode_rejects_wrong_arity():
-    with pytest.raises(ValueError, match="expected 2 values"):
-        GP_LAYOUT.encode((1.0,))
-
-
 def test_index_range_checks():
     with pytest.raises(ValueError, match="outside"):
         GP_LAYOUT.decode(1024)
@@ -316,6 +300,36 @@ def test_variable_validation():
     message = r"v: step 1.08526e-18 cannot separate the levels of \[1.0, 1.000000000000001\]"
     with pytest.raises(ValueError, match=message):
         VariableSpec("v", 1.0, 1.0 + 1e-15, 10)
+    assert VariableSpec("v", 0.0, 1.0, np.int64(3)).levels == 8  # a numpy integer is an integer
+
+
+NAME_RULE = "variable name must be a non-empty string without ',', '\"' or a line break"
+
+
+@pytest.mark.parametrize(
+    "name, qubits, message",
+    [
+        ("x", True, "x: qubits must be an integer >= 1, got True"),
+        ("x", 2.5, "x: qubits must be an integer >= 1, got 2.5"),
+        ("x", 0, "x: qubits must be an integer >= 1, got 0"),
+        ("x", "3", "x: qubits must be an integer >= 1, got '3'"),
+        (5, 3, f"{NAME_RULE}, got 5"),
+        ([1], 3, f"{NAME_RULE}, got [1]"),
+        ("", 3, f"{NAME_RULE}, got ''"),
+        ("a,b", 3, f"{NAME_RULE}, got 'a,b'"),
+        ('a"b', 3, f"{NAME_RULE}, got 'a\"b'"),
+        ("a\nb", 3, f"{NAME_RULE}, got 'a\\nb'"),
+        ("a\rb", 3, f"{NAME_RULE}, got 'a\\rb'"),
+    ],
+    ids=[
+        "qubits-true", "qubits-2.5", "qubits-0", "qubits-str",
+        "name-int", "name-list", "name-empty", "name-comma", "name-quote", "name-lf", "name-cr",
+    ],
+)
+def test_variable_spec_refuses_a_bad_name_or_qubit_count(name, qubits, message):
+    with pytest.raises(ValueError) as caught:
+        VariableSpec(name, 0.0, 1.0, qubits)
+    assert str(caught.value) == message
 
 
 def test_layout_validation():
@@ -333,19 +347,10 @@ def test_layout_validation():
 )
 @settings(max_examples=60, deadline=None)
 def test_round_trip_property(lo, width, qubits, data):
+    # A level's value lies in [lo, hi], and searching the sorted axis finds its level again.
     v = VariableSpec("v", lo, lo + width, qubits)
     k = data.draw(st.integers(min_value=0, max_value=v.levels - 1))
-    assert v.value_to_level(v.level_to_value(k)) == (k, False)
-
-
-@given(
-    qubits=st.integers(min_value=1, max_value=6),
-    x=st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
-)
-@settings(max_examples=60, deadline=None)
-def test_encode_picks_nearest_level(qubits, x):
-    v = VariableSpec("v", -10.0, 10.0, qubits)
-    k, clamped = v.value_to_level(x)
-    assume(not clamped)
-    distances = np.abs(v.axis_points() - x)
-    assert distances[k] <= distances.min() + 1e-12
+    x = v.level_to_value(k)
+    assert v.lo <= x <= v.hi
+    assert np.searchsorted(v.axis_points(), x) == k
+    assert GridLayout([v]).decode(k) == (x,)

@@ -19,14 +19,11 @@ from grovermin.objectives import (
     Objective,
     build_fixed_core,
     check_finite,
-    cluster_energy,
     free_atom_objective,
     get_objective,
     gp_eval,
     lj_pair,
     shubert_axis,
-    shubert_eval,
-    trimer_energy,
 )
 
 
@@ -48,19 +45,20 @@ def test_gp_minimum_is_exact():
 
 
 def test_shubert_origin_frozen():
-    assert shubert_eval(0.0, 0.0) == pytest.approx(19.875836249802127, abs=1e-12)
+    assert SHUBERT(0.0, 0.0) == pytest.approx(19.875836249802127, abs=1e-12)
+    assert SHUBERT(0.0, 0.0) == shubert_axis(0.0) ** 2 == SHUBERT.batch([[0.0, 0.0]])[0]
 
 
 def test_shubert_global_minimum_value():
     # one of the 18 equivalent minimizers
-    assert shubert_eval(-1.42512843, -0.8003211) == pytest.approx(
+    assert SHUBERT(-1.42512843, -0.8003211) == pytest.approx(
         -186.73090883102387, abs=1e-6
     )
 
 
 def test_shubert_is_symmetric():
     for x, y in [(0.3, -1.7), (2.0, 5.5), (-9.1, 4.2)]:
-        assert shubert_eval(x, y) == pytest.approx(shubert_eval(y, x), rel=1e-12)
+        assert SHUBERT(x, y) == SHUBERT(y, x)
 
 
 def test_lj_pair_exact_values():
@@ -83,19 +81,27 @@ def test_lj_pair_rejects_nonpositive():
         lj_pair(-1.0)
 
 
+def trimer_reference(b1, b2, a1):
+    """Three-atom energy from two bond lengths and the angle between them, with
+    the third pair distance from the law of cosines and ENERGY_CAP when that
+    pair coincides: the scalar reference ``LJ_TRIMER`` (both bonds ``b1``) is
+    pinned against."""
+    r12 = math.sqrt(max(b1 * b1 + b2 * b2 - 2.0 * b1 * b2 * math.cos(a1), 0.0))
+    if r12 <= CONTACT_EPS:
+        return ENERGY_CAP
+    return lj_pair(b1) + lj_pair(b2) + lj_pair(r12)
+
+
 def test_trimer_equilateral_unit():
-    assert trimer_energy(1.0, 1.0, math.pi / 3) == pytest.approx(-3.0, abs=1e-12)
+    assert trimer_reference(1.0, 1.0, math.pi / 3) == pytest.approx(-3.0, abs=1e-12)
+    assert LJ_TRIMER(1.0, math.pi / 3) == pytest.approx(-3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("b", [0.7, 0.9, 1.0, 1.2, 1.6])
 def test_trimer_equilateral_identity(b):
     # angle pi/3 with equal bonds closes an equilateral triangle
-    assert trimer_energy(b, b, math.pi / 3) == pytest.approx(3 * lj_pair(b), abs=1e-10)
-
-
-def test_trimer_bond_swap_symmetry():
-    for b1, b2, a in [(0.9, 1.3, 1.1), (1.0, 2.0, 2.9), (0.5, 0.6, math.pi)]:
-        assert trimer_energy(b1, b2, a) == trimer_energy(b2, b1, a)
+    assert trimer_reference(b, b, math.pi / 3) == pytest.approx(3 * lj_pair(b), abs=1e-10)
+    assert LJ_TRIMER(b, math.pi / 3) == pytest.approx(3 * lj_pair(b), abs=1e-10)
 
 
 def test_trimer_grid_minimum_frozen():
@@ -105,35 +111,25 @@ def test_trimer_grid_minimum_frozen():
 
 def test_trimer_collinear_angle_allowed():
     # a1 = pi is valid: third distance is b1 + b2
-    value = trimer_energy(1.0, 1.0, math.pi)
     expected = 2 * lj_pair(1.0) + lj_pair(2.0)
-    assert value == pytest.approx(expected, abs=1e-12)
-
-
-def test_trimer_domain_errors():
-    with pytest.raises(ValueError, match="bond lengths"):
-        trimer_energy(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="bond lengths"):
-        trimer_energy(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError, match="bond angle"):
-        trimer_energy(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError, match="bond angle"):
-        trimer_energy(1.0, 1.0, math.pi + 0.01)
+    assert trimer_reference(1.0, 1.0, math.pi) == pytest.approx(expected, abs=1e-12)
+    assert LJ_TRIMER(1.0, math.pi) == pytest.approx(expected, abs=1e-12)
 
 
 def test_trimer_coincidence_capped():
     # tiny angle between equal bonds puts atoms 1 and 2 on top of each other
-    assert trimer_energy(1.0, 1.0, 1e-9) == ENERGY_CAP
+    assert LJ_TRIMER(1.0, 1e-9) == trimer_reference(1.0, 1.0, 1e-9) == ENERGY_CAP
     # just above the contact threshold the raw (huge but finite) value is kept
-    near = trimer_energy(1.0, 1.0, 1e-7)
+    near = LJ_TRIMER(1.0, 1e-7)
     assert math.isfinite(near) and near != ENERGY_CAP
+    assert near == pytest.approx(trimer_reference(1.0, 1.0, 1e-7), rel=1e-7)
 
 
 def test_cluster_energy_tetrahedron():
     core = build_fixed_core(3, 1.0)
     assert core.fixed_energy == pytest.approx(-3.0, abs=1e-12)
     apex = (0.0, math.sqrt(3.0) / 6.0, math.sqrt(2.0 / 3.0))
-    assert cluster_energy(core, apex) == pytest.approx(-6.0, abs=1e-10)
+    assert free_atom_objective(core)(*apex) == pytest.approx(-6.0, abs=1e-10)
 
 
 def test_build_fixed_core_distances():
@@ -177,35 +173,36 @@ def test_cluster_energy_rigid_motion_invariance():
     rng = np.random.default_rng(11)
     core = build_fixed_core(4, 1.0)
     free = np.array([0.2, 0.5, 0.9])
-    reference = cluster_energy(core, free)
+    reference = free_atom_objective(core)(*free)
     for _ in range(5):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         shift = rng.normal(size=3)
         moved = ClusterGeometry(core.fixed_atoms @ q.T + shift)
-        assert cluster_energy(moved, q @ free + shift) == pytest.approx(
+        assert free_atom_objective(moved)(*(q @ free + shift)) == pytest.approx(
             reference, rel=1e-9
         )
 
 
 def test_cluster_energy_receding_limit():
     core = build_fixed_core(3, 1.0)
-    far = cluster_energy(core, (0.0, 0.0, 1e6))
+    far = free_atom_objective(core)(0.0, 0.0, 1e6)
     assert far == pytest.approx(core.fixed_energy, abs=1e-12)
 
 
 def test_cluster_energy_coincidence_capped():
     core = build_fixed_core(3, 1.0)
-    assert cluster_energy(core, core.fixed_atoms[0]) == ENERGY_CAP
+    energy = free_atom_objective(core)
+    assert energy(*core.fixed_atoms[0]) == ENERGY_CAP
     nearly = core.fixed_atoms[0] + np.array([CONTACT_EPS / 2, 0.0, 0.0])
-    assert cluster_energy(core, nearly) == ENERGY_CAP
+    assert energy(*nearly) == ENERGY_CAP
 
 
 def test_cluster_energy_validation():
-    core = build_fixed_core(3, 1.0)
-    with pytest.raises(ValueError, match="3-vector"):
-        cluster_energy(core, (1.0, 2.0))
-    with pytest.raises(ValueError, match="finite"):
-        cluster_energy(core, (np.nan, 0.0, 0.0))
+    energy = free_atom_objective(build_fixed_core(3, 1.0))
+    with pytest.raises(ValueError, match="lj-grow-xyz takes 3 coordinates, got 2"):
+        energy(1.0, 2.0)
+    with pytest.raises(ValueError, match="objective 'lj-grow-xyz' gave 1 non-finite values"):
+        energy(np.nan, 0.0, 0.0)
 
 
 def test_cluster_geometry_rejects_coincident_atoms():
@@ -265,7 +262,6 @@ def test_free_atom_energy_is_bitwise_the_norm_formula(num_fixed):
     assert full.batch(pts).tobytes() == expected.tobytes()
     assert pinned.batch(pts[:, 1:]).tobytes() == norm_free_atom(geometry, 0.3, y, z).tobytes()
     assert [full(*p) for p in pts[:50]] == expected[:50].tolist()
-    assert [cluster_energy(geometry, p) for p in pts[:50]] == expected[:50].tolist()
     axes = [x[:5], y[:7], z[:3]]
     mesh = norm_free_atom(geometry, *np.ix_(*axes)).reshape(-1)
     assert full.mesh(axes).tobytes() == mesh.tobytes()
@@ -364,7 +360,10 @@ def test_scalar_call_equals_batch_row_exactly(obj):
 def test_shubert_eval_scalar_equals_array_exactly():
     rng = np.random.default_rng(3)
     x1, x2 = rng.uniform(-10.0, 10.0, size=(2, 50))
-    assert [shubert_eval(a, b) for a, b in zip(x1, x2)] == list(shubert_eval(x1, x2))
+    batch = SHUBERT.batch(np.column_stack([x1, x2])).tolist()
+    assert [SHUBERT(a, b) for a, b in zip(x1, x2)] == batch
+    assert [shubert_axis(a) * shubert_axis(b) for a, b in zip(x1, x2)] == batch
+    assert (shubert_axis(x1) * shubert_axis(x2)).tolist() == batch
 
 
 def test_shubert_term_sum_equals_the_reduction_formula_bitwise():
@@ -379,12 +378,12 @@ def test_shubert_term_sum_equals_the_reduction_formula_bitwise():
     rng = np.random.default_rng(17)
     x1, x2 = rng.uniform(-10.0, 10.0, size=(2, 20000))
     expected = reduced(x1, x2)
-    np.testing.assert_array_equal(shubert_eval(x1, x2), expected)
+    np.testing.assert_array_equal(shubert_axis(x1) * shubert_axis(x2), expected)
     np.testing.assert_array_equal(SHUBERT.batch(np.column_stack([x1, x2])), expected)
     assert [SHUBERT(a, b) for a, b in zip(x1[:500], x2[:500])] == list(expected[:500])
     axes = [np.linspace(-10.0, 10.0, 16), np.linspace(-10.0, 10.0, 4096)]
     rows, cols = np.ix_(*axes)
-    np.testing.assert_array_equal(shubert_eval(rows, cols), reduced(rows, cols))
+    np.testing.assert_array_equal(shubert_axis(rows) * shubert_axis(cols), reduced(rows, cols))
     np.testing.assert_array_equal(SHUBERT.mesh(axes), reduced(rows, cols).reshape(-1))
     factors = [shubert_axis(a) for a in axes]
     np.testing.assert_array_equal(SHUBERT.factor_mesh(factors), reduced(rows, cols).reshape(-1))
@@ -524,7 +523,7 @@ def test_product_objective_is_the_product_of_its_factors():
     with pytest.raises(ValueError, match="objective 'cos3' gave 2 non-finite values"):
         objective.factor_mesh([np.array([np.inf]), np.ones(2), np.ones(1)])
     with pytest.raises(ValueError, match="'both' needs exactly one of batch_fn and factor"):
-        Objective("both", 2, batch_fn=shubert_eval, factor=shubert_axis)
+        Objective("both", 2, batch_fn=gp_eval, factor=shubert_axis)
 
 
 def test_batch_rejects_non_finite_values():
@@ -603,11 +602,14 @@ def test_registry_lookup():
 )
 @settings(max_examples=80, deadline=None)
 def test_trimer_matches_explicit_geometry(b1, b2, a):
-    # place the three atoms explicitly and sum the pairs
-    p0 = np.zeros(3)
-    p1 = np.array([b1, 0.0, 0.0])
-    p2 = np.array([b2 * math.cos(a), b2 * math.sin(a), 0.0])
-    r12 = np.linalg.norm(p1 - p2)
-    expected = lj_pair(b1) + lj_pair(b2) + lj_pair(max(r12, 1e-300))
-    if r12 > CONTACT_EPS:
-        assert trimer_energy(b1, b2, a) == pytest.approx(expected, rel=1e-7, abs=1e-9)
+    # place the three atoms explicitly and sum the pairs; LJ_TRIMER ties b2 to b1
+    def explicit(b2):
+        p1 = np.array([b1, 0.0, 0.0])
+        p2 = np.array([b2 * math.cos(a), b2 * math.sin(a), 0.0])
+        r12 = np.linalg.norm(p1 - p2)
+        assert r12 > CONTACT_EPS
+        return lj_pair(b1) + lj_pair(b2) + lj_pair(r12)
+
+    expected = explicit(b2)
+    assert trimer_reference(b1, b2, a) == pytest.approx(expected, rel=1e-7, abs=1e-9)
+    assert LJ_TRIMER(b1, a) == pytest.approx(explicit(b1), rel=1e-7, abs=1e-9)

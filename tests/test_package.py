@@ -1,5 +1,5 @@
 """The package namespace: every exported name resolves, removed ones stay gone,
-and every module uses what it imports."""
+and every module uses what it imports and the private names it defines."""
 
 import ast
 import dataclasses
@@ -7,8 +7,10 @@ from pathlib import Path
 
 import grovermin
 import grovermin.grover as grover
+import grovermin.objectives as objectives
 import grovermin.statevector as statevector
-from grovermin.objectives import Objective
+from grovermin.encoding import GridLayout, VariableSpec
+from grovermin.objectives import ClusterGeometry, Objective
 from grovermin.statevector import MarkedSet, Statevector
 
 
@@ -26,7 +28,13 @@ def test_star_import_binds_the_exports():
 
 def test_removed_dense_api_is_gone():
     # The closed forms run every search; these wrappers and second copies of
-    # the amplification step were deleted with the dense engine.
+    # the amplification step were deleted with the dense engine.  Every run
+    # path decodes indices and evaluates objectives in batches, so the
+    # point-to-index encoder and the scalar second copies of the trimer,
+    # cluster and Shubert formulas were deleted too: one implementation per
+    # objective, one direction for the grid codec.
+    gone = ["amplify", "measured_success_probability", "phase_flip", "diffusion"]
+    gone += ["cluster_energy", "shubert_eval", "trimer_energy"]
     removed = [
         (grovermin, "amplify"),
         (grovermin, "measured_success_probability"),
@@ -41,12 +49,19 @@ def test_removed_dense_api_is_gone():
         (Statevector, "norm_squared"),
         (MarkedSet, "empty"),
         (MarkedSet, "__contains__"),
+        (grovermin, "cluster_energy"),
+        (grovermin, "shubert_eval"),
+        (grovermin, "trimer_energy"),
+        (objectives, "cluster_energy"),
+        (objectives, "shubert_eval"),
+        (objectives, "trimer_energy"),
+        (GridLayout, "encode"),
+        (VariableSpec, "value_to_level"),
+        (ClusterGeometry, "num_fixed"),
     ]
     present = [f"{owner.__name__}.{name}" for owner, name in removed if hasattr(owner, name)]
     assert present == []
-    assert {"amplify", "measured_success_probability", "phase_flip", "diffusion"}.isdisjoint(
-        grovermin.__all__
-    )
+    assert set(gone).isdisjoint(grovermin.__all__)
 
 
 def test_objective_has_two_kinds_and_no_scalar_fn():
@@ -57,11 +72,24 @@ def test_objective_has_two_kinds_and_no_scalar_fn():
     assert not hasattr(Objective, "_vectorized")
 
 
+def defined_names(tree: ast.Module) -> list[str]:
+    """The names a module's top-level statements define (not import)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
 def test_every_module_uses_what_it_imports():
     # pyflakes' F401, run with the suite so it needs no linter: each name a
     # module imports is read somewhere in it.  The only exempt lines are the
-    # benchmark's shim imports, marked ``# noqa: F401``.
-    unused, exempt = [], set()
+    # benchmark's shim imports, marked ``# noqa: F401``.  A private name
+    # (``_x``) a module defines is dead unless the module itself reads it.
+    unused, exempt, private = [], set(), []
     for path in sorted(Path(grovermin.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -69,6 +97,16 @@ def test_every_module_uses_what_it_imports():
         lines = source.splitlines()
         tree = ast.parse(source)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for name in defined_names(tree):
+            if name.startswith("_") and not name.startswith("__"):
+                private.append(name)
+                if name not in read:
+                    unused.append(f"{path.name} {name} (defined, never read)")
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
@@ -84,3 +122,4 @@ def test_every_module_uses_what_it_imports():
                     unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
     assert exempt == {"minsearch.py", "pivot.py"}
+    assert {"_is_int", "_trimer_shared", "_free_atom_batch", "_dumps"} <= set(private)
