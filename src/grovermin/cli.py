@@ -433,6 +433,10 @@ def cmd_run(args, config: dict):
 
     if experiment in MINSEARCH_EXPERIMENTS:
         setup = build_setup(config)
+        if args.emit_distributions:
+            for v in setup.layout.variables:
+                if v.name in ("index", "value", "probability"):
+                    raise ConfigError(f"variable name {v.name!r} is a column of the distribution CSV")
         values = setup.layout.objective_values(setup.objective)
         for run_id, rng in enumerate(rngs):
             result = adapted_grover_min(

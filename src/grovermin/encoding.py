@@ -52,6 +52,10 @@ class VariableSpec:
             )
         if not (_is_int(self.qubits) and self.qubits >= 1):
             raise ValueError(f"{self.name}: qubits must be an integer >= 1, got {self.qubits!r}")
+        for bound in ("lo", "hi"):
+            value = getattr(self, bound)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{self.name}: {bound} must be a real number, got {value!r}")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ValueError(f"{self.name}: bounds must be finite")
         if self.hi <= self.lo:

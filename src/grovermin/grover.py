@@ -8,10 +8,11 @@ count is round(pi/(4 theta) - 1/2).
 
 Because a register that starts uniform only ever holds two distinct
 amplitudes, one per class, ``class_probabilities`` is the one model of a
-round on every run path: ``sample`` draws from it in closed form, and pivot
-selection and the per-round distribution CSVs read it.  Nothing here builds
-a register; the dense one in ``statevector`` is the oracle these formulas
-are tested against.
+round on every run path: ``sample`` draws from it in closed form, pivot
+selection takes its expected cost from it (the pivots themselves are the
+classical quantile set), and the per-round distribution CSVs read it.
+Nothing here builds a register; the dense one in ``statevector`` is the
+oracle these formulas are tested against.
 """
 
 from __future__ import annotations

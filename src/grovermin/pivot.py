@@ -1,16 +1,15 @@
-"""Hybrid search: classical pivot resampling with amplified pivot selection.
+"""Hybrid search: classical pivot resampling, with Grover as the selection cost.
 
 One generation: take the lowest-value fraction of the probe population as
-pivots (the cut is a classical quantile; the pivots themselves are drawn
-from an amplified superposition over probe indices, so the quantum cost of
-selection is accounted), weight the pivots by a Boltzmann factor, then
-rebuild the population by Gaussian resampling around weighted pivots with a
-per-coordinate width that contracts every generation.  The probe count N is
-2^qubits, which is what ties the method's cost accounting to the register
-size.  The amplified register holds one probability per class (marked or
-not), so selection draws from those two values and builds no register.  The
-incremental cluster-growth driver sits on top: it freezes each found atom
-and re-runs the hybrid for the next one.
+pivots (the classical quantile set), weight the pivots by a Boltzmann
+factor, then rebuild the population by Gaussian resampling around weighted
+pivots with a per-coordinate width that contracts every generation.  The
+quantum part is the price of choosing the pivots: the expected Grover
+iterations to draw them from one amplified register over the N = 2^qubits
+probe indices, in closed form from the register's two class probabilities,
+so no register is built and no rng call is spent on it.  The incremental
+cluster-growth driver sits on top: it freezes each found atom and re-runs
+the hybrid for the next one.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ class PivotState:
     values: np.ndarray  # (m,)
     threshold: float
     optimal_k: int
-    grover_iterations: int  # optimal_k per draw, rejected draws included
-    rejected_draws: int
+    grover_iterations: float  # optimal_k per expected draw, rejected draws included
+    rejected_draws: float  # expected unmarked draws before the quota is filled
 
     @property
     def num_pivots(self) -> int:
@@ -133,20 +132,23 @@ def select_pivots(
     fraction: float = PivotConfig.fraction,
     rng: np.random.Generator | None = None,
 ) -> PivotState:
-    """Draw the lowest-``fraction`` probes via amplified sampling.
+    """Take the lowest-``fraction`` probes as pivots; Grover prices the choice.
 
-    The value threshold is the ceil(fraction*N)-th smallest probe value.
-    All probes at or below it are marked in a uniform superposition over the
-    N probe indices, which is amplified with the optimal step count and then
-    sampled without replacement until the quota of distinct marked indices
-    is collected; draws that land on unmarked indices are rejected and
-    counted.  N must be a power of two (it is 2^qubits in every run).
+    The value threshold is the ceil(fraction*N)-th smallest probe value and
+    the pivots are the quota = ceil(fraction*N) probes at or below it, in
+    index order.  Only ties at the threshold mark m > quota probes; then a
+    uniform quota-subset of them is drawn with ``rng``, and otherwise no rng
+    call is made.  N must be a power of two (it is 2^qubits in every run).
 
-    The amplified register gives each of the m marked probes P/m and each
-    other probe (1 - P)/(N - m), with P = success_probability(m, N, k), so
-    the draws follow from those two values: only the m marked keys are
-    sorted, and the rejected draws are counted, not ordered.  Choices and
-    counts match sampling the dense register (``iterate``) key for key.
+    The cost is that of drawing the quota without replacement from one
+    amplified register over the N probe indices, in which each of the m
+    marked probes holds a and each other probe b, with
+    ``(a, b) = class_probabilities(m, N, k)`` at the optimal k.  Draws are
+    exponential clocks (rate a per marked probe, b per other one), and an
+    unmarked probe is drawn, and rejected, before the quota-th marked
+    arrival with probability 1 - prod_{i<quota} a(m-i) / (a(m-i) + b).  So
+    ``rejected_draws`` is the exact expectation (N - m) times that, and
+    ``grover_iterations`` is k per expected draw.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -157,50 +159,19 @@ def select_pivots(
         raise ValueError(f"probe count must be a power of two >= 2, got {n}")
     quota = math.ceil(fraction * n)
     threshold = float(np.partition(probes.values, quota - 1)[quota - 1])
-    mask = probes.values <= threshold
-    marked = mask.nonzero()[0]
+    marked = (probes.values <= threshold).nonzero()[0]
     m = len(marked)
+    chosen = marked if m == quota else rng.choice(marked, size=quota, replace=False)
     k = optimal_iterations(m, n)
-    # Amplification leaves two probabilities: a on each marked probe and b on
-    # each other one.
     a, b = class_probabilities(m, n, k)
-
-    # Keyed weighted sampling without replacement: draws run in descending
-    # log(u)/prob order (ties to the lower index), which reproduces
-    # sequential draws; a key of -inf (u = 0 or prob = 0) is never drawn.
-    log_u = rng.uniform(size=n)
-    with np.errstate(divide="ignore"):
-        np.log(log_u, out=log_u)
-        marked_keys = log_u.take(marked)
-        marked_keys /= a
-        unmarked_keys = log_u[~mask]
-        unmarked_keys /= b
-    drawn = (-marked_keys).argsort(kind="stable")[:quota]
-    if marked_keys[drawn[-1]] == -np.inf:  # keep the live keys, which sort first
-        drawn = drawn[marked_keys.take(drawn) > -np.inf]
-    chosen = marked.take(drawn)
-    # Draws stop at the quota-th marked probe; every live unmarked key that
-    # sorts ahead of it was drawn and rejected.
-    if len(chosen) == quota:
-        cut, cut_index = marked_keys[drawn[-1]], chosen[-1]
-    else:
-        # Some marked keys are -inf, so every live key is drawn; finish the
-        # quota uniformly over the remaining marked indices.
-        cut, cut_index = -np.inf, -1
-        left = np.delete(marked, drawn)
-        extra = rng.choice(len(left), size=quota - len(chosen), replace=False)
-        chosen = np.concatenate([chosen, left[extra]])
-    rejected = int(np.count_nonzero(unmarked_keys > cut))
-    tied = unmarked_keys == cut
-    if tied.any():  # rare: an equal key sorts ahead only from a lower index
-        rejected += int(np.count_nonzero(np.flatnonzero(~mask)[tied] < cut_index))
-    draws = quota + rejected
+    rates = a * np.arange(m, m - quota, -1, dtype=float)
+    rejected = (n - m) * (1.0 - float(np.prod(rates / (rates + b))))
     return PivotState(
         points=probes.points.take(chosen, axis=0),
         values=probes.values.take(chosen),
         threshold=threshold,
         optimal_k=k,
-        grover_iterations=k * draws,
+        grover_iterations=k * (quota + rejected),
         rejected_draws=rejected,
     )
 
@@ -312,8 +283,8 @@ class GenerationRecord:
     sigma: tuple[float, ...]
     threshold: float
     optimal_k: int
-    grover_iterations: int
-    rejected_draws: int
+    grover_iterations: float
+    rejected_draws: float
     best_value: float
 
 
@@ -322,7 +293,7 @@ class PivotSearchResult:
     best_value: float
     best_point: tuple[float, ...]
     generations: list[GenerationRecord]
-    total_iterations: int
+    total_iterations: float
     converged: bool
 
     @property
@@ -440,7 +411,7 @@ class GrowthResult:
     stages: list[GrowthStage]
     final_positions: np.ndarray
     final_energy: float
-    total_iterations: int
+    total_iterations: float
 
 
 def lj_growth(

@@ -589,22 +589,22 @@ experiment=gp run=1 best=3.0 point=(0.0, -1.0) rounds=28 total_iterations=112 co
         "mean_total_iterations=76.4 median_total_iterations=107.0 mean_iterations_to_best=35.6\n"
     ),
     "run lj-grow --seed 5 --runs 2": """\
-experiment=lj-grow run=0 atoms=3 energy=-2.9999999999606834
-experiment=lj-grow run=0 atoms=4 energy=-5.9999999390293475
-experiment=lj-grow run=0 atoms=5 energy=-9.103143780834804
-experiment=lj-grow run=0 final_energy=-9.103143780834804 total_iterations=50187
-experiment=lj-grow run=1 atoms=3 energy=-2.9999999999886757
-experiment=lj-grow run=1 atoms=4 energy=-5.999999999885557
-experiment=lj-grow run=1 atoms=5 energy=-9.103154592441701
-experiment=lj-grow run=1 final_energy=-9.103154592441701 total_iterations=76059
+experiment=lj-grow run=0 atoms=3 energy=-2.999999999999279
+experiment=lj-grow run=0 atoms=4 energy=-5.999999999988723
+experiment=lj-grow run=0 atoms=5 energy=-9.103154365142725
+experiment=lj-grow run=0 final_energy=-9.103154365142725 total_iterations=81872.55298933564
+experiment=lj-grow run=1 atoms=3 energy=-2.999999999999961
+experiment=lj-grow run=1 atoms=4 energy=-5.999999761442192
+experiment=lj-grow run=1 atoms=5 energy=-9.103135288727037
+experiment=lj-grow run=1 final_energy=-9.103135288727037 total_iterations=53746.26777871349
 """,
     "run shubert-pivot --seed 5 --runs 2": (
-        "experiment=shubert-pivot run=0 best=-186.73090882789072 "
-        "point=(-7.083505220230587, -7.708313649347076) generations=111 "
-        "total_iterations=31077 converged=True\n"
-        "experiment=shubert-pivot run=1 best=-186.73083830321352 "
-        "point=(-1.4251336796511371, 5.482685641142206) generations=50 "
-        "total_iterations=14110 converged=True\n"
+        "experiment=shubert-pivot run=0 best=-186.73052644488743 "
+        "point=(5.4825899822804915, -7.708009177996362) generations=49 "
+        "total_iterations=13645.425498222576 converged=True\n"
+        "experiment=shubert-pivot run=1 best=-186.73090883017994 "
+        "point=(-7.083506385382786, -7.708313134187301) generations=142 "
+        "total_iterations=39543.88613770629 converged=True\n"
     ),
 }
 
@@ -941,17 +941,26 @@ def test_bad_config_value_exits_2_with_one_line(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name", [5, "a,b"])
-def test_bad_variable_name_exits_2_before_any_distribution(name, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        (5, f"{NAME_RULE}, got 5"),
+        ("a,b", f"{NAME_RULE}, got 'a,b'"),
+        *((name, f"variable name {name!r} is a column of the distribution CSV")
+          for name in ("index", "value", "probability")),
+    ],
+    ids=["5", "a,b", "index", "value", "probability"],
+)
+def test_bad_variable_name_exits_2_before_any_distribution(name, message, tmp_path, capsys):
     # A number would break the CSV header only after run_000.json and a CSV
-    # were written, and a comma would add a column to the header: both are
-    # refused before any output.
+    # were written, a comma would add a column to the header and a CSV
+    # column's own name would repeat in it: all are refused before any output.
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(gp_layout(name=name)))
     out = tmp_path / "out"
     argv = ["run", "gp", "--config", str(config), "--out", str(out), "--emit-distributions"]
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"config error: {NAME_RULE}, got {name!r}\n")
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
     assert not out.exists()
 
 

@@ -301,6 +301,10 @@ def test_variable_validation():
     with pytest.raises(ValueError, match=message):
         VariableSpec("v", 1.0, 1.0 + 1e-15, 10)
     assert VariableSpec("v", 0.0, 1.0, np.int64(3)).levels == 8  # a numpy integer is an integer
+    with pytest.raises(ValueError, match=r"^x: lo must be a real number, got True$"):
+        VariableSpec("x", True, 2.0, 2)
+    with pytest.raises(ValueError, match=r"^x: lo must be a real number, got '0'$"):
+        VariableSpec("x", "0", 1.0, 2)
 
 
 NAME_RULE = "variable name must be a non-empty string without ',', '\"' or a line break"
