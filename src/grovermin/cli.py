@@ -341,12 +341,18 @@ def emit_distribution(marked, probabilities, layout: GridLayout, values, path: P
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
+def _round_points(layout: GridLayout, results: list[SearchResult]) -> list[list]:
+    """Each search's round points, as lists, from one ``decode_batch`` over all of them."""
+    rounds = [result.trace.rounds for result in results]
+    points = layout.decode_batch(np.array([r.index for rs in rounds for r in rs])).tolist()
+    return [points[end - len(rs) : end] for rs, end in zip(rounds, accumulate(map(len, rounds)))]
+
+
 def search_result_json(
-    result: SearchResult, layout: GridLayout, run_id: int, seed: int, config: dict
+    result: SearchResult, points: list, run_id: int, seed: int, config: dict
 ) -> dict:
-    """A search's JSON trace; its round points are decoded here, in one batch."""
+    """A search's JSON trace; ``points`` holds its rounds' points (``_round_points``)."""
     rounds = result.trace.rounds
-    points = layout.decode_batch(np.array([r.index for r in rounds])).tolist()
     return {
         "run_id": run_id,
         "seed": seed,
@@ -457,7 +463,8 @@ def cmd_run(args, config: dict):
             if not args.out:  # a trace decodes every round point; build it only to write it
                 yield [line], {}
                 continue
-            trace = search_result_json(result, setup.layout, run_id, seed, config)
+            points = _round_points(setup.layout, [result])[0]
+            trace = search_result_json(result, points, run_id, seed, config)
             yield [line], {f"run_{run_id:03d}.json": trace}
             # Streamed after the run's trace is written, a block at a time.
             if args.emit_distributions:
@@ -566,8 +573,10 @@ def cmd_ensemble(args, config: dict):
         # String keys, as JSON writes them, so sort_keys orders them as text.
         "rounds_histogram": {str(k): n for k, n in histogram},
         "runs_detail": [
-            search_result_json(result, setup.layout, run_id, seed, config)
-            for run_id, result in enumerate(stats.results)
+            search_result_json(result, points, run_id, seed, config)
+            for run_id, (result, points) in enumerate(
+                zip(stats.results, _round_points(setup.layout, stats.results))
+            )
         ],
     }
     yield [line], {

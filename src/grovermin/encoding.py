@@ -6,7 +6,8 @@ exactly ``lo`` and level 2**q - 1 is exactly ``hi``.  A register index packs
 the per-variable levels with the FIRST variable in the MOST significant
 bits, matching a tensor product written left to right.  ``GridLayout`` owns
 the grid rules: it refuses a register past the cap when built, and every
-decode goes through ``VariableSpec.level_values``, the one level map.
+decode goes through ``VariableSpec.level_values``, the one level map, or
+its scalar form ``level_to_value``.
 """
 
 from __future__ import annotations
@@ -82,9 +83,18 @@ class VariableSpec:
         return (self.hi - self.lo) / (self.levels - 1)
 
     def level_to_value(self, k: int) -> float:
+        """Coordinate of one level: ``level_values`` for a scalar, bit for bit.
+
+        The same IEEE operations in Python floats: numpy widens ``lo``, ``k``
+        and ``step`` to float64 before it adds and multiplies.
+        """
         if not 0 <= k < self.levels:
             raise ValueError(f"{self.name}: level {k} outside [0, {self.levels})")
-        return float(self.level_values(np.array([k]))[0])
+        if k == 0:
+            return float(self.lo)
+        if k == self.levels - 1:
+            return float(self.hi)
+        return float(self.lo) + float(k) * float(self.step)
 
     def level_values(self, k: np.ndarray) -> np.ndarray:
         """Coordinates of an int array of levels; the end levels snap to exactly lo and hi."""
@@ -139,8 +149,11 @@ class GridLayout:
             yield (indices >> s) & (v.levels - 1)
 
     def decode(self, index: int) -> tuple[float, ...]:
-        """Grid point for a basis index: one row of ``decode_batch``."""
-        return tuple(self.decode_batch(np.array([index]))[0].tolist())
+        """Grid point for a basis index: the row ``decode_batch`` gives it, bit for bit."""
+        index = int(index)
+        if not 0 <= index < self.size:
+            raise ValueError("index outside register range")
+        return tuple(map(VariableSpec.level_to_value, self.variables, self.level_fields(index)))
 
     def decode_batch(self, indices: np.ndarray) -> np.ndarray:
         """Grid points for an int array of indices, shape (len(indices), arity)."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,8 +138,10 @@ class StopRule:
             )
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
+    """One round of a search, immutable.  A tuple, so a writer that wants a
+    JSON object per round names the fields itself (``cli.search_result_json``)."""
+
     round: int
     iterations: int
     extended: bool

@@ -108,12 +108,31 @@ def test_round_trip_exhaustive(layout):
         assert tuple(points[index]) == expected
 
 
+SNAPPED_LAYOUT = GridLayout(
+    [
+        VariableSpec("B", 0.0001, 2.0, 4),  # lo + 15*step != hi: only the snap keeps hi
+        VariableSpec("c", -0.7, 0.3, 3),
+        VariableSpec("d", 1e-3, 7.1, 2),
+    ]
+)
+
+
 def test_decode_batch_matches_scalar_decode():
-    idx = np.arange(TRIMER_LAYOUT.size, dtype=np.int64)
-    batch = TRIMER_LAYOUT.decode_batch(idx)
-    assert batch.shape == (TRIMER_LAYOUT.size, 2)
-    for i in (0, 1, 261, TRIMER_LAYOUT.size - 1):
-        np.testing.assert_array_equal(batch[i], TRIMER_LAYOUT.decode(i))
+    # ``decode`` computes in Python floats and ``decode_batch`` in numpy; the
+    # two must agree bit for bit at every index, the snapped top level included.
+    top = SNAPPED_LAYOUT.variables[0]
+    assert top.lo + (top.levels - 1) * top.step != top.hi
+    for layout in (TRIMER_LAYOUT, SNAPPED_LAYOUT):
+        for v in layout.variables:
+            axis = v.level_values(np.arange(v.levels)).tolist()
+            assert [v.level_to_value(k).hex() for k in range(v.levels)] == [x.hex() for x in axis]
+        batch = layout.decode_batch(np.arange(layout.size, dtype=np.int64))
+        assert batch.shape == (layout.size, layout.arity)
+        for i, row in enumerate(batch.tolist()):
+            assert [x.hex() for x in layout.decode(i)] == [x.hex() for x in row]
+        for index in (-1, layout.size, np.int64(layout.size)):
+            with pytest.raises(ValueError, match="^index outside register range$"):
+                layout.decode(index)
 
 
 def test_level_fields_of_an_index_array_are_each_index_levels():

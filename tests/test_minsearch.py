@@ -1,5 +1,6 @@
 """Threshold-descent search loop: schedules, stop rules, traces, ensembles."""
 
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from scipy import stats
 
 import grovermin.minsearch as minsearch
+from grovermin import cli
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
 from grovermin.grover import success_probability
 from grovermin.minsearch import (
@@ -183,6 +185,36 @@ def test_trace_threshold_bookkeeping():
             assert rec.threshold_before == rounds[i - 1].threshold_after
     thresholds = [r.threshold_after for r in rounds]
     assert all(a >= b for a, b in zip(thresholds, thresholds[1:]))
+
+
+def test_round_record_is_immutable_and_written_as_an_object():
+    fields = [
+        "round", "iterations", "extended", "index", "value", "threshold_before", "threshold_after"
+    ]
+    assert list(RoundRecord.__annotations__) == fields
+    record = RoundRecord(3, 1, False, 523, 3.0, 30.0, 3.0)
+    assert record == RoundRecord(**dict(zip(fields, (3, 1, False, 523, 3.0, 30.0, 3.0))))
+    with pytest.raises(AttributeError):
+        record.value = 0.0
+    # A record is a tuple, which a JSON writer would emit as a list: the
+    # trace names each round's fields.
+    result = adapted_grover_min(
+        GOLDSTEIN_PRICE, GP_LAYOUT, Schedule("baritompa"), StopRule(), np.random.default_rng(5)
+    )
+    points = [list(GP_LAYOUT.decode(r.index)) for r in result.trace.rounds]
+    trace = cli.search_result_json(result, points, 0, 5, cli.DEFAULT_CONFIGS["gp"])
+    written = json.loads(cli._dumps(trace))["rounds"]
+    assert len(written) == result.num_rounds
+    for rec, r, point in zip(written, result.trace.rounds, points):
+        assert rec == {
+            "round": r.round,
+            "iterations": r.iterations,
+            "extended": r.extended,
+            "index": r.index,
+            "point": point,
+            "value": r.value,
+            "threshold": r.threshold_after,
+        }
 
 
 def _replayed(table, strict):
