@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 import typing
-from dataclasses import asdict
+from dataclasses import MISSING, asdict
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -49,7 +50,7 @@ GP_SQUARE = (-3.2, 3.0)
 
 
 def _variable(name: str, window: tuple[float, float], qubits: int) -> dict:
-    return {"name": name, "lo": window[0], "hi": window[1], "qubits": qubits}
+    return asdict(VariableSpec(name, *window, qubits))
 
 
 #: The ``growth`` section: GrowthConfig's fields (its pivot has its own
@@ -131,22 +132,44 @@ def _integer(where: str, value, bits: int | None = None) -> int:
     return value
 
 
-def _build(section: str, cls, fields: dict, **extra):
-    """``cls(**fields, **extra)``, each ``int`` field checked by ``_integer``, each
-    ``bool`` field refused unless JSON true or false, and the TypeError of any
-    other wrong JSON type made a ConfigError.  Fields are named
-    ``section.field``, or bare for the top-level section ``""``."""
-    hints = typing.get_type_hints(cls)
-    for name, value in fields.items():
-        where = f"{section}.{name}" if section else name
-        if hints[name] in (int, int | None) and value is not None:
-            _integer(where, value)
-        elif hints[name] is bool and type(value) is not bool:
-            raise ConfigError(f"{where} must be true or false, got {value!r}")
+def _number(where: str, value) -> float:
+    """``value`` as a float if a JSON number: neither a string nor true or false."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
     try:
-        return cls(**fields, **extra)
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise ConfigError(f"{where} must be finite, got an integer too large") from None
+
+
+def _build(section: str, cls, fields: dict, **extra):
+    """``cls(**fields, **extra)`` once ``fields`` is checked against dataclass
+    ``cls``: keys first (an unknown key, then a field with no default that
+    neither ``fields`` nor ``extra`` gives), then each value, in field order, by
+    its type hint: an ``int`` by ``_integer``, a ``float`` by ``_number`` (its
+    float passed on), a ``bool`` as JSON true or false, and null only where
+    the hint allows None.  Fields are named ``section.field``, or bare for the
+    top-level section ``""``."""
+    hints = typing.get_type_hints(cls)
+    prefix = f"{section}." if section else ""
+    for name in fields:
+        if name not in hints:
+            raise ConfigError(f"unknown config key {prefix + name!r}")
+    for f in dataclasses.fields(cls):
+        if f.name not in {**fields, **extra} and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{section} needs the key {f.name!r}")
+    checked = {name: fields[name] for name in hints if name in fields}
+    for name, value in checked.items():
+        hint = hints[name]
+        if value is None and hint in (int | None, float | None):
+            continue
+        if hint in (int, int | None):
+            _integer(prefix + name, value)
+        elif hint in (float, float | None):
+            checked[name] = _number(prefix + name, value)
+        elif hint is bool and type(value) is not bool:
+            raise ConfigError(f"{prefix}{name} must be true or false, got {value!r}")
+    return cls(**checked, **extra)
 
 
 def load_config(experiment: str, config_path: str | None) -> dict:
@@ -176,40 +199,17 @@ def load_config(experiment: str, config_path: str | None) -> dict:
     return _merge(config, overrides)
 
 
-#: The keys of one ``layout`` entry, as ``_variable`` writes them; all required.
-_LAYOUT_KEYS = ("name", "lo", "hi", "qubits")
-
-
-def _number(where: str, value) -> float:
-    """``value`` as a float if a JSON number: neither a string nor true or false."""
-    if type(value) not in (int, float):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal past the float range
-        raise ConfigError(f"{where} must be finite, got an integer too large") from None
-
-
 def build_layout(config: dict) -> GridLayout:
-    """The config's grid: each variable an object with exactly the keys of
-    ``_variable``, its name and levels checked by ``VariableSpec`` and the
-    register cap by ``GridLayout``."""
+    """The config's grid: each variable an object built by ``_build`` as a
+    ``VariableSpec``, which checks its name and levels; ``GridLayout`` checks
+    the register cap."""
     if not isinstance(config["layout"], list):
         raise ConfigError(f"layout must be a list of variables, got {config['layout']!r}")
     variables = []
     for i, spec in enumerate(config["layout"]):
-        where = f"layout[{i}]"
         if not isinstance(spec, dict):
-            raise ConfigError(f"{where} must be an object, got {spec!r}")
-        for key in spec:
-            if key not in _LAYOUT_KEYS:
-                raise ConfigError(f"unknown config key '{where}.{key}'")
-        for key in _LAYOUT_KEYS:
-            if key not in spec:
-                raise ConfigError(f"{where} needs the key {key!r}")
-        lo, hi = (_number(f"{where}.{key}", spec[key]) for key in ("lo", "hi"))
-        qubits = _integer(f"{where}.qubits", spec["qubits"])
-        variables.append(VariableSpec(spec["name"], lo, hi, qubits))
+            raise ConfigError(f"layout[{i}] must be an object, got {spec!r}")
+        variables.append(_build(f"layout[{i}]", VariableSpec, spec))
     return GridLayout(variables)
 
 
@@ -603,7 +603,7 @@ def _run_config(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grovermin",
-        description="Statevector simulations of amplified minimum search.",
+        description="Simulated Grover minimum search, drawn from closed-form amplitudes.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

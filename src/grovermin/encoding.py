@@ -88,6 +88,8 @@ class VariableSpec:
         The same IEEE operations in Python floats: numpy widens ``lo``, ``k``
         and ``step`` to float64 before it adds and multiplies.
         """
+        if not _is_int(k):
+            raise ValueError(f"{self.name}: level must be an integer, got {k!r}")
         if not 0 <= k < self.levels:
             raise ValueError(f"{self.name}: level {k} outside [0, {self.levels})")
         if k == 0:
@@ -150,6 +152,8 @@ class GridLayout:
 
     def decode(self, index: int) -> tuple[float, ...]:
         """Grid point for a basis index: the row ``decode_batch`` gives it, bit for bit."""
+        if not _is_int(index):
+            raise ValueError(f"index must be an integer, got {index!r}")
         index = int(index)
         if not 0 <= index < self.size:
             raise ValueError("index outside register range")

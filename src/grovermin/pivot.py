@@ -387,8 +387,9 @@ class GrowthConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.method not in (1, 2):
             raise ValueError(f"method must be 1 or 2, got {self.method}")
-        if self.qubits_per_axis < 1 or self.trimer_qubits < 2:
-            raise ValueError("qubit counts must be positive")
+        for name, least in (("qubits_per_axis", 1), ("trimer_qubits", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.bond is not None:
             check_bond(self.bond)
         # Refuse an over-cap stage register now, not after the trimer search.

@@ -1,9 +1,11 @@
 """End-to-end command tests: defaults, config handling, artifacts, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import grovermin.statevector as statevector
 from grovermin import encoding
 from grovermin.cli import main
 from grovermin.baseline import grid_brute_min
-from grovermin.encoding import GridLayout, square_layout
+from grovermin.encoding import GridLayout, VariableSpec, square_layout
 from grovermin.grover import class_probabilities
 from grovermin.minsearch import (
     Schedule,
@@ -29,6 +31,7 @@ from grovermin.minsearch import (
     run_ensemble,
 )
 from grovermin.objectives import Objective, get_objective
+from grovermin.pivot import GrowthConfig, PivotConfig
 from grovermin.statevector import MarkedSet, iterate, uniform_superposition
 
 RUN_KEYS = {
@@ -952,6 +955,7 @@ def test_oversized_register_exits_2_before_allocating(
             {"layout": [GP_X2, {"name": "x1", "lo": 0.0, "hi": 1.0}]},
             "layout[1] needs the key 'qubits'",
         ),
+        ("lj-grow", {"growth": {"trimer_qubits": 1}}, "trimer_qubits must be >= 2, got 1"),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(
@@ -965,6 +969,65 @@ def test_bad_config_value_exits_2_with_one_line(
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out").exists()
+
+
+#: (experiment, section, dataclass) for each config section built by ``cli._build``.
+SECTIONS = [
+    ("gp", "stop", StopRule),
+    ("shubert-pivot", "pivot", PivotConfig),
+    ("lj-grow", "growth", GrowthConfig),
+    ("gp", "layout[0]", VariableSpec),
+]
+#: Values each field type refuses: JSON's true is no number, and no JSON value is coerced.
+REFUSED = {float: [True, "1.5"], int: [True, 2.5], bool: [0]}
+
+
+def _typed_field_cases():
+    for experiment, section, cls in SECTIONS:
+        for name, hint in typing.get_type_hints(cls).items():
+            for kind, values in REFUSED.items():
+                if hint in (kind, kind | None):
+                    for value in values:
+                        where = f"{section}.{name}"
+                        yield pytest.param(experiment, where, value, id=f"{where}={value!r}")
+
+
+@pytest.mark.parametrize("experiment, where, value", _typed_field_cases())
+def test_every_typed_field_refuses_a_value_of_another_type(
+    experiment, where, value, tmp_path, capsys, refuse_allocation
+):
+    section, name = where.split(".")
+    override = gp_layout(**{name: value}) if section == "layout[0]" else {section: {name: value}}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(override))
+    argv = ["run", experiment, "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"config error: {where} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_sections_hold_exactly_their_dataclass_fields():
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    seen = set()
+    for config in cli.DEFAULT_CONFIGS.values():
+        expected = {
+            "stop": names(StopRule),
+            "pivot": names(PivotConfig),
+            # GrowthConfig's pivot is its own section; target_atoms goes to lj_growth.
+            "growth": names(GrowthConfig) - {"pivot"} | {"target_atoms"},
+        }
+        for section, keys in expected.items():
+            if section in config:
+                assert set(config[section]) == keys, section
+                seen.add(section)
+        for entry in config.get("layout", []):
+            assert set(entry) == names(VariableSpec)
+            seen.add("layout")
+    assert seen == {"stop", "pivot", "growth", "layout"}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Grid codec: endpoint-inclusive levels packed MSB-first into indices."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -302,6 +303,18 @@ def test_index_range_checks():
         GP_LAYOUT.variables[0].level_to_value(32)
     with pytest.raises(ValueError, match="register range"):
         GP_LAYOUT.decode_batch(np.array([0, 1024]))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", np.float64(2.0)])
+def test_non_integer_level_or_index_is_refused(bad):
+    # Neither a float (even a whole one) nor a bool is truncated to a level or an index.
+    variable = VariableSpec("x", 0.0, 1.0, 2)
+    with pytest.raises(ValueError, match=re.escape(f"x: level must be an integer, got {bad!r}")):
+        variable.level_to_value(bad)
+    with pytest.raises(ValueError, match=re.escape(f"index must be an integer, got {bad!r}")):
+        square_layout(["x", "y"], 0.0, 1.0, 2).decode(bad)
+    assert variable.level_to_value(np.int64(2)) == variable.level_to_value(2)
+    assert GP_LAYOUT.decode(np.int64(3)) == GP_LAYOUT.decode(3)
 
 
 def test_variable_validation():

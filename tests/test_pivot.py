@@ -659,8 +659,10 @@ def test_growth_config_refuses_a_count_that_is_not_an_integer(name, value):
 def test_growth_config_validation():
     with pytest.raises(ValueError, match="method"):
         GrowthConfig(method=3)
-    with pytest.raises(ValueError, match="qubit counts"):
+    with pytest.raises(ValueError, match="qubits_per_axis must be >= 1, got 0"):
         GrowthConfig(qubits_per_axis=0)
+    with pytest.raises(ValueError, match="trimer_qubits must be >= 2, got 1"):
+        GrowthConfig(trimer_qubits=1)
     with pytest.raises(ValueError, match="bond"):
         GrowthConfig(bond=0.0)
     # Every stage register is checked against the cap when the config is built;
