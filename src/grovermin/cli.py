@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import sys
 import typing
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import grid_brute_min
-from .encoding import BLOCK_ROWS, GridLayout, VariableSpec
+from .encoding import GridLayout, VariableSpec
 from .minsearch import (
     Schedule,
     SearchResult,
@@ -142,6 +143,12 @@ def _number(where: str, value) -> float:
         raise ConfigError(f"{where} must be finite, got an integer too large") from None
 
 
+@functools.cache
+def _fields(cls) -> tuple[dict, tuple]:
+    """Dataclass ``cls``'s resolved type hints and its fields, read once per class."""
+    return typing.get_type_hints(cls), dataclasses.fields(cls)
+
+
 def _build(section: str, cls, fields: dict, **extra):
     """``cls(**fields, **extra)`` once ``fields`` is checked against dataclass
     ``cls``: keys first (an unknown key, then a field with no default that
@@ -150,12 +157,12 @@ def _build(section: str, cls, fields: dict, **extra):
     float passed on), a ``bool`` as JSON true or false, and null only where
     the hint allows None.  Fields are named ``section.field``, or bare for the
     top-level section ``""``."""
-    hints = typing.get_type_hints(cls)
+    hints, declared = _fields(cls)
     prefix = f"{section}." if section else ""
     for name in fields:
         if name not in hints:
             raise ConfigError(f"unknown config key {prefix + name!r}")
-    for f in dataclasses.fields(cls):
+    for f in declared:
         if f.name not in {**fields, **extra} and f.default is f.default_factory is MISSING:
             raise ConfigError(f"{section} needs the key {f.name!r}")
     checked = {name: fields[name] for name in hints if name in fields}
@@ -256,10 +263,10 @@ def _dumps(obj) -> str:
     only without ``indent``), one value at a time.  ``texts`` encodes a column,
     up to 32 values at one depth, at once: dicts that share a key set split into
     one column per sorted key, joined into rows by one ``%`` template per (keys,
-    depth); lists and tuples flatten into one column a level deeper; all-float
-    and all-int columns are one ``map``.  Each distinct float is formatted once
-    per document, zeros excepted (0.0 == -0.0, but their texts differ).  Dict
-    keys must be ``str``; any other key raises TypeError.
+    depth); lists and tuples flatten into one column a level deeper; all-float,
+    all-int and all-bool columns are one ``map``.  Each distinct float is
+    formatted once per document, zeros excepted (0.0 == -0.0, but their texts
+    differ).  Dict keys must be ``str``; any other key raises TypeError.
     """
     floats = _FloatTexts()
     layouts: dict[tuple, tuple[list, str]] = {}  # (keys, depth) -> (sorted keys, row)
@@ -272,6 +279,8 @@ def _dumps(obj) -> str:
             return list(map(floats.__getitem__, values))
         if kinds == {int}:
             return list(map(int.__repr__, values))
+        if kinds == {bool}:
+            return list(map(("false", "true").__getitem__, values))
         pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth
         if all(issubclass(t, dict) for t in kinds) and len(keysets := set(map(tuple, values))) == 1:
             if not (keys := keysets.pop()):
@@ -315,12 +324,17 @@ def write_json(path: Path, obj) -> None:
     path.write_text(_dumps(obj) + "\n")
 
 
+#: Rows of a distribution CSV formatted at a time.  A row's texts take about
+#: 340 bytes while they are joined, so a block holds about 1.4 MB.
+CSV_BLOCK_ROWS = 1 << 12
+
+
 def emit_distribution(marked, probabilities, layout: GridLayout, values, path: Path) -> None:
     """Pre-measurement Born-rule distribution, one CSV row per grid index.
 
     ``marked`` is the round's mask and ``probabilities`` its ``(a, b)`` (see
-    ``minsearch.round_states``).  Rows are formatted a ``BLOCK_ROWS`` block at
-    a time, column by column, so no text of grid size is ever held.  Each
+    ``minsearch.round_states``).  Rows are formatted a ``CSV_BLOCK_ROWS`` block
+    at a time, column by column, so no text of grid size is ever held.  Each
     axis's 2^q level texts are formatted once and picked by level.
     """
     texts = (repr(probabilities[1]), repr(probabilities[0]))  # False -> b, True -> a
@@ -328,8 +342,8 @@ def emit_distribution(marked, probabilities, layout: GridLayout, values, path: P
     header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, layout.size, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, layout.size)
+        for start in range(0, layout.size, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, layout.size)
             idx = np.arange(start, stop)
             levels = zip(axes, layout.level_fields(idx))
             columns = [
@@ -342,9 +356,11 @@ def emit_distribution(marked, probabilities, layout: GridLayout, values, path: P
 
 
 def _round_points(layout: GridLayout, results: list[SearchResult]) -> list[list]:
-    """Each search's round points, as lists, from one ``decode_batch`` over all of them."""
+    """Each search's round points, as lists, from one ``decode_batch`` over the
+    distinct cells of all their rounds; rounds that measured one cell share its list."""
     rounds = [result.trace.rounds for result in results]
-    points = layout.decode_batch(np.array([r.index for rs in rounds for r in rs])).tolist()
+    cells, which = np.unique([r.index for rs in rounds for r in rs], return_inverse=True)
+    points = list(map(layout.decode_batch(cells).tolist().__getitem__, which.tolist()))
     return [points[end - len(rs) : end] for rs, end in zip(rounds, accumulate(map(len, rounds)))]
 
 
@@ -600,7 +616,9 @@ def _run_config(args) -> dict:
     return config
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="grovermin",
         description="Simulated Grover minimum search, drawn from closed-form amplitudes.",

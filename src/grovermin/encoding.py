@@ -32,6 +32,8 @@ BLOCK_ROWS = 1 << 16
 
 def _is_int(value) -> bool:
     """True for a Python or numpy integer, False for a bool (JSON true/false)."""
+    if type(value) is int:  # the common case, without the ABC check
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
@@ -136,9 +138,12 @@ class GridLayout:
         return len(self.variables)
 
     def levels(self, index: int) -> tuple[int, ...]:
+        """Each variable's level at a basis index; refuses what ``decode`` refuses."""
+        if not _is_int(index):
+            raise ValueError(f"index must be an integer, got {index!r}")
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} outside [0, {self.size})")
-        return tuple(self.level_fields(index))
+        return tuple(self.level_fields(int(index)))
 
     def level_fields(self, indices) -> Iterator:
         """Each variable's level field of ``indices`` (an int or an int array), in turn.

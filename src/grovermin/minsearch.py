@@ -4,21 +4,29 @@ A round's marked set is every index whose objective value is at or below
 the current threshold, the best value measured so far (round 1's threshold
 is inf, so it marks everything).  The round applies its scheduled number of
 amplification steps to the uniform superposition and measures once.  The
-measurement is drawn in closed form (``grover.sample``): from the uniform
-state every marked cell ends with the same probability and so does every
-unmarked cell, so the search builds no 2**n register.  The threshold only
+measurement is drawn in closed form (``grover.sample``, from the round's
+one ``rng.random()``): from the uniform state every marked cell ends with
+the same probability and so does every unmarked cell, so the search builds
+no 2**n register.  Those two probabilities come from the bounded memo of
+``grover.class_probabilities``, which every run of an ensemble and
+``round_states`` share, so a round whose (m, N, k) an earlier round or run
+met finds the pair there while the memo still holds it.  The threshold only
 falls, so each marked set lies inside the last one: the search keeps the
 marked indices as one sorted array and narrows it to the cells still under
 the threshold, instead of rescanning the grid every round.  Rounds record
 indices; the search decodes only its best point.  The round budget comes
-from a Schedule; termination from a StopRule.  ``round_states`` replays a
-finished search's rounds as marked masks and class probabilities.
+from a Schedule, walked once as ``Schedule.steps``; termination from a
+StopRule, whose limits the loop reads once per search.  ``round_states``
+replays a finished search's rounds as marked masks and class probabilities.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain, count, islice, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -68,20 +76,25 @@ class Schedule:
             if any(e < 0 for e in self.entries):
                 raise ValueError(f"schedule entries must be >= 0: {self.entries}")
 
+    def steps(self) -> Iterator[tuple[int, bool]]:
+        """``(iterations, extended)`` for rounds 1, 2, ...; ends only where a
+        custom list does.  ``extended`` marks a Baritompa round past the list."""
+        if self.kind == "baritompa":
+            last = (BARITOMPA_ENTRIES[-1], True)
+            return chain(zip(BARITOMPA_ENTRIES, repeat(False)), repeat(last))
+        if self.kind == "incremental":
+            counts = count(1)
+        elif self.kind == "constant":
+            counts = repeat(self.constant)
+        else:
+            counts = iter(self.entries)
+        return zip(counts, repeat(False))
+
     def iterations(self, round_index: int) -> int | None:
         """Step count for 1-based ``round_index``; None once exhausted."""
         if round_index < 1:
             raise ValueError(f"round_index must be >= 1, got {round_index}")
-        if self.kind == "incremental":
-            return round_index
-        if self.kind == "constant":
-            return self.constant
-        entries = BARITOMPA_ENTRIES if self.kind == "baritompa" else self.entries
-        if round_index <= len(entries):
-            return entries[round_index - 1]
-        if self.kind == "baritompa":
-            return entries[-1]
-        return None
+        return next(islice(self.steps(), round_index - 1, None), (None,))[0]
 
     def is_extended(self, round_index: int) -> bool:
         """True when the round reuses the final list entry past its end."""
@@ -161,7 +174,7 @@ class SearchTrace:
 
     @property
     def total_iterations(self) -> int:
-        return sum(r.iterations for r in self.rounds)
+        return sum(map(attrgetter("iterations"), self.rounds))
 
 
 @dataclass
@@ -209,6 +222,11 @@ def adapted_grover_min(
     threshold is the best value measured.
     """
     values = layout.objective_values(objective, values)
+    value_at, size, draw, random = values.item, layout.size, sample, rng.random
+    # A rule left out never fires: no stall or round count reaches inf.
+    target = stop.target
+    stall_window = stop.stall_window or math.inf
+    max_rounds = stop.max_rounds or math.inf
 
     threshold = math.inf
     best_index = -1
@@ -216,6 +234,7 @@ def adapted_grover_min(
     total_iterations = 0
     stall = 0
     trace = SearchTrace()
+    record = trace.rounds.append
     converged = False
     # ``marks``: sorted indices of the cells marked at ``marks_threshold``,
     # which stays None until the first amplified round scans the grid.
@@ -223,12 +242,7 @@ def adapted_grover_min(
     marks = np.empty(0, dtype=np.int64)
     marks_threshold = None
 
-    round_index = 0
-    while True:
-        round_index += 1
-        k = schedule.iterations(round_index)
-        if k is None:
-            break  # schedule exhausted: converged stays False
+    for round_index, (k, extended) in enumerate(schedule.steps(), 1):
         # A k = 0 round measures the uniform state whatever is marked, so the
         # marked set is brought up to date only before a round that amplifies.
         # The threshold only falls: the new set is the part of the last one
@@ -239,36 +253,25 @@ def adapted_grover_min(
             else:
                 marks = marks[_under(values[marks], threshold, strict)]
             marks_threshold = threshold
-        idx = sample(marks, layout.size, k, rng)
-        value = float(values[idx])
-        new_threshold = min(threshold, value)
-        trace.rounds.append(
-            RoundRecord(
-                round=round_index,
-                iterations=k,
-                extended=schedule.is_extended(round_index),
-                index=idx,
-                value=value,
-                threshold_before=threshold,
-                threshold_after=new_threshold,
-            )
-        )
+        idx = draw(marks, size, k, random())
+        value = value_at(idx)
         total_iterations += k
         if value < threshold:
+            record(RoundRecord(round_index, k, extended, idx, value, threshold, value))
+            threshold = value
             stall = 0
             best_index = idx
             iterations_to_best = total_iterations
+            if target is not None and threshold <= target:
+                converged = True
+                break
         else:
+            record(RoundRecord(round_index, k, extended, idx, value, threshold, threshold))
             stall += 1
-        threshold = new_threshold
-
-        if stop.target is not None and threshold <= stop.target:
-            converged = True
-            break
-        if stop.stall_window is not None and stall >= stop.stall_window:
-            converged = True
-            break
-        if stop.max_rounds is not None and round_index >= stop.max_rounds:
+            if stall >= stall_window:
+                converged = True
+                break
+        if round_index >= max_rounds:
             break
 
     return SearchResult(

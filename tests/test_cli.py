@@ -241,7 +241,7 @@ def row_wise_distribution_csv(marked, probabilities, layout, values):
 
 def test_emit_distribution_matches_the_row_wise_formatter(monkeypatch, tmp_path):
     # A block size that divides nothing, so rounds span several partial blocks.
-    monkeypatch.setattr(cli, "BLOCK_ROWS", 300)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 300)
     setup = cli.build_setup(cli.DEFAULT_CONFIGS["gp"])
     values = setup.layout.objective_values(setup.objective)
     result = adapted_grover_min(
@@ -296,7 +296,7 @@ def test_emit_distributions_reads_the_sampler_probabilities(
 
 
 def test_writing_a_round_allocates_less_than_a_register(monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "BLOCK_ROWS", 1024)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1024)
     objective, layout = get_objective("gp"), square_layout(["x1", "x2"], -3.2, 3.0, 8)
     values = layout.objective_values(objective)
     result = adapted_grover_min(
@@ -314,6 +314,22 @@ def test_writing_a_round_allocates_less_than_a_register(monkeypatch, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * layout.size  # one complex128 register of 2**16 amplitudes
+
+
+def test_writing_a_round_holds_one_small_block_of_rows(tmp_path):
+    # The default block: one 8+8 round is 16 blocks of 4096 rows.  The texts of
+    # a 65536-row block took 21.4 MiB while they were joined.
+    objective, layout = get_objective("gp"), square_layout(["x1", "x2"], -3.2, 3.0, 8)
+    values = layout.objective_values(objective)
+    marked = values <= np.quantile(values, 0.01)
+    assert layout.size == 16 * cli.CSV_BLOCK_ROWS
+    tracemalloc.start()
+    try:
+        cli.emit_distribution(marked, (0.002, 1e-7), layout, values, tmp_path / "round.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_emit_distributions_without_out_exits_2_before_any_grid(capsys, refuse_allocation):
@@ -441,6 +457,8 @@ json_values = st.recursive(
 ])
 # A column longer than the writer's 32-value chunks, with lists of uneven length.
 @example([{"a": i / 4, "b": [i] * (i % 3), "c": [-0.0] * 2} for i in range(150)])
+# All-bool columns, bare and under a dict key; a numpy bool is not one.
+@example([[True, False, True], [{"x": False}, {"x": True}], [np.bool_(True), False]])
 def test_json_writer_matches_json_dumps(value):
     assert cli._dumps(value) == reference_json(value)
 

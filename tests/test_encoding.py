@@ -313,8 +313,11 @@ def test_non_integer_level_or_index_is_refused(bad):
         variable.level_to_value(bad)
     with pytest.raises(ValueError, match=re.escape(f"index must be an integer, got {bad!r}")):
         square_layout(["x", "y"], 0.0, 1.0, 2).decode(bad)
+    with pytest.raises(ValueError, match=re.escape(f"index must be an integer, got {bad!r}")):
+        square_layout(["x", "y"], 0.0, 1.0, 2).levels(bad)
     assert variable.level_to_value(np.int64(2)) == variable.level_to_value(2)
     assert GP_LAYOUT.decode(np.int64(3)) == GP_LAYOUT.decode(3)
+    assert GP_LAYOUT.levels(np.int64(523)) == GP_LAYOUT.levels(523) == (16, 11)
 
 
 def test_variable_validation():

@@ -173,6 +173,35 @@ def test_class_probabilities_sum_to_one():
                 assert abs(m * a + (size - m) * b - 1.0) < 1e-12
 
 
+def test_class_probabilities_memo_gives_the_formula_floats():
+    formula = class_probabilities.__wrapped__
+    class_probabilities.cache_clear()
+    keys = [
+        (m, size, k)
+        for size in (8, 512, 1024)
+        for m in (0, 1, 3, size // 2, size)
+        for k in (0, 1, 5)
+    ]
+    for key in keys + keys:  # a miss, then a hit
+        got = class_probabilities(*key)
+        assert got == formula(*key) and list(map(type, got)) == [float, float]
+    # A numpy count is a key of its own: the numpy floats it gets never
+    # reach a caller that passed a Python int.
+    assert class_probabilities(np.int64(7), 512, 2) == formula(np.int64(7), 512, 2)
+    assert list(map(type, class_probabilities(7, 512, 2))) == [float, float]
+    with pytest.raises(ValueError, match="iterations"):
+        class_probabilities(3, 512, -1)
+
+
+def test_class_probabilities_memo_stays_bounded():
+    class_probabilities.cache_clear()
+    for m in range(1, 3 * grover.CLASS_MEMO_SIZE):
+        class_probabilities(m, 1 << 12, 3)
+    info = class_probabilities.cache_info()
+    assert info.maxsize == grover.CLASS_MEMO_SIZE == info.currsize
+    assert info.misses == 3 * grover.CLASS_MEMO_SIZE - 1 and info.hits == 0
+
+
 def _marked_grid(num_qubits, seed):
     """Marked sets of 0, 1, a few, N/2, N-1 and N cells at seeded positions."""
     size = 1 << num_qubits
@@ -195,18 +224,9 @@ def test_sample_draws_what_the_dense_register_draws(num_qubits):
                 rng_b = np.random.default_rng([seed, k])
                 for _ in range(3):
                     probs = iterate(uniform_superposition(num_qubits), marked, k).probabilities()
-                    assert sample(marked.indices(), size, k, rng_a) == rng_b.choice(size, p=probs)
+                    draw = sample(marked.indices(), size, k, rng_a.random())
+                    assert draw == rng_b.choice(size, p=probs)
                 assert rng_a.random() == rng_b.random()
-
-
-class _FixedUniform:
-    """Stands in for a Generator whose ``random()`` returns ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 def test_sample_inverts_the_cdf_at_its_steps():
@@ -222,7 +242,7 @@ def test_sample_inverts_the_cdf_at_its_steps():
     lower = np.concatenate(([0.0], cdf[:-1]))
     for step in cdf[:-1]:
         for u in (np.nextafter(step, 0), step, np.nextafter(step, 1)):
-            i = sample(marked.indices(), size, k, _FixedUniform(u))
+            i = sample(marked.indices(), size, k, u)
             assert lower[i] - 1e-12 <= u <= cdf[i] + 1e-12
 
 
@@ -234,13 +254,13 @@ def test_sample_follows_born_rule():
     draws = 100_000
     counts = np.zeros(8)
     for _ in range(draws):
-        counts[sample(marked.indices(), 8, 1, rng)] += 1
+        counts[sample(marked.indices(), 8, 1, rng.random())] += 1
     assert stats.chisquare(counts, probs * draws).pvalue > 0.001
 
 
 def test_sample_validation():
     with pytest.raises(ValueError, match="iterations"):
-        sample(MarkedSet.from_indices(3, []).indices(), 8, -1, np.random.default_rng(0))
+        sample(MarkedSet.from_indices(3, []).indices(), 8, -1, 0.5)
 
 
 def test_engine_binds_nothing_from_the_dense_module():

@@ -3,11 +3,13 @@
 import json
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import grovermin.grover as grover
 import grovermin.minsearch as minsearch
 from grovermin import cli
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
@@ -430,24 +432,41 @@ def test_arity_mismatch_rejected():
 
 
 def test_run_ensemble_matches_manual_spawn():
-    setup = SearchSetup(
-        GOLDSTEIN_PRICE, GP_LAYOUT, Schedule("baritompa"), StopRule(stall_window=8)
-    )
-    stats_out = run_ensemble(setup, 5, base_seed=123)
-    values = GOLDSTEIN_PRICE.batch(GP_LAYOUT.all_points())
-    for child, result in zip(
-        np.random.SeedSequence(123).spawn(5), stats_out.results
+    # Each run of an ensemble is the search its spawned stream gives alone:
+    # nothing carries over from run to run, not even through the memo of
+    # class probabilities, so the runs are replayed in reverse after clearing it.
+    schedules = [Schedule("baritompa"), Schedule("incremental"), Schedule.parse([0, 2, 1, 3])]
+    stop = StopRule(stall_window=4, max_rounds=40)
+    outcomes = set()
+    for objective, layout in ((GOLDSTEIN_PRICE, GP_LAYOUT), (LJ_TRIMER, TIED_TRIMER_LAYOUT)):
+        values = objective.batch(layout.all_points())
+        for schedule in schedules:
+            for strict in (False, True):
+                setup = SearchSetup(objective, layout, schedule, stop, strict)
+                stats_out = run_ensemble(setup, 5, base_seed=123)
+                grover.class_probabilities.cache_clear()
+                children = np.random.SeedSequence(123).spawn(5)
+                for child, result in reversed(list(zip(children, stats_out.results))):
+                    manual = adapted_grover_min(
+                        objective, layout, schedule, stop, np.random.default_rng(child),
+                        values=values, strict=strict,
+                    )
+                    assert manual == result
+                    outcomes.add((schedule.kind, result.converged))
+    # Round 1 always improves, so the 4-entry list runs out before 4 stalls.
+    assert ("custom", False) in outcomes and ("baritompa", True) in outcomes
+
+
+def test_schedule_steps_are_its_rounds():
+    for schedule in (
+        Schedule("baritompa"), Schedule("incremental"), Schedule("constant", constant=2),
+        Schedule.parse([3, 0, 1]),
     ):
-        manual = adapted_grover_min(
-            setup.objective,
-            setup.layout,
-            setup.schedule,
-            setup.stop,
-            np.random.default_rng(child),
-            values=values,
-        )
-        assert manual.best_index == result.best_index
-        assert manual.num_rounds == result.num_rounds
+        steps = list(islice(schedule.steps(), 40))
+        rounds = range(1, len(steps) + 1)
+        assert steps == [(schedule.iterations(r), schedule.is_extended(r)) for r in rounds]
+        assert len(steps) == (3 if schedule.kind == "custom" else 40)
+    assert list(islice(Schedule("baritompa").steps(), 23, 26)) == [(5, False), (5, True), (5, True)]
 
 
 def test_run_ensemble_statistics():
