@@ -163,6 +163,14 @@ ARTIFACT_SHA256 = {
         "run_000.json": "aba6feffa83eb225",
         "run_001.json": "09768d1babee87ce",
     },
+    "run shubert-pivot --runs 2 --seed 5": {
+        "run_000.json": "4d454bb64829e505",
+        "run_001.json": "8bfcf4e3ad114989",
+    },
+    "run lj-grow --runs 2 --seed 5": {
+        "run_000.json": "80410a1a7140be87",
+        "run_001.json": "cb1a8022fdb00ce5",
+    },
 }
 
 
