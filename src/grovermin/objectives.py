@@ -158,20 +158,32 @@ def gp_eval(x1, x2):
     return (a * c)[()]  # a scalar pair in, a numpy scalar out
 
 
+#: Shubert's term index i = 1..5 and frequency i + 1, as columns, and the
+#: most elements of x whose five terms are held at once (2.5 MiB of terms).
+_SHUBERT_I = np.arange(1.0, 6.0)[:, None]
+_SHUBERT_FREQ = _SHUBERT_I + 1.0
+SHUBERT_BLOCK = 1 << 16
+
+
 def shubert_axis(x):
     """Shubert's per-axis factor: the terms i*cos((i+1)x + i), i = 1..5, added in order.
 
-    Elementwise over a scalar or an array of any shape.
+    Elementwise over a scalar or an array of any shape.  The five terms of a
+    block of x are rows of one array, so each block takes one ``np.cos``
+    call; ``np.add.reduce`` over those rows adds them one row after the
+    next, which is the left-to-right order of the written sum.
     """
     x = np.asarray(x, dtype=float)
-    total = (
-        np.cos(2 * x + 1)
-        + 2 * np.cos(3 * x + 2)
-        + 3 * np.cos(4 * x + 3)
-        + 4 * np.cos(5 * x + 4)
-        + 5 * np.cos(6 * x + 5)
-    )
-    return total[()]  # a scalar in, a numpy scalar out
+    flat = x.reshape(-1)
+    total = np.empty(flat.shape)
+    for start in range(0, flat.size, SHUBERT_BLOCK):
+        block = slice(start, start + SHUBERT_BLOCK)
+        terms = _SHUBERT_FREQ * flat[block]
+        terms += _SHUBERT_I
+        np.cos(terms, out=terms)
+        terms *= _SHUBERT_I
+        np.add.reduce(terms, axis=0, out=total[block])
+    return total.reshape(x.shape)[()]  # a scalar in, a numpy scalar out
 
 
 def lj_pair(r: float) -> float:
@@ -186,6 +198,15 @@ def _lj(r):
     # Vectorized pair energy without the positivity guard (callers pre-check).
     inv6 = np.asarray(r, dtype=float) ** -6
     return inv6 * inv6 - 2.0 * inv6
+
+
+def _lj_in_place(r: np.ndarray) -> np.ndarray:
+    """``_lj(r)`` bitwise, in one new array; overwrites the float array ``r``."""
+    np.power(r, -6, out=r)
+    energy = r * r
+    r *= 2.0
+    energy -= r
+    return energy
 
 
 @dataclass(frozen=True)
@@ -253,10 +274,7 @@ def _trimer_shared(b, a):
     np.sqrt(r, out=r)
     capped = ~(r > CONTACT_EPS)  # a NaN distance is capped too
     np.maximum(r, CONTACT_EPS, out=r)
-    np.power(r, -6, out=r)
-    energy = r * r
-    r *= 2.0
-    energy -= r
+    energy = _lj_in_place(r)
     energy += bonds
     energy[capped] = ENERGY_CAP
     return energy
@@ -285,24 +303,38 @@ def _free_atom_batch(geometry: ClusterGeometry, x, y, z) -> np.ndarray:
     The distance to each frozen atom is sqrt((dx*dx + dy*dy) + dz*dz),
     summed in place in that order, which is the order in which
     ``np.linalg.norm(diff, axis=-1)`` adds, so it is bitwise that norm.
+    The work is atom-major: one row of every point per frozen atom, so each
+    numpy call runs over all the points rather than over a short atom axis.
+    The energy is the fixed energy plus ``np.sum`` of the pair energies over
+    each point's atoms.  Below 8 atoms that sum adds one atom after the
+    next, which adding the rows in order repeats; from 8 on it adds in
+    blocks, so it runs on a point-major copy.
     """
     atoms = geometry.fixed_atoms
-    shape = np.broadcast(x, y, z).shape + (len(atoms),)
-    r, d = np.empty(shape), np.empty(shape)
-    np.subtract(np.asarray(x)[..., None], atoms[:, 0], out=r)
+    shape = np.broadcast(x, y, z).shape
+    # Atom j's coordinates broadcast against row j of each (k, *shape) array.
+    columns = atoms.T.reshape((3, len(atoms)) + (1,) * len(shape))
+    r, d = np.empty((len(atoms),) + shape), np.empty((len(atoms),) + shape)
+    np.subtract(x, columns[0], out=r)
     r *= r
-    for axis, c in ((1, y), (2, z)):
-        np.subtract(np.asarray(c)[..., None], atoms[:, axis], out=d)
+    for c, column in ((y, columns[1]), (z, columns[2])):
+        np.subtract(c, column, out=d)
         d *= d
         r += d
+    del d
     np.sqrt(r, out=r)
     close = r <= CONTACT_EPS
-    # Contact is rare, so the per-point test over the short atom axis runs
-    # only when some pair is close.
-    bad = close.any(axis=-1) if close.any() else False
+    # Contact is rare, so the per-point test over the atom rows runs only
+    # when some pair is close.
+    bad = close.any(axis=0) if close.any() else None
     np.maximum(r, CONTACT_EPS, out=r)
-    total = geometry.fixed_energy + np.sum(_lj(r), axis=-1)
-    return np.where(bad, ENERGY_CAP, total)
+    pair = _lj_in_place(r)
+    if len(atoms) < 8:
+        total = np.add.reduce(pair, axis=0)
+    else:
+        total = np.add.reduce(np.moveaxis(pair, 0, -1).copy(), axis=-1)
+    total += geometry.fixed_energy
+    return total if bad is None else np.where(bad, ENERGY_CAP, total)
 
 
 _REGISTRY = {

@@ -14,6 +14,7 @@ the hybrid for the next one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -127,6 +128,26 @@ def generate_probes(
     return ProbeSet(points, objective.batch(points))
 
 
+#: Entries of the ``selection_cost`` memo.  Without ties every generation of
+#: a search has the same key, so a few entries answer nearly every call.
+SELECTION_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=SELECTION_MEMO_SIZE, typed=True)
+def selection_cost(num_marked: int, size: int, quota: int) -> tuple[int, float]:
+    """``(k, rejected)`` for drawing ``quota`` of ``num_marked`` cells from one register.
+
+    k is the optimal step count for m = ``num_marked`` of N = ``size``
+    cells and ``rejected`` the expected unmarked draws before the quota-th
+    marked one (see ``select_pivots``).  It is pure, so it is kept in a
+    bounded memo.
+    """
+    k = optimal_iterations(num_marked, size)
+    a, b = class_probabilities(num_marked, size, k)
+    rates = a * np.arange(num_marked, num_marked - quota, -1, dtype=float)
+    return k, (size - num_marked) * (1.0 - float(np.prod(rates / (rates + b))))
+
+
 def select_pivots(
     probes: ProbeSet,
     fraction: float = PivotConfig.fraction,
@@ -148,7 +169,8 @@ def select_pivots(
     unmarked probe is drawn, and rejected, before the quota-th marked
     arrival with probability 1 - prod_{i<quota} a(m-i) / (a(m-i) + b).  So
     ``rejected_draws`` is the exact expectation (N - m) times that, and
-    ``grover_iterations`` is k per expected draw.
+    ``grover_iterations`` is k per expected draw; ``selection_cost`` gives
+    k and that expectation.
     """
     if rng is None:
         raise ValueError("an rng is required")
@@ -162,10 +184,7 @@ def select_pivots(
     marked = (probes.values <= threshold).nonzero()[0]
     m = len(marked)
     chosen = marked if m == quota else rng.choice(marked, size=quota, replace=False)
-    k = optimal_iterations(m, n)
-    a, b = class_probabilities(m, n, k)
-    rates = a * np.arange(m, m - quota, -1, dtype=float)
-    rejected = (n - m) * (1.0 - float(np.prod(rates / (rates + b))))
+    k, rejected = selection_cost(m, n, quota)
     return PivotState(
         points=probes.points.take(chosen, axis=0),
         values=probes.values.take(chosen),
@@ -177,21 +196,43 @@ def select_pivots(
 
 
 def boltzmann_weights(values: np.ndarray, kT: float = PivotConfig.kT) -> np.ndarray:
-    """Normalized weights proportional to exp(-f/kT), shifted for safety."""
+    """Normalized weights proportional to exp(-f/kT), shifted by the least value.
+
+    ValueError if there are no values or the least one is not finite (an
+    infinite or NaN least value leaves no weight to normalize).  Computed in
+    place in one array: (f - min) / -kT is bitwise -(f - min) / kT.
+    """
     if kT <= 0:
         raise ValueError(f"kT must be positive, got {kT}")
     values = np.asarray(values, dtype=float)
-    w = np.exp(-(values - values.min()) / kT)
-    return w / w.sum()
+    if not values.size:
+        raise ValueError("boltzmann_weights needs at least one value")
+    least = values.min()
+    if not math.isfinite(least):
+        raise ValueError(f"boltzmann_weights needs a finite least value, got {least}")
+    w = values - least
+    w /= -kT
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 #: Cells of the guide table that starts each inverse-CDF draw.  A power of
-#: two, so u * _GUIDE_CELLS and c / _GUIDE_CELLS are exact.
+#: two, so u * _GUIDE_CELLS and cdf * _GUIDE_CELLS are exact.
 _GUIDE_CELLS = 1024
-_GUIDE_EDGES = np.arange(_GUIDE_CELLS) / _GUIDE_CELLS
 
 #: How far the weights' exact sum may stray from 1.
 _WEIGHT_TOL = math.sqrt(np.finfo(float).eps)
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(np.arange(K) / K, side="right")``, K = ``_GUIDE_CELLS``, from counts.
+
+    cdf*K is exact, so an entry is <= c/K exactly when ceil(cdf*K) <= c:
+    guide[c] is the number of entries whose ceil(cdf*K) is at most c.
+    """
+    cells = np.ceil(cdf * _GUIDE_CELLS).astype(np.intp)
+    return np.bincount(cells, minlength=_GUIDE_CELLS + 1)[:_GUIDE_CELLS].cumsum()
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -205,8 +246,7 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     resolves each cell that holds at most one cdf entry, and the few keys
     still short of their answer go to ``searchsorted``.
     """
-    guide = cdf.searchsorted(_GUIDE_EDGES, side="right")
-    j = guide[(u * _GUIDE_CELLS).astype(np.intp)]
+    j = _guide_table(cdf)[(u * _GUIDE_CELLS).astype(np.intp)]
     j += cdf[j] <= u
     left = (cdf[j] <= u).nonzero()[0]
     if len(left):
@@ -240,7 +280,7 @@ def resample(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (m,):
         raise ValueError(f"weights must have shape ({m},), got {weights.shape}")
-    if not (weights >= 0).all():
+    if not weights.min(initial=0.0) >= 0:  # NaN fails too; an empty array fails the sum check
         raise ValueError("weights must be non-negative and not NaN")
     total = math.fsum(weights.tolist())
     if abs(total - 1.0) > _WEIGHT_TOL:

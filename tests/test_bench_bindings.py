@@ -19,7 +19,7 @@ import pytest
 from grovermin import baseline, cli, pivot
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
 from grovermin.minsearch import Schedule
-from grovermin.objectives import GOLDSTEIN_PRICE, SHUBERT
+from grovermin.objectives import GOLDSTEIN_PRICE, SHUBERT, Objective
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -104,3 +104,26 @@ def test_pivot_hybrid_growth_call_resolves():
     result = pivot.lj_growth(5, config, np.random.default_rng(0))
     assert [stage.num_atoms for stage in result.stages] == [3, 4, 5]
     assert result.final_positions.shape == (5, 3)
+
+
+def test_pivot_search_calls_each_layer_through_its_binding(monkeypatch):
+    # spans.py times pivot-hybrid's layers by rebinding these names; a loop
+    # that reached them any other way would leave those metrics at zero.
+    calls = dict.fromkeys(["select_pivots", "boltzmann_weights", "resample", "batch"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ["select_pivots", "boltzmann_weights", "resample"]:
+        monkeypatch.setattr(pivot, name, counting(name, getattr(pivot, name)))
+    monkeypatch.setattr(Objective, "batch", counting("batch", Objective.batch))
+    config = pivot.PivotConfig(max_generations=10)
+    result = pivot.pivot_grover_search(
+        SHUBERT, [(-10.0, 10.0), (-10.0, 10.0)], 6, config, np.random.default_rng(1)
+    )
+    assert result.num_generations == 10
+    assert calls == {"select_pivots": 10, "boltzmann_weights": 10, "resample": 10, "batch": 11}

@@ -245,7 +245,7 @@ def norm_free_atom(geometry, x, y, z):
     return np.where(bad, ENERGY_CAP, total)
 
 
-@pytest.mark.parametrize("num_fixed", [1, 3, 4, 5, 9])
+@pytest.mark.parametrize("num_fixed", [1, 3, 4, 5, 7, 8, 9])
 def test_free_atom_energy_is_bitwise_the_norm_formula(num_fixed):
     rng = np.random.default_rng(num_fixed)
     atoms = rng.uniform(-1.0, 1.0, size=(num_fixed, 3))
@@ -508,6 +508,32 @@ def test_batch_of_columns_peaks_no_higher_than_the_expression(objective, mib):
     finally:
         tracemalloc.stop()
     assert peak / 2**20 < mib + 0.05
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_shubert_factor_holds_a_block_of_terms_at_a_time():
+    # The values plus at most two 2.5 MiB blocks of five terms (a block is
+    # built before the last one is freed): 21 MiB for 2**21 elements, where
+    # the five-term sum written as one expression peaks at 48 MiB.
+    x = np.random.default_rng(61).uniform(-10.0, 10.0, size=(1 << 20, 2))
+    assert traced_peak(shubert_axis, x) <= x.nbytes + 5 * 2**20 + 4096
+
+
+def test_free_atom_batch_holds_three_atom_rows_at_most():
+    # Distances and squares, then distances, contact mask, pair energies and
+    # the values: 7.3 MiB for 10**5 points and 4 atoms.  The point-major
+    # version held five (points, atoms) arrays, 15.6 MiB.
+    pts = np.random.default_rng(67).uniform(-1.5, 1.5, size=(10**5, 3))
+    objective = free_atom_objective(build_fixed_core(4, 1.0))
+    assert traced_peak(objective.batch, pts) <= 3 * 8 * 4 * len(pts)
 
 
 def test_product_objective_is_the_product_of_its_factors():

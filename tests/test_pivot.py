@@ -126,6 +126,38 @@ def test_select_pivots_cost_accounting():
     assert 0 <= state.rejected_draws <= 500
 
 
+def test_selection_cost_memo_gives_the_formula_floats():
+    formula = pivot.selection_cost.__wrapped__
+    pivot.selection_cost.cache_clear()
+    keys = sorted({
+        (m, size, quota)
+        for size in (8, 512, 1024)
+        for m, quota in ((1, 1), (3, 2), (size // 8, size // 8), (size // 2, size // 4), (size, 1))
+    })
+    for key in keys + keys:  # a miss, then a hit
+        got = pivot.selection_cost(*key)
+        assert got == formula(*key) and list(map(type, got)) == [int, float]
+    assert pivot.selection_cost.cache_info().hits == len(keys)
+    # The memo is the cost select_pivots records, with no rng call of its own.
+    rng = np.random.default_rng(4)
+    probes = generate_probes(GP_BOX, 1024, rng, GOLDSTEIN_PRICE)
+    state = select_pivots(probes, rng=rng)
+    assert (state.optimal_k, state.rejected_draws) == formula(154, 1024, 154)
+    # A numpy count is a key of its own: its numpy floats reach no int caller.
+    pivot.selection_cost.cache_clear()
+    assert pivot.selection_cost(np.int64(154), 1024, 154) == formula(np.int64(154), 1024, 154)
+    assert list(map(type, pivot.selection_cost(154, 1024, 154))) == [int, float]
+
+
+def test_selection_cost_memo_stays_bounded():
+    pivot.selection_cost.cache_clear()
+    for m in range(1, 3 * pivot.SELECTION_MEMO_SIZE):
+        pivot.selection_cost(m, 1 << 12, 1)
+    info = pivot.selection_cost.cache_info()
+    assert info.maxsize == pivot.SELECTION_MEMO_SIZE == info.currsize
+    assert info.misses == 3 * pivot.SELECTION_MEMO_SIZE - 1 and info.hits == 0
+
+
 def test_select_pivots_amplified_success_level():
     # one step on 154/1024 marked lifts the marked mass to 0.8651...
     assert success_probability(154, 1024, 1) == pytest.approx(
@@ -336,6 +368,34 @@ def test_boltzmann_monotone_and_safe():
         boltzmann_weights(np.array([1.0]), kT=-1.0)
 
 
+@pytest.mark.parametrize(
+    "values, match",
+    [
+        ([], "at least one value"),
+        ([-np.inf, 1.0], "finite least value, got -inf"),
+        ([np.inf, np.inf], "finite least value, got inf"),
+        ([np.nan, 2.0], "finite least value, got nan"),
+        ([2.0, np.nan], "finite least value, got nan"),
+    ],
+)
+def test_boltzmann_refuses_what_it_cannot_weight(values, match):
+    with np.errstate(all="raise"):  # refused before any arithmetic warns
+        with pytest.raises(ValueError, match=match):
+            boltzmann_weights(np.array(values, dtype=float))
+
+
+def test_boltzmann_weights_an_infinite_value_zero():
+    # Only the least value must be finite: a larger infinite one gets no weight.
+    np.testing.assert_array_equal(boltzmann_weights(np.array([1.0, np.inf])), [1.0, 0.0])
+
+
+def test_boltzmann_in_place_is_bitwise_the_expression():
+    values = np.random.default_rng(8).uniform(-186.7, 210.0, 154)
+    for kT in (50.0, 0.5, 1e-3):
+        w = np.exp(-(values - values.min()) / kT)
+        assert boltzmann_weights(values, kT).tobytes() == (w / w.sum()).tobytes()
+
+
 def pivot_state_for_resampling(points, values, weights, sigma):
     state = PivotState(
         points=np.asarray(points, dtype=float),
@@ -475,6 +535,9 @@ def test_inverse_cdf_draw_is_searchsorted(name, weights):
     expected = np.searchsorted(cdf, u, side="right")
     np.testing.assert_array_equal(pivot._inverse_cdf(cdf, u), expected)
     assert expected.max() < len(weights)
+    # The count-built guide table is the binary searches it replaces.
+    searched = cdf.searchsorted(edges, side="right")
+    np.testing.assert_array_equal(pivot._guide_table(cdf), searched)
 
 
 @pytest.mark.parametrize(
