@@ -103,22 +103,18 @@ DEFAULT_CONFIGS = {
 EXPERIMENTS = tuple(DEFAULT_CONFIGS)
 
 
-class ConfigError(ValueError):
-    """A config value the CLI refuses itself; like every ValueError, it exits 2."""
-
-
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in out:
-            raise ConfigError(f"unknown config key {where!r}")
+            raise ValueError(f"unknown config key {where!r}")
         if not isinstance(out[key], dict):
             out[key] = value
         elif isinstance(value, dict):
             out[key] = _merge(out[key], value, where)
         else:
-            raise ConfigError(f"{where} must be an object, got {value!r}")
+            raise ValueError(f"{where} must be an object, got {value!r}")
     return out
 
 
@@ -129,18 +125,18 @@ def _integer(where: str, value, bits: int | None = None) -> int:
     else:
         ok, span = type(value) is int and 0 <= value < 2**bits, f"in [0, 2**{bits})"
     if not ok:
-        raise ConfigError(f"{where} must be an integer {span}, got {value!r}")
+        raise ValueError(f"{where} must be an integer {span}, got {value!r}")
     return value
 
 
 def _number(where: str, value) -> float:
     """``value`` as a float if a JSON number: neither a string nor true or false."""
     if type(value) not in (int, float):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+        raise ValueError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer literal past the float range
-        raise ConfigError(f"{where} must be finite, got an integer too large") from None
+        raise ValueError(f"{where} must be finite, got an integer too large") from None
 
 
 @functools.cache
@@ -161,10 +157,10 @@ def _build(section: str, cls, fields: dict, **extra):
     prefix = f"{section}." if section else ""
     for name in fields:
         if name not in hints:
-            raise ConfigError(f"unknown config key {prefix + name!r}")
+            raise ValueError(f"unknown config key {prefix + name!r}")
     for f in declared:
         if f.name not in {**fields, **extra} and f.default is f.default_factory is MISSING:
-            raise ConfigError(f"{section} needs the key {f.name!r}")
+            raise ValueError(f"{section} needs the key {f.name!r}")
     checked = {name: fields[name] for name in hints if name in fields}
     for name, value in checked.items():
         hint = hints[name]
@@ -175,31 +171,31 @@ def _build(section: str, cls, fields: dict, **extra):
         elif hint in (float, float | None):
             checked[name] = _number(prefix + name, value)
         elif hint is bool and type(value) is not bool:
-            raise ConfigError(f"{prefix}{name} must be true or false, got {value!r}")
+            raise ValueError(f"{prefix}{name} must be true or false, got {value!r}")
     return cls(**checked, **extra)
 
 
 def load_config(experiment: str, config_path: str | None) -> dict:
     """Built-in defaults for the experiment, overlaid with the JSON file."""
     if experiment not in DEFAULT_CONFIGS:
-        raise ConfigError(f"unknown experiment {experiment!r}; known: {EXPERIMENTS}")
+        raise ValueError(f"unknown experiment {experiment!r}; known: {EXPERIMENTS}")
     config = copy.deepcopy(DEFAULT_CONFIGS[experiment])
     if config_path is None:
         return config
     try:
         text = Path(config_path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
+        raise ValueError(f"cannot read config {config_path}: {exc}") from exc
     try:
         overrides = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise ValueError(
             f"{config_path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(overrides, dict):
-        raise ConfigError(f"{config_path}: top level must be an object")
+        raise ValueError(f"{config_path}: top level must be an object")
     if overrides.get("experiment", experiment) != experiment:
-        raise ConfigError(
+        raise ValueError(
             f"{config_path}: config is for experiment "
             f"{overrides['experiment']!r}, not {experiment!r}"
         )
@@ -211,11 +207,11 @@ def build_layout(config: dict) -> GridLayout:
     ``VariableSpec``, which checks its name and levels; ``GridLayout`` checks
     the register cap."""
     if not isinstance(config["layout"], list):
-        raise ConfigError(f"layout must be a list of variables, got {config['layout']!r}")
+        raise ValueError(f"layout must be a list of variables, got {config['layout']!r}")
     variables = []
     for i, spec in enumerate(config["layout"]):
         if not isinstance(spec, dict):
-            raise ConfigError(f"layout[{i}] must be an object, got {spec!r}")
+            raise ValueError(f"layout[{i}] must be an object, got {spec!r}")
         variables.append(_build(f"layout[{i}]", VariableSpec, spec))
     return GridLayout(variables)
 
@@ -232,19 +228,6 @@ def build_setup(config: dict) -> SearchSetup:
     )
 
 
-def _json_default(obj):
-    """The plain Python value written for a numpy array or scalar."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 class _FloatTexts(dict):
     """float -> its JSON text, formatted on first use; 0.0 == -0.0, so no zero is stored."""
 
@@ -257,7 +240,7 @@ class _FloatTexts(dict):
 
 
 def _dumps(obj) -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2, default=_json_default)``.
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``.
 
     That call always runs ``json``'s pure-Python encoder (its C encoder is used
     only without ``indent``), one value at a time.  ``texts`` encodes a column,
@@ -266,7 +249,8 @@ def _dumps(obj) -> str:
     depth); lists and tuples flatten into one column a level deeper; all-float,
     all-int and all-bool columns are one ``map``.  Each distinct float is
     formatted once per document, zeros excepted (0.0 == -0.0, but their texts
-    differ).  Dict keys must be ``str``; any other key raises TypeError.
+    differ).  Dict keys must be ``str``; any other key, or a leaf that is not
+    a JSON value (a numpy array, say), raises TypeError.
     """
     floats = _FloatTexts()
     layouts: dict[tuple, tuple[list, str]] = {}  # (keys, depth) -> (sorted keys, row)
@@ -312,7 +296,8 @@ def _dumps(obj) -> str:
             else ("true" if v else "false") if type(v) is bool
             else int.__repr__(v) if isinstance(v, int)
             else floats[v] if isinstance(v, float)
-            else texts([v if isinstance(v, (dict, list, tuple)) else _json_default(v)], depth)[0]
+            else texts([v], depth)[0] if isinstance(v, (dict, list, tuple))
+            else json.dumps(v)  # not a JSON value: raises json's own TypeError
             for v in values
         ]
 
@@ -414,8 +399,8 @@ def appendix_demo() -> dict:
     final = iterate(state, marked, 1)
     return {
         "layout": [vars(v) for v in layout.variables],
-        "grid_points": points,
-        "grid_values": values,
+        "grid_points": points.tolist(),
+        "grid_values": values.tolist(),
         "marked_index": reference.index,
         "marked_point": list(reference.point),
         "uniform": state.amplitudes.real.tolist(),
@@ -429,9 +414,9 @@ def appendix_demo() -> dict:
 def cmd_run(args, config: dict):
     experiment = config["experiment"]
     if args.emit_distributions and experiment not in MINSEARCH_EXPERIMENTS:
-        raise ConfigError(f"experiment {experiment!r} takes no --emit-distributions")
+        raise ValueError(f"experiment {experiment!r} takes no --emit-distributions")
     if args.emit_distributions and not args.out:
-        raise ConfigError("--emit-distributions needs --out")
+        raise ValueError("--emit-distributions needs --out")
 
     if experiment == "appendix-demo":
         demo = appendix_demo()
@@ -458,7 +443,7 @@ def cmd_run(args, config: dict):
         if args.emit_distributions:
             for v in setup.layout.variables:
                 if v.name in ("index", "value", "probability"):
-                    raise ConfigError(f"variable name {v.name!r} is a column of the distribution CSV")
+                    raise ValueError(f"variable name {v.name!r} is a column of the distribution CSV")
         values = setup.layout.objective_values(setup.objective)
         for run_id, rng in enumerate(rngs):
             result = adapted_grover_min(
@@ -537,7 +522,7 @@ def cmd_run(args, config: dict):
             "stages": [
                 {
                     "num_atoms": stage.num_atoms,
-                    "positions": stage.positions,
+                    "positions": stage.positions.tolist(),
                     "energy": stage.energy,
                     "box": stage.box,
                     "search_best": stage.search.best_value if stage.search else None,
@@ -548,7 +533,7 @@ def cmd_run(args, config: dict):
                 for stage in result.stages
             ],
             "final_energy": result.final_energy,
-            "final_positions": result.final_positions,
+            "final_positions": result.final_positions.tolist(),
             "total_iterations": result.total_iterations,
         }
         yield lines, {f"run_{run_id:03d}.json": trace}
@@ -560,7 +545,7 @@ def cmd_brute(args, config: dict):
     setup = build_setup(config)
     reference = grid_brute_min(setup.objective, setup.layout)
     payload = {"experiment": config["experiment"], **vars(reference)}
-    yield [json.dumps(payload, sort_keys=True, default=_json_default)], {"brute.json": payload}
+    yield [json.dumps(payload, sort_keys=True)], {"brute.json": payload}
 
 
 def cmd_ensemble(args, config: dict):
@@ -608,7 +593,7 @@ def _run_config(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             if key not in config:
-                raise ConfigError(f"experiment {config['experiment']!r} takes no --{key}")
+                raise ValueError(f"experiment {config['experiment']!r} takes no --{key}")
             config[key] = value
     for key, bits in (("seed", 64), ("runs", None)):
         if key in config:
@@ -672,7 +657,7 @@ def _out_dir(out: str | None) -> Path | None:
     path = Path(out)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
-        raise ConfigError(f"--out {out}: {existing} is not a directory")
+        raise ValueError(f"--out {out}: {existing} is not a directory")
     return path
 
 

@@ -4,10 +4,11 @@ Each variable gets ``q`` qubits and an endpoint-inclusive uniform grid of
 2**q levels: level k maps to ``lo + k*(hi - lo)/(2**q - 1)``, so level 0 is
 exactly ``lo`` and level 2**q - 1 is exactly ``hi``.  A register index packs
 the per-variable levels with the FIRST variable in the MOST significant
-bits, matching a tensor product written left to right.  ``GridLayout`` owns
-the grid rules: it refuses a register past the cap when built, and every
-decode goes through ``VariableSpec.level_values``, the one level map, or
-its scalar form ``level_to_value``.
+bits, matching a tensor product written left to right.  This module owns
+the grid rules: ``check_qubits`` is the one register cap, which grids,
+probe registers and the dense oracle share, and every decode goes through
+``VariableSpec.level_values``, the one level map, or its scalar form
+``level_to_value``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import check_finite
-from .statevector import check_qubits
+
+#: Largest register or grid accepted (16M cells).
+MAX_QUBITS = 24
 
 #: Most grid cells evaluated at a time (one slab).  A scan holds the slab it
 #: is working on and its objective's temporaries, never the whole grid's:
@@ -28,6 +31,16 @@ from .statevector import check_qubits
 #: values is about 3.3 blocks of float64 for Goldstein-Price, 2.3 for the LJ
 #: trimer and 1.3 for Shubert.
 BLOCK_ROWS = 1 << 16
+
+
+class RegisterTooLarge(ValueError):
+    """A register or grid past ``MAX_QUBITS``, refused before any 2**n allocation."""
+
+
+def check_qubits(num_qubits: int) -> None:
+    """Raise RegisterTooLarge if ``num_qubits`` exceeds ``MAX_QUBITS``."""
+    if num_qubits > MAX_QUBITS:
+        raise RegisterTooLarge(f"{num_qubits} qubits exceeds the register cap of {MAX_QUBITS}")
 
 
 def _is_int(value) -> bool:

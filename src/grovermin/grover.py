@@ -13,8 +13,9 @@ selection takes its expected cost from it (the pivots themselves are the
 classical quantile set), and the per-round distribution CSVs read it.
 It is pure, so it is computed once per (m, N, k) while its bounded memo
 holds the key, and all three readers share that memo.  Nothing here builds
-a register; the dense one in ``statevector`` is the oracle these formulas
-are tested against.
+or imports a register: the dense one in ``statevector`` is only the oracle
+these formulas are tested against, and the register cap is the grid
+module's (``encoding.check_qubits``).
 """
 
 from __future__ import annotations

@@ -40,7 +40,8 @@ class Objective:
     array; ``mesh`` maps each axis through g once.  Both fields are
     keyword-only; a function of one point is passed as a ``batch_fn`` through
     numpy's ``vectorize`` with ``otypes=[float]``.  A scalar call is a
-    one-row batch, and every path refuses NaN or infinite values.
+    one-row batch, and every path refuses NaN or infinite values, so the
+    functions run with numpy's floating-point warnings off.
     """
 
     name: str
@@ -62,10 +63,13 @@ class Objective:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"expected shape (npoints, {self.arity}), got {pts.shape}")
-        if self.factor is not None:
-            factors = np.asarray(self.factor(pts), dtype=float)
-            return self._checked(reduce(operator.mul, factors.T), pts.shape[:1])
-        return self._checked(self.batch_fn(*pts.T), pts.shape[:1])
+        with np.errstate(all="ignore"):  # a value that overflows is refused below
+            if self.factor is not None:
+                factors = np.asarray(self.factor(pts), dtype=float)
+                values = reduce(operator.mul, factors.T)
+            else:
+                values = self.batch_fn(*pts.T)
+        return self._checked(values, pts.shape[:1])
 
     def mesh(self, axes: list[np.ndarray]) -> np.ndarray:
         """Values on the C-order grid of 1-D ``axes``, one per variable, flattened.
@@ -73,14 +77,18 @@ class Objective:
         ``batch_fn`` sees the open mesh ``np.ix_(*axes)``, so a term that
         depends on one variable is computed once per level of that axis.
         """
-        if self.factor is not None:
-            return self.factor_mesh([self.factor(axis) for axis in axes])
-        grid = np.ix_(*axes)
-        return self._checked(self.batch_fn(*grid), np.broadcast(*grid).shape).reshape(-1)
+        with np.errstate(all="ignore"):
+            if self.factor is not None:
+                return self.factor_mesh([self.factor(axis) for axis in axes])
+            grid = np.ix_(*axes)
+            values = self.batch_fn(*grid)
+        return self._checked(values, np.broadcast(*grid).shape).reshape(-1)
 
     def factor_mesh(self, factors: list[np.ndarray]) -> np.ndarray:
         """A product objective's ``mesh``, given each axis already mapped through g."""
-        return check_finite(self.name, reduce(operator.mul, np.ix_(*factors)).reshape(-1))
+        with np.errstate(all="ignore"):
+            values = reduce(operator.mul, np.ix_(*factors))
+        return check_finite(self.name, values.reshape(-1))
 
     def _checked(self, values, shape: tuple[int, ...]) -> np.ndarray:
         """``values`` as a float array; ValueError unless it has ``shape`` and is finite."""
@@ -187,21 +195,18 @@ def shubert_axis(x):
 
 
 def lj_pair(r: float) -> float:
-    """Reduced-unit pair energy V(r) = r^-12 - 2 r^-6 (minimum -1 at r = 1)."""
-    if r <= 0:
+    """Reduced-unit pair energy V(r) = r^-12 - 2 r^-6 (minimum -1 at r = 1), by
+    libm's ``pow``, which can differ from numpy's (``_lj_in_place``) in the last bit."""
+    if not r > 0:  # a NaN separation is refused too
         raise ValueError(f"pair separation must be positive, got {r}")
     inv6 = r ** -6
     return inv6 * inv6 - 2.0 * inv6
 
 
-def _lj(r):
-    # Vectorized pair energy without the positivity guard (callers pre-check).
-    inv6 = np.asarray(r, dtype=float) ** -6
-    return inv6 * inv6 - 2.0 * inv6
-
-
 def _lj_in_place(r: np.ndarray) -> np.ndarray:
-    """``_lj(r)`` bitwise, in one new array; overwrites the float array ``r``."""
+    """The pair energy of each separation in the float array ``r``, in one new
+    array; overwrites ``r``.  Bitwise ``inv6 * inv6 - 2.0 * inv6`` with
+    ``inv6 = r ** -6`` in numpy, and no separation is checked."""
     np.power(r, -6, out=r)
     energy = r * r
     r *= 2.0
@@ -220,6 +225,8 @@ class ClusterGeometry:
         atoms = np.asarray(self.fixed_atoms, dtype=float)
         if atoms.ndim != 2 or atoms.shape[1] != 3:
             raise ValueError(f"fixed_atoms must have shape (k, 3), got {atoms.shape}")
+        if not np.isfinite(atoms).all():
+            raise ValueError(f"fixed_atoms must be finite, got {atoms.tolist()}")
         object.__setattr__(self, "fixed_atoms", atoms)
         energy = 0.0
         for i in range(len(atoms)):
@@ -261,14 +268,14 @@ def build_fixed_core(num_fixed: int, bond: float) -> ClusterGeometry:
 def _trimer_shared(b, a):
     """Trimer energy with both bonds ``b`` and the angle ``a`` between them.
 
-    Bitwise ``np.where(r12 > CONTACT_EPS, bonds + _lj(max(r12, CONTACT_EPS)),
-    ENERGY_CAP)`` with ``r12 = sqrt(max(2 b b (1 - cos a), 0))`` and
-    ``bonds = 2 * _lj(b)``: the same operations, with the full-size steps
-    done in place in one array and the pair energy in a second.
+    Bitwise ``np.where(r12 > CONTACT_EPS, bonds + V(max(r12, CONTACT_EPS)),
+    ENERGY_CAP)`` with ``r12 = sqrt(max(2 b b (1 - cos a), 0))``,
+    ``bonds = 2 * V(b)`` and V the pair energy of ``_lj_in_place``: the same
+    operations, with the full-size steps done in place in one array and the
+    pair energy in a second.  A zero bond gives inf or NaN in ``bonds``, and
+    the cap replaces exactly those cells.
     """
-    # A zero bond gives inf/nan in _lj(b); the cap replaces exactly those cells.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bonds = 2.0 * _lj(b)
+    bonds = 2.0 * _lj_in_place(np.array(b, dtype=float))
     r = 2.0 * b * b * (1.0 - np.cos(a))
     np.maximum(r, 0.0, out=r)
     np.sqrt(r, out=r)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import _is_int
+from .encoding import _is_int, check_qubits
 from .grover import class_probabilities, optimal_iterations
 from .objectives import (
     LJ_TRIMER,
@@ -32,7 +32,6 @@ from .objectives import (
     check_box,
     free_atom_objective,
 )
-from .statevector import check_qubits
 
 # Selection builds no register; perfbench/spans.py wraps these bindings, so they
 # stay until the benchmark is retargeted (ROADMAP item 1).

@@ -7,8 +7,7 @@ amplitude), plus the explicit matrices of P_s and P_t for small registers.
 No run path but the appendix demo builds it: the threshold search, pivot
 selection and the per-round distributions all take the two class
 probabilities in closed form (``grover``).  The dense register serves the
-appendix demo and the tests.  ``check_qubits`` is the one register cap, and
-grids and probe registers use it too.
+appendix demo and the tests, and it takes its register cap from ``encoding``.
 """
 
 from __future__ import annotations
@@ -17,24 +16,13 @@ from typing import Iterable
 
 import numpy as np
 
-#: Largest register the dense simulator accepts (16M amplitudes).
-MAX_QUBITS = 24
+from .encoding import check_qubits
 
 #: Constructor tolerance on the squared norm.
 NORM_TOL = 1e-8
 
 #: Cap for dense reference operators (test-scale only).
 MAX_DENSE_QUBITS = 6
-
-
-class RegisterTooLarge(ValueError):
-    """A register or grid past ``MAX_QUBITS``, refused before any 2**n allocation."""
-
-
-def check_qubits(num_qubits: int) -> None:
-    """Raise RegisterTooLarge if ``num_qubits`` exceeds ``MAX_QUBITS``."""
-    if num_qubits > MAX_QUBITS:
-        raise RegisterTooLarge(f"{num_qubits} qubits exceeds the register cap of {MAX_QUBITS}")
 
 
 class Statevector:

@@ -9,9 +9,8 @@ import pytest
 
 from grovermin import encoding
 from grovermin.baseline import RefinedMinimum, grid_brute_min, refine_min
-from grovermin.encoding import GridLayout, VariableSpec, square_layout
+from grovermin.encoding import MAX_QUBITS, GridLayout, VariableSpec, square_layout
 from grovermin.objectives import GOLDSTEIN_PRICE, LJ_TRIMER, SHUBERT, Objective, lj_pair
-from grovermin.statevector import MAX_QUBITS
 from test_encoding import EVALUATE_CASES, EVALUATE_IDS
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)

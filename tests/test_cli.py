@@ -422,7 +422,7 @@ def test_ensemble_detail_matches_run_artifacts(tmp_path, capsys):
 
 
 def reference_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, default=cli._json_default)
+    return json.dumps(obj, sort_keys=True, indent=2)
 
 
 json_scalars = (
@@ -465,26 +465,25 @@ json_values = st.recursive(
 ])
 # A column longer than the writer's 32-value chunks, with lists of uneven length.
 @example([{"a": i / 4, "b": [i] * (i % 3), "c": [-0.0] * 2} for i in range(150)])
-# All-bool columns, bare and under a dict key; a numpy bool is not one.
-@example([[True, False, True], [{"x": False}, {"x": True}], [np.bool_(True), False]])
+# All-bool columns, bare and under a dict key.
+@example([[True, False, True], [{"x": False}, {"x": True}]])
 def test_json_writer_matches_json_dumps(value):
     assert cli._dumps(value) == reference_json(value)
 
 
-def test_json_writer_matches_json_dumps_on_numpy_values():
-    value = {
-        "f64": np.float64(0.1),
-        "f32": np.float32(0.1),
-        "i64": np.int64(-7),
-        "bool": np.bool_(True),
-        "nan": np.float64("nan"),
-        "matrix": np.arange(6.0).reshape(2, 3),
-        "mask": np.array([[True, False]]),
-        "ints": np.arange(3),
-        "empty": [np.zeros(0), {}, ()],
-        "nested": [{"b": np.float32(2.5), "a": (np.int32(1), np.bool_(False))}],
-    }
-    assert cli._dumps(value) == reference_json(value)
+@pytest.mark.parametrize(
+    "leaf",
+    [np.arange(3), np.bool_(True), np.int64(-7), np.float32(0.5), {1}, object()],
+    ids=["ndarray", "bool_", "int64", "float32", "set", "object"],
+)
+def test_json_writer_refuses_what_json_dumps_refuses(leaf):
+    # A float subclass such as np.float64 is a JSON number to both; other
+    # numpy values are not, and the artifacts convert theirs with tolist().
+    for value in ([leaf], {"a": [1.0, leaf]}):
+        with pytest.raises(TypeError) as expected:
+            reference_json(value)
+        with pytest.raises(TypeError, match=f"^{expected.value}$"):
+            cli._dumps(value)
 
 
 @pytest.mark.parametrize(
@@ -982,6 +981,22 @@ def test_oversized_register_exits_2_before_allocating(
             "layout[1] needs the key 'qubits'",
         ),
         ("lj-grow", {"growth": {"trimer_qubits": 1}}, "trimer_qubits must be >= 2, got 1"),
+        pytest.param("gp", {"stop": 5}, "stop must be an object, got 5", id="stop-not-object"),
+        pytest.param(
+            "shubert-pivot", {"pivot": [1]}, "pivot must be an object, got [1]", id="pivot-not-object"
+        ),
+        # GP overflows on all 8 cells: numpy's warnings must not precede the one line.
+        pytest.param(
+            "gp",
+            {
+                "layout": [
+                    {"name": "x1", "lo": 1e300, "hi": 1.0000001e300, "qubits": 2},
+                    {"name": "x2", "lo": -3.2, "hi": 3.0, "qubits": 1},
+                ]
+            },
+            "objective 'gp' gave 8 non-finite values",
+            id="gp-overflow",
+        ),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(

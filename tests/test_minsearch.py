@@ -12,7 +12,7 @@ from scipy import stats
 import grovermin.grover as grover
 import grovermin.minsearch as minsearch
 from grovermin import cli
-from grovermin.encoding import GridLayout, VariableSpec, square_layout
+from grovermin.encoding import GridLayout, RegisterTooLarge, VariableSpec, square_layout
 from grovermin.grover import success_probability
 from grovermin.minsearch import (
     BARITOMPA_ENTRIES,
@@ -27,7 +27,7 @@ from grovermin.minsearch import (
     spawn_rngs,
 )
 from grovermin.objectives import ENERGY_CAP, GOLDSTEIN_PRICE, LJ_TRIMER, Objective
-from grovermin.statevector import MarkedSet, RegisterTooLarge, iterate, uniform_superposition
+from grovermin.statevector import MarkedSet, iterate, uniform_superposition
 
 GP_LAYOUT = square_layout(["x", "y"], -3.2, 3.0, 5)
 

@@ -79,6 +79,8 @@ def test_lj_pair_rejects_nonpositive():
         lj_pair(0.0)
     with pytest.raises(ValueError, match="positive"):
         lj_pair(-1.0)
+    with pytest.raises(ValueError, match="positive, got nan"):
+        lj_pair(math.nan)
 
 
 def trimer_reference(b1, b2, a1):
@@ -210,6 +212,10 @@ def test_cluster_geometry_rejects_coincident_atoms():
         ClusterGeometry(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="shape"):
         ClusterGeometry(np.zeros((2, 2)))
+    for hole in (math.nan, math.inf):
+        atoms = [[hole, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        with pytest.raises(ValueError, match=r"^fixed_atoms must be finite, got \[\["):
+            ClusterGeometry(atoms)
 
 
 def test_free_atom_objective_arities():
@@ -409,7 +415,8 @@ def trimer_expression(b, a):
     # The reference for LJ_TRIMER's kernel, in plain numpy expressions.
     r12_sq = 2.0 * b * b * (1.0 - np.cos(a))
     r12 = np.sqrt(np.maximum(r12_sq, 0.0))
-    # A zero bond gives inf/nan in _lj(b); the cap replaces exactly those cells.
+    # A zero bond gives inf/nan in lj_expression(b); the cap replaces exactly
+    # those cells.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bonds = 2.0 * lj_expression(b)
     return np.where(
@@ -481,16 +488,17 @@ def test_gp_in_place_is_bitwise_the_expression_on_scalars():
 
 def test_trimer_in_place_caps_exactly_the_expression_cells():
     # A zero bond, the collinear angle, a coincident third pair (tiny angle)
-    # and NaN in either coordinate, which gives ENERGY_CAP.
+    # and NaN in either coordinate, which gives ENERGY_CAP.  The kernel runs
+    # through ``batch`` and ``mesh``, which silence the zero bond's overflow.
     b = np.array([0.0, 1.0, 1.0, 1.0, np.nan, 1.5, 1e-4])
     a = np.array([1.0, math.pi, 1e-12, np.nan, 1.0, math.pi, 1e-4])
-    b, a = read_only(b, a)
-    energy = LJ_TRIMER.batch_fn(b, a)
+    b, a, pts = read_only(b, a, np.column_stack([b, a]))
+    energy = LJ_TRIMER.batch(pts)
     assert_same_bits(energy, trimer_expression(b, a))
     assert energy.tolist()[0] == ENERGY_CAP and energy.tolist()[2:5] == [ENERGY_CAP] * 3
     assert max(energy[1], energy[5]) < ENERGY_CAP  # collinear cells are not capped
     rows, cols = np.ix_(b, a)
-    assert_same_bits(LJ_TRIMER.batch_fn(rows, cols), trimer_expression(rows, cols))
+    assert_same_bits(LJ_TRIMER.mesh([b, a]), trimer_expression(rows, cols).reshape(-1))
 
 
 @pytest.mark.parametrize(
@@ -607,9 +615,10 @@ def test_check_finite_passes_finite_values_without_a_mask():
 )
 def test_scalar_call_rejects_non_finite_values(objective, coords):
     # A scalar call is a one-row batch, so it fails with the batch's message;
-    # GP at 1e200 overflows to inf, which is the value under test.
+    # GP at 1e200 overflows to inf, which is the value under test, and
+    # without a warning.
     message = f"objective '{objective.name}' gave 1 non-finite values"
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message):
         objective(*coords)
 
 

@@ -6,6 +6,7 @@ import dataclasses
 from pathlib import Path
 
 import grovermin
+import grovermin.cli as cli
 import grovermin.grover as grover
 import grovermin.objectives as objectives
 import grovermin.statevector as statevector
@@ -32,7 +33,9 @@ def test_removed_dense_api_is_gone():
     # path decodes indices and evaluates objectives in batches, so the
     # point-to-index encoder and the scalar second copies of the trimer,
     # cluster and Shubert formulas were deleted too: one implementation per
-    # objective, one direction for the grid codec.
+    # objective, one direction for the grid codec.  The register cap lives in
+    # the grid module, the CLI raises plain ValueErrors and writes only JSON
+    # values, and the vector pair energy has one in-place form.
     gone = ["amplify", "measured_success_probability", "phase_flip", "diffusion"]
     gone += ["cluster_energy", "shubert_eval", "trimer_energy"]
     removed = [
@@ -58,10 +61,32 @@ def test_removed_dense_api_is_gone():
         (GridLayout, "encode"),
         (VariableSpec, "value_to_level"),
         (ClusterGeometry, "num_fixed"),
+        (cli, "ConfigError"),
+        (cli, "_json_default"),
+        (objectives, "_lj"),
+        (statevector, "MAX_QUBITS"),
+        (statevector, "RegisterTooLarge"),
     ]
     present = [f"{owner.__name__}.{name}" for owner, name in removed if hasattr(owner, name)]
     assert present == []
     assert set(gone).isdisjoint(grovermin.__all__)
+
+
+def test_only_the_cli_imports_the_dense_oracle():
+    # The dense statevector is a cross-check, not the engine: apart from the
+    # package's re-exports and the benchmark's ``# noqa: F401`` shim lines,
+    # only the CLI's appendix demo imports it.
+    importers = []
+    for path in sorted(Path(grovermin.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and "statevector" in (
+                node.module, *(alias.name for alias in node.names)
+            ):
+                if "# noqa: F401" not in lines[node.end_lineno - 1]:
+                    importers.append(path.name)
+    assert importers == ["__init__.py", "cli.py"]
 
 
 def test_objective_has_two_kinds_and_no_scalar_fn():

@@ -8,9 +8,10 @@ import pytest
 
 import grovermin.pivot as pivot
 import grovermin.statevector as statevector
+from grovermin.encoding import RegisterTooLarge
 from grovermin.grover import optimal_iterations, success_probability
 from grovermin.objectives import ClusterGeometry, GOLDSTEIN_PRICE, SHUBERT, Objective, lj_pair
-from grovermin.statevector import MarkedSet, RegisterTooLarge, iterate, uniform_superposition
+from grovermin.statevector import MarkedSet, iterate, uniform_superposition
 from grovermin.pivot import (
     TRIMER_BOX,
     GrowthConfig,

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grovermin.encoding import MAX_QUBITS, RegisterTooLarge
 from grovermin.statevector import (
     MAX_DENSE_QUBITS,
-    MAX_QUBITS,
     MarkedSet,
-    RegisterTooLarge,
     Statevector,
     dense_reference_operators,
     iterate,
