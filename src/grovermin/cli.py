@@ -7,8 +7,10 @@ config file and a handful of flags override the defaults.  Each command is
 a generator that only computes: it yields ``(stdout lines, {file name:
 artifact})`` items, and ``main`` alone loads the config, prints the lines
 and writes the artifacts under ``--out``.  All output is deterministic for
-a fixed (config, seed) pair: traces are JSON with sorted keys, histograms
-and distributions are CSV, and nothing time-dependent is ever written.
+a fixed (config, seed) pair: traces are compact JSON with sorted keys
+(``write_json``), histograms and distributions are CSV, and nothing
+time-dependent is ever written.  A search trace's rounds carry each
+measured index but not its point, which ``GridLayout.decode`` gives.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import json
 import sys
 import typing
 from dataclasses import MISSING, asdict
-from itertools import accumulate
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -228,85 +228,15 @@ def build_setup(config: dict) -> SearchSetup:
     )
 
 
-class _FloatTexts(dict):
-    """float -> its JSON text, formatted on first use; 0.0 == -0.0, so no zero is stored."""
-
-    def __missing__(self, v):
-        text = float.__repr__(v)
-        text = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-        if v:
-            self[v] = text
-        return text
-
-
-def _dumps(obj) -> str:
-    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``.
-
-    That call always runs ``json``'s pure-Python encoder (its C encoder is used
-    only without ``indent``), one value at a time.  ``texts`` encodes a column,
-    up to 32 values at one depth, at once: dicts that share a key set split into
-    one column per sorted key, joined into rows by one ``%`` template per (keys,
-    depth); lists and tuples flatten into one column a level deeper; all-float,
-    all-int and all-bool columns are one ``map``.  Each distinct float is
-    formatted once per document, zeros excepted (0.0 == -0.0, but their texts
-    differ).  Dict keys must be ``str``; any other key, or a leaf that is not
-    a JSON value (a numpy array, say), raises TypeError.
-    """
-    floats = _FloatTexts()
-    layouts: dict[tuple, tuple[list, str]] = {}  # (keys, depth) -> (sorted keys, row)
-
-    def texts(values: list, depth: int) -> list[str]:
-        if len(values) > 32:  # short columns: fewer small texts alive at once, a lower peak RSS
-            return [t for i in range(0, len(values), 32) for t in texts(values[i : i + 32], depth)]
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            return list(map(floats.__getitem__, values))
-        if kinds == {int}:
-            return list(map(int.__repr__, values))
-        if kinds == {bool}:
-            return list(map(("false", "true").__getitem__, values))
-        pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-        if all(issubclass(t, dict) for t in kinds) and len(keysets := set(map(tuple, values))) == 1:
-            if not (keys := keysets.pop()):
-                return ["{}"] * len(values)
-            if (layout := layouts.get((keys, depth))) is None:
-                if bad := [k for k in keys if not isinstance(k, str)]:
-                    raise TypeError(f"keys must be str, not {type(bad[0]).__name__}")
-                order = sorted(keys)
-                items = [f"{pad}{encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in order]
-                layout = layouts[keys, depth] = (order, f"{{{','.join(items)}{end}}}")
-            order, row = layout
-            columns = [texts([d[k] for d in values], depth + 1) for k in order]
-            return list(map(row.__mod__, zip(*columns)))
-        if all(issubclass(t, (list, tuple)) for t in kinds):
-            if not any(lengths := list(map(len, values))):
-                return ["[]"] * len(values)
-            items = texts([x for v in values for x in v], depth + 1)
-            if lengths.count(n := lengths[0]) == len(lengths):
-                row = f"[{pad}{(',' + pad).join(['%s'] * n)}{end}]"
-                return list(map(row.__mod__, zip(*[iter(items)] * n)))
-            ends = list(accumulate(lengths, initial=0))
-            return [
-                f"[{pad}{(',' + pad).join(items[i:j])}{end}]" if j > i else "[]"
-                for i, j in zip(ends, ends[1:])
-            ]
-        return [
-            encode_basestring_ascii(v) if isinstance(v, str)
-            else "null" if v is None
-            else ("true" if v else "false") if type(v) is bool
-            else int.__repr__(v) if isinstance(v, int)
-            else floats[v] if isinstance(v, float)
-            else texts([v], depth)[0] if isinstance(v, (dict, list, tuple))
-            else json.dumps(v)  # not a JSON value: raises json's own TypeError
-            for v in values
-        ]
-
-    return texts([obj], 0)[0]
-
-
 def write_json(path: Path, obj) -> None:
-    """Write ``obj`` as sorted-key, two-space-indented JSON (see ``_dumps``)."""
-    path.write_text(_dumps(obj) + "\n")
+    """Write ``obj`` as compact JSON with sorted keys and a final newline.
+
+    This is the stdlib's C encoder: floats as ``float.__repr__`` (``NaN`` and
+    ``Infinity`` as JSON's extensions) and non-ASCII text as ``\\u`` escapes.
+    Every artifact is a tree the CLI builds, so no circular check is run."""
+    path.write_text(
+        json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    )
 
 
 #: Rows of a distribution CSV formatted at a time.  A row's texts take about
@@ -340,20 +270,8 @@ def emit_distribution(marked, probabilities, layout: GridLayout, values, path: P
             fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _round_points(layout: GridLayout, results: list[SearchResult]) -> list[list]:
-    """Each search's round points, as lists, from one ``decode_batch`` over the
-    distinct cells of all their rounds; rounds that measured one cell share its list."""
-    rounds = [result.trace.rounds for result in results]
-    cells, which = np.unique([r.index for rs in rounds for r in rs], return_inverse=True)
-    points = list(map(layout.decode_batch(cells).tolist().__getitem__, which.tolist()))
-    return [points[end - len(rs) : end] for rs, end in zip(rounds, accumulate(map(len, rounds)))]
-
-
-def search_result_json(
-    result: SearchResult, points: list, run_id: int, seed: int, config: dict
-) -> dict:
-    """A search's JSON trace; ``points`` holds its rounds' points (``_round_points``)."""
-    rounds = result.trace.rounds
+def search_result_json(result: SearchResult, run_id: int, seed: int, config: dict) -> dict:
+    """A search's JSON trace.  A round's point is ``layout.decode(index)``."""
     return {
         "run_id": run_id,
         "seed": seed,
@@ -365,11 +283,10 @@ def search_result_json(
                 "iterations": r.iterations,
                 "extended": r.extended,
                 "index": r.index,
-                "point": point,
                 "value": r.value,
                 "threshold": r.threshold_after,
             }
-            for r, point in zip(rounds, points)
+            for r in result.trace.rounds
         ],
         "best_value": result.best_value,
         "best_index": result.best_index,
@@ -461,11 +378,10 @@ def cmd_run(args, config: dict):
                 f"rounds={result.num_rounds} total_iterations={result.total_iterations} "
                 f"converged={result.converged}"
             )
-            if not args.out:  # a trace decodes every round point; build it only to write it
+            if not args.out:  # nothing reads a trace that is not written
                 yield [line], {}
                 continue
-            points = _round_points(setup.layout, [result])[0]
-            trace = search_result_json(result, points, run_id, seed, config)
+            trace = search_result_json(result, run_id, seed, config)
             yield [line], {f"run_{run_id:03d}.json": trace}
             # Streamed after the run's trace is written, a block at a time.
             if args.emit_distributions:
@@ -561,7 +477,7 @@ def cmd_ensemble(args, config: dict):
         f"median_total_iterations={stats.median_total_iterations!r} "
         f"mean_iterations_to_best={stats.mean_iterations_to_best!r}"
     )
-    if not args.out:  # the detail decodes every run's rounds; build it only to write it
+    if not args.out:  # nothing reads the detail that is not written
         yield [line], {}
         return
     histogram = sorted(stats.rounds_histogram.items())
@@ -574,10 +490,8 @@ def cmd_ensemble(args, config: dict):
         # String keys, as JSON writes them, so sort_keys orders them as text.
         "rounds_histogram": {str(k): n for k, n in histogram},
         "runs_detail": [
-            search_result_json(result, points, run_id, seed, config)
-            for run_id, (result, points) in enumerate(
-                zip(stats.results, _round_points(setup.layout, stats.results))
-            )
+            search_result_json(result, run_id, seed, config)
+            for run_id, result in enumerate(stats.results)
         ],
     }
     yield [line], {

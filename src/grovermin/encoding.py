@@ -215,13 +215,12 @@ class GridLayout:
 
         A slab holds at most ``BLOCK_ROWS`` cells: the levels of the leading
         axes are fixed, one axis takes a run of levels and every later axis
-        is taken whole, so the slab is an open mesh of short per-axis vectors
-        (``Objective.mesh``).  A product objective's factor is mapped over
-        each axis once and the slab is the open-mesh product of factor slices
-        (``Objective.factor_mesh``).  An axis of more than ``BLOCK_ROWS``
-        levels is mapped one slab's slice at a time instead, so no per-axis
-        table outgrows a block.  The values are bitwise those of
-        ``objective.batch`` at the slab's points.  A
+        is taken whole, so the slab is ``Objective.mapped_mesh`` of short
+        slices of per-axis tables, each axis mapped once by
+        ``Objective.map_axis`` (through a product objective's factor).  An
+        axis of more than ``BLOCK_ROWS`` levels is mapped one slab's slice at
+        a time instead, so no per-axis table outgrows a block.  The values are
+        bitwise those of ``objective.batch`` at the slab's points.  A
         non-finite value stops the walk at the first slab that holds one, and
         the error counts that slab's non-finite values.
         """
@@ -232,12 +231,9 @@ class GridLayout:
             split += 1
             tail //= levels[split]
         run = min(levels[split], BLOCK_ROWS // tail)
-        factor = objective.factor
-        combine = objective.mesh if factor is None else objective.factor_mesh
 
         def vector(v, ks):
-            x = v.level_values(ks)
-            return x if factor is None else factor(x)
+            return objective.map_axis(v.level_values(ks))
 
         tables = [
             vector(v, np.arange(v.levels)) if v.levels <= BLOCK_ROWS else None
@@ -257,7 +253,7 @@ class GridLayout:
             fixed = [part(i, k, k + 1) for i, k in enumerate(lead)]
             for k in range(0, levels[split], run):
                 stop = min(k + run, levels[split])
-                yield start, combine([*fixed, part(split, k, stop), *whole])
+                yield start, objective.mapped_mesh([*fixed, part(split, k, stop), *whole])
                 start += (stop - k) * tail
 
     def _check_arity(self, objective) -> None:

@@ -77,18 +77,22 @@ class Objective:
         ``batch_fn`` sees the open mesh ``np.ix_(*axes)``, so a term that
         depends on one variable is computed once per level of that axis.
         """
-        with np.errstate(all="ignore"):
-            if self.factor is not None:
-                return self.factor_mesh([self.factor(axis) for axis in axes])
-            grid = np.ix_(*axes)
-            values = self.batch_fn(*grid)
-        return self._checked(values, np.broadcast(*grid).shape).reshape(-1)
+        return self.mapped_mesh(list(map(self.map_axis, axes)))
 
-    def factor_mesh(self, factors: list[np.ndarray]) -> np.ndarray:
-        """A product objective's ``mesh``, given each axis already mapped through g."""
+    def map_axis(self, coords: np.ndarray) -> np.ndarray:
+        """One axis of coordinates as ``mapped_mesh`` takes it: through g for a
+        product objective, as it is otherwise."""
+        if self.factor is None:
+            return coords
         with np.errstate(all="ignore"):
-            values = reduce(operator.mul, np.ix_(*factors))
-        return check_finite(self.name, values.reshape(-1))
+            return self.factor(coords)
+
+    def mapped_mesh(self, mapped: list[np.ndarray]) -> np.ndarray:
+        """``mesh``, given each axis already through ``map_axis``."""
+        grid = np.ix_(*mapped)
+        with np.errstate(all="ignore"):
+            values = reduce(operator.mul, grid) if self.factor is not None else self.batch_fn(*grid)
+        return self._checked(values, np.broadcast(*grid).shape).reshape(-1)
 
     def _checked(self, values, shape: tuple[int, ...]) -> np.ndarray:
         """``values`` as a float array; ValueError unless it has ``shape`` and is finite."""
@@ -272,18 +276,24 @@ def _trimer_shared(b, a):
     ENERGY_CAP)`` with ``r12 = sqrt(max(2 b b (1 - cos a), 0))``,
     ``bonds = 2 * V(b)`` and V the pair energy of ``_lj_in_place``: the same
     operations, with the full-size steps done in place in one array and the
-    pair energy in a second.  A zero bond gives inf or NaN in ``bonds``, and
-    the cap replaces exactly those cells.
+    pair energy in a second.  The ``max(..., 0)`` is never computed: ``2 b b``
+    and ``1 - cos a`` are each +0 or more, or NaN (cos never exceeds 1, and
+    1 - 1 is +0), so their product is too, and ``max`` passes NaN through.
+    Contact is rare, so the mask, the clamp to ``CONTACT_EPS`` and the cap
+    are applied only when the least distance is not above ``CONTACT_EPS``
+    (a NaN least distance included).  A zero bond gives inf or NaN in
+    ``bonds`` and a zero distance, and the cap replaces exactly those cells.
     """
     bonds = 2.0 * _lj_in_place(np.array(b, dtype=float))
     r = 2.0 * b * b * (1.0 - np.cos(a))
-    np.maximum(r, 0.0, out=r)
     np.sqrt(r, out=r)
-    capped = ~(r > CONTACT_EPS)  # a NaN distance is capped too
-    np.maximum(r, CONTACT_EPS, out=r)
+    capped = ~(r > CONTACT_EPS) if r.size and not r.min() > CONTACT_EPS else None
+    if capped is not None:
+        np.maximum(r, CONTACT_EPS, out=r)
     energy = _lj_in_place(r)
     energy += bonds
-    energy[capped] = ENERGY_CAP
+    if capped is not None:
+        energy[capped] = ENERGY_CAP
     return energy
 
 

@@ -193,6 +193,11 @@ def test_grid_rejects_non_finite_values():
     values = np.full(GP_LAYOUT.size, np.nan)
     with pytest.raises(ValueError, match="objective 'gp' gave 1024 non-finite values"):
         grid_brute_min(GOLDSTEIN_PRICE, GP_LAYOUT, values=values)
+    # A factor that overflows on a grid axis is refused without a numpy
+    # warning (an error under this suite's filterwarnings).
+    overflowing = Objective("exp2", 2, factor=np.exp)
+    with pytest.raises(ValueError, match="objective 'exp2' gave 16 non-finite values"):
+        grid_brute_min(overflowing, square_layout(["x", "y"], 800.0, 801.0, 2))
 
 
 def test_grid_refuses_oversized_register():

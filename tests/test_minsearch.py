@@ -189,7 +189,7 @@ def test_trace_threshold_bookkeeping():
     assert all(a >= b for a, b in zip(thresholds, thresholds[1:]))
 
 
-def test_round_record_is_immutable_and_written_as_an_object():
+def test_round_record_is_immutable_and_written_as_an_object(tmp_path):
     fields = [
         "round", "iterations", "extended", "index", "value", "threshold_before", "threshold_after"
     ]
@@ -203,17 +203,16 @@ def test_round_record_is_immutable_and_written_as_an_object():
     result = adapted_grover_min(
         GOLDSTEIN_PRICE, GP_LAYOUT, Schedule("baritompa"), StopRule(), np.random.default_rng(5)
     )
-    points = [list(GP_LAYOUT.decode(r.index)) for r in result.trace.rounds]
-    trace = cli.search_result_json(result, points, 0, 5, cli.DEFAULT_CONFIGS["gp"])
-    written = json.loads(cli._dumps(trace))["rounds"]
+    trace = cli.search_result_json(result, 0, 5, cli.DEFAULT_CONFIGS["gp"])
+    cli.write_json(tmp_path / "run.json", trace)
+    written = json.loads((tmp_path / "run.json").read_text())["rounds"]
     assert len(written) == result.num_rounds
-    for rec, r, point in zip(written, result.trace.rounds, points):
+    for rec, r in zip(written, result.trace.rounds):
         assert rec == {
             "round": r.round,
             "iterations": r.iterations,
             "extended": r.extended,
             "index": r.index,
-            "point": point,
             "value": r.value,
             "threshold": r.threshold_after,
         }

@@ -392,7 +392,8 @@ def test_shubert_term_sum_equals_the_reduction_formula_bitwise():
     np.testing.assert_array_equal(shubert_axis(rows) * shubert_axis(cols), reduced(rows, cols))
     np.testing.assert_array_equal(SHUBERT.mesh(axes), reduced(rows, cols).reshape(-1))
     factors = [shubert_axis(a) for a in axes]
-    np.testing.assert_array_equal(SHUBERT.factor_mesh(factors), reduced(rows, cols).reshape(-1))
+    assert [SHUBERT.map_axis(a).tobytes() for a in axes] == [f.tobytes() for f in factors]
+    np.testing.assert_array_equal(SHUBERT.mapped_mesh(factors), reduced(rows, cols).reshape(-1))
 
 
 def gp_expression(x1, x2):
@@ -499,6 +500,10 @@ def test_trimer_in_place_caps_exactly_the_expression_cells():
     assert max(energy[1], energy[5]) < ENERGY_CAP  # collinear cells are not capped
     rows, cols = np.ix_(b, a)
     assert_same_bits(LJ_TRIMER.mesh([b, a]), trimer_expression(rows, cols).reshape(-1))
+    # Without contact the kernel skips the mask, the clamp and the cap.
+    (apart,) = read_only(pts[[1, 5]])
+    assert_same_bits(LJ_TRIMER.batch(apart), energy[[1, 5]])
+    assert LJ_TRIMER.batch(np.empty((0, 2))).shape == (0,)
 
 
 @pytest.mark.parametrize(
@@ -552,10 +557,10 @@ def test_product_objective_is_the_product_of_its_factors():
     assert objective(x[0], y[0], z[0]) == expected[0]
     axes = [x[:4], y[:5], z[:6]]
     mesh = objective.mesh(axes)
-    assert mesh.tobytes() == objective.factor_mesh([np.cos(a) for a in axes]).tobytes()
+    assert mesh.tobytes() == objective.mapped_mesh([np.cos(a) for a in axes]).tobytes()
     assert mesh.tobytes() == objective.batch(list(itertools.product(*axes))).tobytes()
     with pytest.raises(ValueError, match="objective 'cos3' gave 2 non-finite values"):
-        objective.factor_mesh([np.array([np.inf]), np.ones(2), np.ones(1)])
+        objective.mapped_mesh([np.array([np.inf]), np.ones(2), np.ones(1)])
     with pytest.raises(ValueError, match="'both' needs exactly one of batch_fn and factor"):
         Objective("both", 2, batch_fn=gp_eval, factor=shubert_axis)
 

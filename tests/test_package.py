@@ -34,8 +34,10 @@ def test_removed_dense_api_is_gone():
     # point-to-index encoder and the scalar second copies of the trimer,
     # cluster and Shubert formulas were deleted too: one implementation per
     # objective, one direction for the grid codec.  The register cap lives in
-    # the grid module, the CLI raises plain ValueErrors and writes only JSON
-    # values, and the vector pair energy has one in-place form.
+    # the grid module, the CLI raises plain ValueErrors, writes only JSON
+    # values through the stdlib encoder and records a round's index, not its
+    # point, the vector pair energy has one in-place form, and a grid scan
+    # maps every objective's axes one way (``map_axis``, ``mapped_mesh``).
     gone = ["amplify", "measured_success_probability", "phase_flip", "diffusion"]
     gone += ["cluster_energy", "shubert_eval", "trimer_energy"]
     removed = [
@@ -66,6 +68,10 @@ def test_removed_dense_api_is_gone():
         (objectives, "_lj"),
         (statevector, "MAX_QUBITS"),
         (statevector, "RegisterTooLarge"),
+        (cli, "_dumps"),
+        (cli, "_FloatTexts"),
+        (cli, "_round_points"),
+        (Objective, "factor_mesh"),
     ]
     present = [f"{owner.__name__}.{name}" for owner, name in removed if hasattr(owner, name)]
     assert present == []
@@ -147,4 +153,4 @@ def test_every_module_uses_what_it_imports():
                     unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
     assert exempt == {"minsearch.py", "pivot.py"}
-    assert {"_is_int", "_trimer_shared", "_free_atom_batch", "_dumps"} <= set(private)
+    assert {"_is_int", "_trimer_shared", "_free_atom_batch", "_build"} <= set(private)
