@@ -25,8 +25,6 @@ import typing
 from dataclasses import MISSING, asdict
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .baseline import grid_brute_min
 from .encoding import GridLayout, VariableSpec
@@ -239,37 +237,6 @@ def write_json(path: Path, obj) -> None:
     )
 
 
-#: Rows of a distribution CSV formatted at a time.  A row's texts take about
-#: 340 bytes while they are joined, so a block holds about 1.4 MB.
-CSV_BLOCK_ROWS = 1 << 12
-
-
-def emit_distribution(marked, probabilities, layout: GridLayout, values, path: Path) -> None:
-    """Pre-measurement Born-rule distribution, one CSV row per grid index.
-
-    ``marked`` is the round's mask and ``probabilities`` its ``(a, b)`` (see
-    ``minsearch.round_states``).  Rows are formatted a ``CSV_BLOCK_ROWS`` block
-    at a time, column by column, so no text of grid size is ever held.  Each
-    axis's 2^q level texts are formatted once and picked by level.
-    """
-    texts = (repr(probabilities[1]), repr(probabilities[0]))  # False -> b, True -> a
-    axes = [list(map(repr, v.axis_points().tolist())) for v in layout.variables]
-    header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, layout.size, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, layout.size)
-            idx = np.arange(start, stop)
-            levels = zip(axes, layout.level_fields(idx))
-            columns = [
-                map(str, idx.tolist()),
-                *(map(axis.__getitem__, k.tolist()) for axis, k in levels),
-                map(repr, values[start:stop].tolist()),
-                map(texts.__getitem__, marked[start:stop].tolist()),
-            ]
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
-
-
 def search_result_json(result: SearchResult, run_id: int, seed: int, config: dict) -> dict:
     """A search's JSON trace.  A round's point is ``layout.decode(index)``."""
     return {
@@ -295,6 +262,21 @@ def search_result_json(result: SearchResult, run_id: int, seed: int, config: dic
         "iterations_to_best": result.iterations_to_best,
         "converged": result.converged,
     }
+
+
+def distribution_csv(values, setup: SearchSetup, result: SearchResult) -> str:
+    """A search's measured distributions, one CSV row per round (``round_states``).
+
+    Before its draw a round's register holds probability ``a`` on each of the
+    ``marked`` cells under ``threshold_before`` (by the setup's ``strict``
+    rule) and ``b`` on every other cell, so its dense distribution is
+    ``np.where(mask, a, b)``.  Floats are written as ``repr``.
+    """
+    rows = (
+        f"{r.round},{r.iterations},{r.threshold_before!r},{int(mask.sum())},{a!r},{b!r}\n"
+        for r, mask, (a, b) in round_states(values, setup.layout, result.trace, setup.strict)
+    )
+    return "round,iterations,threshold_before,marked,a,b\n" + "".join(rows)
 
 
 def appendix_demo() -> dict:
@@ -357,10 +339,6 @@ def cmd_run(args, config: dict):
 
     if experiment in MINSEARCH_EXPERIMENTS:
         setup = build_setup(config)
-        if args.emit_distributions:
-            for v in setup.layout.variables:
-                if v.name in ("index", "value", "probability"):
-                    raise ValueError(f"variable name {v.name!r} is a column of the distribution CSV")
         values = setup.layout.objective_values(setup.objective)
         for run_id, rng in enumerate(rngs):
             result = adapted_grover_min(
@@ -381,15 +359,10 @@ def cmd_run(args, config: dict):
             if not args.out:  # nothing reads a trace that is not written
                 yield [line], {}
                 continue
-            trace = search_result_json(result, run_id, seed, config)
-            yield [line], {f"run_{run_id:03d}.json": trace}
-            # Streamed after the run's trace is written, a block at a time.
+            artifacts = {f"run_{run_id:03d}.json": search_result_json(result, run_id, seed, config)}
             if args.emit_distributions:
-                for record, marked, probabilities in round_states(
-                    values, setup.layout, result.trace, setup.strict
-                ):
-                    path = Path(args.out) / f"dist_run{run_id:03d}_round{record.round:03d}.csv"
-                    emit_distribution(marked, probabilities, setup.layout, values, path)
+                artifacts[f"dist_run{run_id:03d}.csv"] = distribution_csv(values, setup, result)
+            yield [line], artifacts
         return
 
     if experiment == "shubert-pivot":

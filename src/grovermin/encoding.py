@@ -60,7 +60,7 @@ class VariableSpec:
     qubits: int
 
     def __post_init__(self):
-        # The name heads a distribution CSV column, so it may not break the header.
+        # The name is outside input: refuse a separator, quote or line break in it.
         if not isinstance(self.name, str) or not self.name or set(',"\r\n') & set(self.name):
             raise ValueError(
                 "variable name must be a non-empty string without ',', '\"' or a line break,"

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import tracemalloc
 import typing
 
 import numpy as np
@@ -17,15 +16,12 @@ import grovermin.statevector as statevector
 from grovermin import encoding
 from grovermin.cli import main
 from grovermin.baseline import grid_brute_min
-from grovermin.encoding import GridLayout, VariableSpec, square_layout
-from grovermin.grover import class_probabilities
+from grovermin.encoding import GridLayout, VariableSpec
 from grovermin.minsearch import (
     Schedule,
     SearchSetup,
-    SearchTrace,
     StopRule,
     adapted_grover_min,
-    round_states,
     run_ensemble,
 )
 from grovermin.objectives import Objective, get_objective
@@ -158,6 +154,12 @@ ARTIFACT_SHA256 = {
         "run_000.json": "86cb4825d004c480",
         "run_001.json": "550ef2587e005507",
     },
+    "run gp --runs 2 --seed 5 --emit-distributions": {
+        "run_000.json": "86cb4825d004c480",
+        "run_001.json": "550ef2587e005507",
+        "dist_run000.csv": "3b54830e3e0f7f6d",
+        "dist_run001.csv": "66a7c7033804442a",
+    },
     "run lj-trimer --runs 2 --seed 5": {
         "run_000.json": "c25429c5d4d2fc7d",
         "run_001.json": "4d5e01812d5748b7",
@@ -215,128 +217,77 @@ def test_run_schedule_flag_override(tmp_path, capsys):
     assert all(rec["iterations"] == 2 for rec in trace["rounds"])
 
 
+DIST_HEADER = "round,iterations,threshold_before,marked,a,b"
+
+
+def read_distribution(path):
+    """A distribution CSV's rows as (round, iterations, threshold_before, marked, a, b)."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == DIST_HEADER
+    return [
+        (int(r), int(k), float(t), int(m), float(a), float(b))
+        for r, k, t, m, a, b in (line.split(",") for line in lines[1:])
+    ]
+
+
 def test_run_emit_distributions(tmp_path, capsys):
     assert main(
         ["run", "gp", "--out", str(tmp_path), "--emit-distributions"]
     ) == 0
     capsys.readouterr()
     trace = read_json(tmp_path / "run_000.json")
-    dists = sorted(tmp_path.glob("dist_run000_round*.csv"))
-    assert len(dists) == len(trace["rounds"])
-
-    lines = dists[0].read_text().splitlines()
-    assert lines[0] == "index,x1,x2,value,probability"
-    assert len(lines) == 1 + 1024
-    # round 1 applies zero amplification steps: exactly uniform
-    probs = [float(line.split(",")[4]) for line in lines[1:]]
-    assert set(probs) == {0.0009765625}
-    assert lines[1 + 523] == "523,0.0,-1.0,3.0,0.0009765625"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dist_run000.csv", "run_000.json"]
+    lines = (tmp_path / "dist_run000.csv").read_text().splitlines()
+    assert lines[0] == DIST_HEADER
+    assert len(lines) == 1 + len(trace["rounds"])
+    # round 1 applies zero amplification steps to every cell: exactly uniform
+    assert lines[1] == "1,0,inf,1024,0.0009765625,0.0009765625"
 
 
-def row_wise_distribution_csv(marked, probabilities, layout, values):
-    """The CSV emit_distribution wrote when it formatted row by row, cell by cell."""
-    a, b = probabilities
-    header = ["index"] + [v.name for v in layout.variables] + ["value", "probability"]
-    lines = [",".join(header)]
-    idx = np.arange(layout.size)
-    columns = (layout.decode_batch(idx).tolist(), values.tolist(), marked.tolist())
-    for i, point, value, is_marked in zip(idx.tolist(), *columns):
-        row = [i, *point, value, a if is_marked else b]
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def test_emit_distribution_matches_the_row_wise_formatter(monkeypatch, tmp_path):
-    # A block size that divides nothing, so rounds span several partial blocks.
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 300)
-    setup = cli.build_setup(cli.DEFAULT_CONFIGS["gp"])
-    values = setup.layout.objective_values(setup.objective)
-    result = adapted_grover_min(
-        setup.objective, setup.layout, setup.schedule, setup.stop,
-        np.random.default_rng(0), values=values,
-    )
-    distinct = set()
-    for record, marked, probabilities in round_states(values, setup.layout, result.trace):
-        path = tmp_path / f"round{record.round}.csv"
-        cli.emit_distribution(marked, probabilities, setup.layout, values, path)
-        expected = row_wise_distribution_csv(marked, probabilities, setup.layout, values)
-        assert path.read_text() == expected
-        distinct.add(len(set(np.where(marked, *probabilities).tolist())))
-    assert distinct == {1, 2}  # uniform rounds and amplified rounds
-
-
-@pytest.mark.parametrize("experiment", ["gp", "lj-trimer"])
+@pytest.mark.parametrize(
+    "experiment, strict",
+    [("gp", False), ("lj-trimer", False), ("gp", True)],
+    ids=["gp", "lj-trimer", "gp-strict"],
+)
 def test_emit_distributions_reads_the_sampler_probabilities(
-    experiment, monkeypatch, tmp_path, capsys
+    experiment, strict, monkeypatch, tmp_path, capsys
 ):
     def refuse(*args, **kwargs):
         raise AssertionError("a run built a dense register")
 
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"strict": strict}))
+    out = tmp_path / "out"
     with monkeypatch.context() as patched:
         patched.setattr(statevector, "iterate", refuse)
         patched.setattr(minsearch, "iterate", refuse)
         patched.setattr(minsearch, "uniform_superposition", refuse)
         patched.setattr(minsearch, "MarkedSet", refuse)
         patched.setattr(statevector.Statevector, "__init__", refuse)
-        argv = ["run", experiment, "--runs", "2", "--out", str(tmp_path), "--emit-distributions"]
-        assert main(argv) == 0
+        argv = ["run", experiment, "--runs", "2", "--config", str(config), "--out", str(out)]
+        assert main([*argv, "--emit-distributions"]) == 0
     capsys.readouterr()
-    # Each round's column is the repr of the (a, b) grover.sample drew from,
-    # and the dense register, rebuilt here as the oracle, agrees with it.
+    # Each row is the (a, b) grover.sample drew from, over the cells the
+    # config's marking rule puts under the round's threshold, and the dense
+    # register, rebuilt here as the oracle, agrees with it.
     setup = cli.build_setup(cli.DEFAULT_CONFIGS[experiment])
     values = setup.layout.objective_values(setup.objective)
-    n, size = setup.layout.total_qubits, setup.layout.size
+    n = setup.layout.total_qubits
     amplified = 0
     for run_id in range(2):
+        rounds = read_json(out / f"run_{run_id:03d}.json")["rounds"]
+        rows = read_distribution(out / f"dist_run{run_id:03d}.csv")
+        assert len(rows) == len(rounds)
         threshold = math.inf
-        for rec in read_json(tmp_path / f"run_{run_id:03d}.json")["rounds"]:
-            mask, k = values <= threshold, rec["iterations"]
-            a, b = class_probabilities(int(mask.sum()), size, k)
-            path = tmp_path / f"dist_run{run_id:03d}_round{rec['round']:03d}.csv"
-            column = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
-            assert column == [repr(a) if m else repr(b) for m in mask.tolist()]
+        for rec, (r, k, threshold_before, m, a, b) in zip(rounds, rows):
+            assert (r, k, threshold_before) == (rec["round"], rec["iterations"], threshold)
+            mask = values < threshold if strict else values <= threshold
+            assert m == mask.sum()
             dense = iterate(uniform_superposition(n), MarkedSet(n, mask), k).probabilities()
-            assert 0.5 * np.abs(np.array(column, dtype=float) - dense).sum() <= 1e-12
+            assert 0.5 * np.abs(np.where(mask, a, b) - dense).sum() <= 1e-12
             amplified += k > 0 and a != b
             threshold = rec["threshold"]
     assert amplified
-
-
-def test_writing_a_round_allocates_less_than_a_register(monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1024)
-    objective, layout = get_objective("gp"), square_layout(["x1", "x2"], -3.2, 3.0, 8)
-    values = layout.objective_values(objective)
-    result = adapted_grover_min(
-        objective, layout, Schedule("constant", constant=2),
-        StopRule(stall_window=None, max_rounds=2), np.random.default_rng(0), values=values,
-    )
-    # Round 2 amplifies the cells under round 1's value.
-    trace = SearchTrace(result.trace.rounds[1:])
-    tracemalloc.start()
-    try:
-        for record, marked, probabilities in round_states(values, layout, trace):
-            assert record.iterations == 2 and 0 < marked.sum() < layout.size
-            cli.emit_distribution(marked, probabilities, layout, values, tmp_path / "round.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * layout.size  # one complex128 register of 2**16 amplitudes
-
-
-def test_writing_a_round_holds_one_small_block_of_rows(tmp_path):
-    # The default block: one 8+8 round is 16 blocks of 4096 rows.  The texts of
-    # a 65536-row block took 21.4 MiB while they were joined.
-    objective, layout = get_objective("gp"), square_layout(["x1", "x2"], -3.2, 3.0, 8)
-    values = layout.objective_values(objective)
-    marked = values <= np.quantile(values, 0.01)
-    assert layout.size == 16 * cli.CSV_BLOCK_ROWS
-    tracemalloc.start()
-    try:
-        cli.emit_distribution(marked, (0.002, 1e-7), layout, values, tmp_path / "round.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 << 20
 
 
 def test_emit_distributions_without_out_exits_2_before_any_grid(capsys, refuse_allocation):
@@ -370,10 +321,11 @@ def test_round_points_are_decoded_from_round_indices(experiment, tmp_path, capsy
 def test_distribution_probabilities_sum_to_one(tmp_path, capsys):
     main(["run", "gp", "--out", str(tmp_path), "--emit-distributions"])
     capsys.readouterr()
-    for path in tmp_path.glob("dist_run000_round*.csv"):
-        rows = path.read_text().splitlines()[1:]
-        total = sum(float(r.split(",")[4]) for r in rows)
-        assert total == pytest.approx(1.0, abs=1e-9)
+    size = cli.build_layout(cli.DEFAULT_CONFIGS["gp"]).size
+    rows = read_distribution(tmp_path / "dist_run000.csv")
+    for _, _, _, m, a, b in rows:
+        assert abs(a * m + b * (size - m) - 1.0) <= 1e-12
+    assert any(a != b for *_, a, b in rows)
 
 
 def test_brute_gp_stdout(capsys):
@@ -1015,15 +967,11 @@ def test_default_sections_hold_exactly_their_dataclass_fields():
     [
         (5, f"{NAME_RULE}, got 5"),
         ("a,b", f"{NAME_RULE}, got 'a,b'"),
-        *((name, f"variable name {name!r} is a column of the distribution CSV")
-          for name in ("index", "value", "probability")),
     ],
-    ids=["5", "a,b", "index", "value", "probability"],
+    ids=["5", "a,b"],
 )
 def test_bad_variable_name_exits_2_before_any_distribution(name, message, tmp_path, capsys):
-    # A number would break the CSV header only after run_000.json and a CSV
-    # were written, a comma would add a column to the header and a CSV
-    # column's own name would repeat in it: all are refused before any output.
+    # A bad name is refused while the config is checked, before any output.
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(gp_layout(name=name)))
     out = tmp_path / "out"

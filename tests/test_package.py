@@ -38,6 +38,7 @@ def test_removed_dense_api_is_gone():
     # values through the stdlib encoder and records a round's index, not its
     # point, the vector pair energy has one in-place form, and a grid scan
     # maps every objective's axes one way (``map_axis``, ``mapped_mesh``).
+    # A run's distributions are one row per round, which ``main`` writes.
     gone = ["amplify", "measured_success_probability", "phase_flip", "diffusion"]
     gone += ["cluster_energy", "shubert_eval", "trimer_energy"]
     removed = [
@@ -72,6 +73,8 @@ def test_removed_dense_api_is_gone():
         (cli, "_FloatTexts"),
         (cli, "_round_points"),
         (Objective, "factor_mesh"),
+        (cli, "emit_distribution"),
+        (cli, "CSV_BLOCK_ROWS"),
     ]
     present = [f"{owner.__name__}.{name}" for owner, name in removed if hasattr(owner, name)]
     assert present == []

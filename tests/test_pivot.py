@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -556,6 +557,24 @@ def test_resample_rejects_bad_weights(weights, match):
     )
     with pytest.raises(ValueError, match=match):
         resample(state, weights, sigma, 8, [(0.0, 1.0), (0.0, 1.0)], np.random.default_rng(9), SPHERE)
+
+
+@pytest.mark.parametrize("excess", [2.0, -2.0, 0.5, -0.5])
+def test_resample_checks_the_weight_sum_at_its_tolerance(excess):
+    # A sum past 1 +- _WEIGHT_TOL is refused, printed as a Python float;
+    # one within half of it is drawn from.
+    weights = np.array([0.25, 0.25, 0.5]) * (1.0 + excess * pivot._WEIGHT_TOL)
+    total = float(weights.sum())
+    state, weights, sigma = pivot_state_for_resampling(
+        [[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]], [1, 2, 3], weights, [0.1, 0.1]
+    )
+    box = [(0.0, 1.0), (0.0, 1.0)]
+    if abs(excess) < 1:
+        assert len(resample(state, weights, sigma, 8, box, np.random.default_rng(9), SPHERE)) == 8
+        return
+    message = f"weights must sum to 1, got {total!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        resample(state, weights, sigma, 8, box, np.random.default_rng(9), SPHERE)
 
 
 @pytest.mark.parametrize(
