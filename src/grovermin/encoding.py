@@ -186,8 +186,19 @@ class GridLayout:
         return np.stack(list(cols), axis=-1)
 
     def all_points(self) -> np.ndarray:
-        """Every grid point in index order, shape (size, arity)."""
-        return self.decode_batch(np.arange(self.size, dtype=np.int64))
+        """Every grid point in index order, shape (size, arity): ``decode_batch``
+        of every index, bit for bit.
+
+        Each variable's ``axis_points`` is broadcast into its column of a
+        view shaped like the grid, so no index or level array is built.
+        """
+        points = np.empty((self.size, self.arity))
+        grid = points.reshape([v.levels for v in self.variables] + [self.arity])
+        for i, v in enumerate(self.variables):
+            axis = [1] * self.arity
+            axis[i] = v.levels
+            grid[..., i] = v.axis_points().reshape(axis)
+        return points
 
     def objective_values(self, objective, values: np.ndarray | None = None) -> np.ndarray:
         """``objective`` at every index: ``values`` if given, checked, else ``evaluate``."""

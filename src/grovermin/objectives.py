@@ -26,6 +26,15 @@ CONTACT_EPS = 1e-8
 #: Finite stand-in energy for coincident geometries.
 ENERGY_CAP = 1e12
 
+#: Most rows ``Objective.batch`` evaluates at a time.  A block's float64
+#: column is 32 KiB, and four atom rows of the free-atom energy are 128 KiB,
+#: so a block's temporaries stay within glibc's default 128 KiB mmap
+#: threshold and are reused from the heap, not mapped and faulted in afresh
+#: for every block.  In a fresh process a 2**20-point GP batch took 29-35 ms
+#: in blocks of 2**12 rows, 38-63 ms in blocks of 2**11 and 42-62 ms in
+#: blocks of 2**16 (2-CPU host, five runs each).
+BATCH_ROWS = 1 << 12
+
 
 @dataclass(frozen=True)
 class Objective:
@@ -36,12 +45,12 @@ class Objective:
     values have their broadcast shape.  A product objective gives ``factor``
     instead: f(x1, ..., xd) = g(x1) * ... * g(xd), with g mapping an array
     of coordinates elementwise, and every value is that product taken left
-    to right.  ``batch`` calls g once on the whole ``(npoints, arity)``
-    array; ``mesh`` maps each axis through g once.  Both fields are
-    keyword-only; a function of one point is passed as a ``batch_fn`` through
-    numpy's ``vectorize`` with ``otypes=[float]``.  A scalar call is a
-    one-row batch, and every path refuses NaN or infinite values, so the
-    functions run with numpy's floating-point warnings off.
+    to right.  ``batch`` calls ``batch_fn`` or g once per block of at most
+    ``BATCH_ROWS`` rows; ``mesh`` maps each axis through g once.  Both
+    fields are keyword-only; a function of one point is passed as a
+    ``batch_fn`` through numpy's ``vectorize`` with ``otypes=[float]``.  A
+    scalar call is a one-row batch, and every path refuses NaN or infinite
+    values, so the functions run with numpy's floating-point warnings off.
     """
 
     name: str
@@ -59,17 +68,27 @@ class Objective:
         return float(self.batch([coords])[0])
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        """Values at each row of ``points``, shape (npoints,); all must be finite."""
+        """Values at each row of ``points``, shape (npoints,); all must be finite.
+
+        The rows are evaluated ``BATCH_ROWS`` at a time, so a grid-sized
+        batch holds its values and one block's temporaries, not temporaries
+        of the batch's size.  The whole output is checked once, so an error
+        counts every non-finite value in the batch.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise ValueError(f"expected shape (npoints, {self.arity}), got {pts.shape}")
+        values = np.empty(len(pts))
         with np.errstate(all="ignore"):  # a value that overflows is refused below
-            if self.factor is not None:
-                factors = np.asarray(self.factor(pts), dtype=float)
-                values = reduce(operator.mul, factors.T)
-            else:
-                values = self.batch_fn(*pts.T)
-        return self._checked(values, pts.shape[:1])
+            for start in range(0, len(pts), BATCH_ROWS):
+                block = pts[start : start + BATCH_ROWS]
+                if self.factor is not None:
+                    factors = np.asarray(self.factor(block), dtype=float)
+                    out = reduce(operator.mul, factors.T)
+                else:
+                    out = self.batch_fn(*block.T)
+                values[start : start + len(block)] = self._shaped(out, block.shape[:1])
+            return _check_finite(self.name, values)
 
     def mesh(self, axes: list[np.ndarray]) -> np.ndarray:
         """Values on the C-order grid of 1-D ``axes``, one per variable, flattened.
@@ -92,23 +111,38 @@ class Objective:
         grid = np.ix_(*mapped)
         with np.errstate(all="ignore"):
             values = reduce(operator.mul, grid) if self.factor is not None else self.batch_fn(*grid)
-        return self._checked(values, np.broadcast(*grid).shape).reshape(-1)
+            values = self._shaped(values, np.broadcast(*grid).shape)
+            return _check_finite(self.name, values).reshape(-1)
 
-    def _checked(self, values, shape: tuple[int, ...]) -> np.ndarray:
-        """``values`` as a float array; ValueError unless it has ``shape`` and is finite."""
+    def _shaped(self, values, shape: tuple[int, ...]) -> np.ndarray:
+        """``values`` as a float array; ValueError unless it has ``shape``."""
         values = np.asarray(values, dtype=float)
         if values.shape != shape:
             raise ValueError(f"objective {self.name!r} gave shape {values.shape}, expected {shape}")
-        return check_finite(self.name, values)
+        return values
 
 
 def check_finite(name: str, values: np.ndarray) -> np.ndarray:
     """``values``, or ValueError naming objective ``name`` if any is NaN or infinite.
 
-    ``min`` and ``max`` propagate NaN and expose an infinity, so finite values
-    pass without a mask; the non-finite ones are counted only for the error.
+    One ``np.add.reduce`` pass decides: a NaN or an infinity makes the sum
+    non-finite.  Only then are ``min`` and ``max`` taken, which propagate
+    NaN and expose an infinity, so finite values whose sum overflows still
+    pass.  No path that passes builds a mask; the non-finite values are
+    counted only for the error.  numpy's warnings for the overflowing or
+    NaN sum are silenced.
     """
-    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
+    with np.errstate(all="ignore"):
+        return _check_finite(name, values)
+
+
+def _check_finite(name: str, values: np.ndarray) -> np.ndarray:
+    """``check_finite``, under the caller's ``np.errstate``."""
+    if (
+        values.size
+        and not math.isfinite(np.add.reduce(values, axis=None))
+        and not (math.isfinite(values.min()) and math.isfinite(values.max()))
+    ):
         bad = values.size - np.count_nonzero(np.isfinite(values))
         raise ValueError(f"objective {name!r} gave {bad} non-finite values")
     return values
@@ -170,32 +204,27 @@ def gp_eval(x1, x2):
     return (a * c)[()]  # a scalar pair in, a numpy scalar out
 
 
-#: Shubert's term index i = 1..5 and frequency i + 1, as columns, and the
-#: most elements of x whose five terms are held at once (2.5 MiB of terms).
+#: Shubert's term index i = 1..5 and frequency i + 1, as columns.
 _SHUBERT_I = np.arange(1.0, 6.0)[:, None]
 _SHUBERT_FREQ = _SHUBERT_I + 1.0
-SHUBERT_BLOCK = 1 << 16
 
 
 def shubert_axis(x):
     """Shubert's per-axis factor: the terms i*cos((i+1)x + i), i = 1..5, added in order.
 
-    Elementwise over a scalar or an array of any shape.  The five terms of a
-    block of x are rows of one array, so each block takes one ``np.cos``
-    call; ``np.add.reduce`` over those rows adds them one row after the
-    next, which is the left-to-right order of the written sum.
+    Elementwise over a scalar or an array of any shape.  The five terms of x
+    are rows of one array, so one ``np.cos`` call computes them all;
+    ``np.add.reduce`` over those rows adds them one row after the next,
+    which is the left-to-right order of the written sum.  The callers bound
+    the input: ``Objective.batch`` passes one block of rows, and
+    ``GridLayout.slabs`` one axis table or slab slice.
     """
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    total = np.empty(flat.shape)
-    for start in range(0, flat.size, SHUBERT_BLOCK):
-        block = slice(start, start + SHUBERT_BLOCK)
-        terms = _SHUBERT_FREQ * flat[block]
-        terms += _SHUBERT_I
-        np.cos(terms, out=terms)
-        terms *= _SHUBERT_I
-        np.add.reduce(terms, axis=0, out=total[block])
-    return total.reshape(x.shape)[()]  # a scalar in, a numpy scalar out
+    terms = _SHUBERT_FREQ * x.reshape(-1)
+    terms += _SHUBERT_I
+    np.cos(terms, out=terms)
+    terms *= _SHUBERT_I
+    return np.add.reduce(terms, axis=0).reshape(x.shape)[()]  # a scalar in, a numpy scalar out
 
 
 def lj_pair(r: float) -> float:

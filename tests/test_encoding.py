@@ -150,6 +150,22 @@ def test_all_points_shape_and_order():
     np.testing.assert_array_equal(pts[-1], [3.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [
+        GridLayout([VariableSpec("a", -1.0, 2.5, 3), VariableSpec("b", 0.1, 0.7, 1),
+                    VariableSpec("c", -3.2, 3.0, 2)]),
+        GridLayout([VariableSpec("a", 0.5, 2.0, 1), VariableSpec("b", -3.2, 3.0, 7),
+                    VariableSpec("c", -1.0, 1.3, 6)]),
+    ],
+    ids=["3-1-2", "1-7-6"],
+)
+def test_all_points_is_bitwise_decode_batch_of_every_index(layout):
+    # 64 points, and 16384: four of ``Objective.batch``'s blocks.
+    expected = layout.decode_batch(np.arange(layout.size))
+    assert layout.all_points().tobytes() == expected.tobytes()
+
+
 GRID_5_5 = square_layout(["x", "y"], -3.2, 3.0, 5)
 GRID_4_3_3 = GridLayout(
     [

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grovermin import objectives
 from grovermin.objectives import (
     CONTACT_EPS,
     ENERGY_CAP,
@@ -506,23 +507,6 @@ def test_trimer_in_place_caps_exactly_the_expression_cells():
     assert LJ_TRIMER.batch(np.empty((0, 2))).shape == (0,)
 
 
-@pytest.mark.parametrize(
-    "objective, mib", [(GOLDSTEIN_PRICE, 32.0), (LJ_TRIMER, 57.0)], ids=["gp", "lj-trimer"]
-)
-def test_batch_of_columns_peaks_no_higher_than_the_expression(objective, mib):
-    # On 1-D columns numpy reuses the plain expressions' temporaries; their
-    # peaks for 2**20 points, read to 0.1 MiB, are four columns' worth for GP
-    # and seven and an eighth (a cap mask) for the trimer.
-    pts = np.random.default_rng(59).uniform(0.1, 3.0, size=(1 << 20, 2))
-    tracemalloc.start()
-    try:
-        objective.batch(pts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 2**20 < mib + 0.05
-
-
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -532,21 +516,76 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+#: One float64 column of a ``batch`` block, the unit of the peaks below.
+COLUMN = 8 * objectives.BATCH_ROWS
+
+
+@pytest.mark.parametrize(
+    "objective, columns", [(GOLDSTEIN_PRICE, 7), (LJ_TRIMER, 6)], ids=["gp", "lj-trimer"]
+)
+def test_batch_of_columns_peaks_no_higher_than_the_expression(objective, columns):
+    # A batch holds its values and one block's temporaries.  For 2**20
+    # points that is 8 MiB plus 6.1 block columns for GP and 5.1 for the
+    # trimer; evaluated whole, the batch peaked at 32 MiB and 57 MiB.
+    pts = np.random.default_rng(59).uniform(0.1, 3.0, size=(1 << 20, 2))
+    assert traced_peak(objective.batch, pts) <= 8 * len(pts) + columns * COLUMN
+
+
 def test_shubert_factor_holds_a_block_of_terms_at_a_time():
-    # The values plus at most two 2.5 MiB blocks of five terms (a block is
-    # built before the last one is freed): 21 MiB for 2**21 elements, where
-    # the five-term sum written as one expression peaks at 48 MiB.
+    # The values plus one block's factors, five terms per element and
+    # product: 8 MiB plus 15.1 block columns for 2**20 points.
     x = np.random.default_rng(61).uniform(-10.0, 10.0, size=(1 << 20, 2))
-    assert traced_peak(shubert_axis, x) <= x.nbytes + 5 * 2**20 + 4096
+    assert traced_peak(SHUBERT.batch, x) <= 8 * len(x) + 16 * COLUMN
 
 
 def test_free_atom_batch_holds_three_atom_rows_at_most():
-    # Distances and squares, then distances, contact mask, pair energies and
-    # the values: 7.3 MiB for 10**5 points and 4 atoms.  The point-major
-    # version held five (points, atoms) arrays, 15.6 MiB.
+    # The values plus one block's distances, squares, contact mask and pair
+    # energies: 0.8 MB plus 10.6 block columns for 10**5 points and 4 atoms.
     pts = np.random.default_rng(67).uniform(-1.5, 1.5, size=(10**5, 3))
     objective = free_atom_objective(build_fixed_core(4, 1.0))
-    assert traced_peak(objective.batch, pts) <= 3 * 8 * 4 * len(pts)
+    assert traced_peak(objective.batch, pts) <= 8 * len(pts) + 11 * COLUMN
+
+
+#: Points of each kind of objective, with some contact for the LJ energies.
+_BLOCKED_CASES = {
+    "gp": (GOLDSTEIN_PRICE, np.random.default_rng(71).uniform(-3.2, 3.0, size=(250, 2))),
+    "shubert": (SHUBERT, np.random.default_rng(73).uniform(-10.0, 10.0, size=(250, 2))),
+    "lj-trimer": (
+        LJ_TRIMER,
+        np.vstack([[[0.0, 1.0], [1.0, 1e-12]], np.random.default_rng(79).uniform(0.5, 2.0, (248, 2))]),
+    ),
+    "lj-grow-xyz": (
+        free_atom_objective(build_fixed_core(4, 1.0)),
+        np.vstack([[[-0.5, 0.0, 0.0]], np.random.default_rng(83).uniform(-1.5, 1.5, (249, 3))]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_BLOCKED_CASES))
+def test_blocked_batch_is_bitwise_the_whole_batch(monkeypatch, name):
+    objective, pts = _BLOCKED_CASES[name]
+    whole = objective.batch(pts)
+    # 64-row blocks, the last one short: contact falls in the first block only.
+    monkeypatch.setattr(objectives, "BATCH_ROWS", 64)
+    blocked = objective.batch(pts)
+    assert blocked.tobytes() == whole.tobytes()
+    assert objective.batch(pts[:0]).shape == (0,)
+    if name.startswith("lj"):
+        assert whole[0] == ENERGY_CAP and (whole[2:] < ENERGY_CAP).all()
+
+
+def test_blocked_batch_counts_the_non_finite_values_of_every_block(monkeypatch):
+    holes = Objective("holes", 1, batch_fn=lambda t: np.where(t > 0, np.nan, t))
+    monkeypatch.setattr(objectives, "BATCH_ROWS", 4)
+    # Ten rows in three blocks; the NaNs sit in the second and the last.
+    t = -np.ones((10, 1))
+    t[[5, 8, 9]] = 1.0
+    with pytest.raises(ValueError, match="^objective 'holes' gave 3 non-finite values$"):
+        holes.batch(t)
+    # A block whose values have the wrong shape is refused, not broadcast.
+    scalar = Objective("scalar", 1, batch_fn=lambda t: 1.0)
+    with pytest.raises(ValueError, match=r"gave shape \(\), expected \(4,\)"):
+        scalar.batch(t)
 
 
 def test_product_objective_is_the_product_of_its_factors():
@@ -600,13 +639,32 @@ def test_check_finite_passes_finite_values_without_a_mask():
     assert check_finite("f", empty) is empty
     values = np.random.default_rng(61).uniform(-1.0, 1.0, size=1 << 20)
     values[[0, -1]] = np.finfo(float).max, -np.finfo(float).max
-    tracemalloc.start()
-    try:
+    # The sum of these overflows, so the check falls back to min and max.
+    overflowing = np.full(1 << 20, np.finfo(float).max)
+    for finite in (values, overflowing):
+        tracemalloc.start()
+        try:
+            assert check_finite("f", finite) is finite
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < finite.size // 64  # an isfinite mask would take one byte per value
+
+
+@pytest.mark.parametrize(
+    "values, count",
+    [([1e308, 1e308], 0), ([np.inf, -np.inf], 2), ([np.nan, 1e308, 1e308], 1), ([-np.inf], 1)],
+    ids=["sum-overflows", "sum-is-nan", "nan-beside-overflow", "one-inf"],
+)
+def test_check_finite_reads_a_non_finite_sum_by_min_and_max(values, count):
+    # Under the suite's ``filterwarnings = error`` any RuntimeWarning of the
+    # overflowing or NaN sum would fail here.
+    values = np.array(values)
+    if not count:
         assert check_finite("f", values) is values
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < values.size // 64  # an isfinite mask would take one byte per value
+    else:
+        with pytest.raises(ValueError, match=rf"^objective 'f' gave {count} non-finite values$"):
+            check_finite("f", values)
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ def test_removed_dense_api_is_gone():
     # point, the vector pair energy has one in-place form, and a grid scan
     # maps every objective's axes one way (``map_axis``, ``mapped_mesh``).
     # A run's distributions are one row per round, which ``main`` writes.
+    # ``Objective.batch`` works in blocks, so the Shubert factor keeps no block size.
     gone = ["amplify", "measured_success_probability", "phase_flip", "diffusion"]
     gone += ["cluster_energy", "shubert_eval", "trimer_energy"]
     removed = [
@@ -75,6 +76,7 @@ def test_removed_dense_api_is_gone():
         (Objective, "factor_mesh"),
         (cli, "emit_distribution"),
         (cli, "CSV_BLOCK_ROWS"),
+        (objectives, "SHUBERT_BLOCK"),
     ]
     present = [f"{owner.__name__}.{name}" for owner, name in removed if hasattr(owner, name)]
     assert present == []
