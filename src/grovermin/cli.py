@@ -25,6 +25,8 @@ import typing
 from dataclasses import MISSING, asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .baseline import grid_brute_min
 from .encoding import GridLayout, VariableSpec
@@ -273,7 +275,7 @@ def distribution_csv(values, setup: SearchSetup, result: SearchResult) -> str:
     ``np.where(mask, a, b)``.  Floats are written as ``repr``.
     """
     rows = (
-        f"{r.round},{r.iterations},{r.threshold_before!r},{int(mask.sum())},{a!r},{b!r}\n"
+        f"{r.round},{r.iterations},{r.threshold_before!r},{np.count_nonzero(mask)},{a!r},{b!r}\n"
         for r, mask, (a, b) in round_states(values, setup.layout, result.trace, setup.strict)
     )
     return "round,iterations,threshold_before,marked,a,b\n" + "".join(rows)

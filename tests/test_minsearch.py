@@ -11,7 +11,7 @@ from scipy import stats
 
 import grovermin.grover as grover
 import grovermin.minsearch as minsearch
-from grovermin import cli
+from grovermin import cli, encoding
 from grovermin.encoding import GridLayout, RegisterTooLarge, VariableSpec, square_layout
 from grovermin.grover import success_probability
 from grovermin.minsearch import (
@@ -715,24 +715,32 @@ def test_rounds_allocate_nothing_grid_sized_after_the_first_scan(monkeypatch, sc
     # The marked indices are refreshed only in a round with k > 0 whose
     # threshold moved since the last refresh.  Every other round (k = 0, or
     # no improvement since) must stay far below one byte per grid cell, and a
-    # refresh after the first narrows the last set: 17 bytes per cell of it.
+    # refresh after the first narrows the last set in place, a block of
+    # marks at a time: 17 bytes per mark of one block, not of the set.  Each
+    # round is measured up to its draw, and each draw (with the memo's table
+    # rebuilds, under 10 KB) on its own.
     layout = square_layout(["x", "y"], -3.2, 3.0, 8)
     values = GOLDSTEIN_PRICE.batch(layout.all_points())
-    growth = []
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", 256)
+    growth, draws = [], []
     real_sample = minsearch.sample
 
     def measured(*args):
         current, peak = tracemalloc.get_traced_memory()
         growth.append(peak - measured.current)
         tracemalloc.reset_peak()
-        measured.current = current
-        return real_sample(*args)
+        index = real_sample(*args)
+        measured.current, peak = tracemalloc.get_traced_memory()
+        draws.append(peak - current)
+        tracemalloc.reset_peak()
+        return index
 
     monkeypatch.setattr(minsearch, "sample", measured)
     schedule = Schedule.parse(schedule)
     unrefreshed = {"k = 0": 0, "stall": 0}
     for seed in range(4):
         growth.clear()
+        draws.clear()
         tracemalloc.start()
         try:
             measured.current = tracemalloc.get_traced_memory()[0]
@@ -747,11 +755,87 @@ def test_rounds_allocate_nothing_grid_sized_after_the_first_scan(monkeypatch, sc
             if r.iterations > 0 and r.threshold_before != refreshed_at:
                 if refreshed_at is not None:
                     last_count = np.count_nonzero(values <= refreshed_at)
-                    assert grew < 17 * last_count + 4096, (r, grew, last_count)
+                    assert grew < 17 * min(last_count, 256) + 4096, (r, grew, last_count)
                 refreshed_at = r.threshold_before
             elif r.round > 1:  # round 1 also holds the search's set-up
                 assert grew < layout.size // 4, (r, grew)
                 unrefreshed["stall" if r.iterations else "k = 0"] += 1
+        assert max(draws) < layout.size // 4
     assert unrefreshed["stall"]
     if schedule.kind == "baritompa":
         assert unrefreshed["k = 0"]
+
+
+GP_8_8 = square_layout(["x", "y"], -3.2, 3.0, 8)
+#: 9 qubits; the B = 0 cells (indices 0-15) are a run tied at ENERGY_CAP, and
+#: every A = 0 cell holds it too.  Seed 7 of ``incremental`` amplifies a round
+#: at the cap.
+TIED_TRIMER_9 = GridLayout([VariableSpec("B", 0.0, 2.0, 5), VariableSpec("A", 0.0, math.pi, 4)])
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 100])
+@pytest.mark.parametrize(
+    "objective, layout, schedule, seeds",
+    [
+        (GOLDSTEIN_PRICE, GP_8_8, "baritompa", 2),
+        (GOLDSTEIN_PRICE, GP_8_8, "incremental", 2),  # round 1 marks every cell
+        (GOLDSTEIN_PRICE, GP_8_8, "constant:1", 2),
+        (LJ_TRIMER, TIED_TRIMER_9, "incremental", 8),
+    ],
+    ids=["gp-baritompa", "gp-incremental", "gp-constant", "lj-trimer-tied"],
+)
+def test_marking_in_blocks_leaves_every_search_unchanged(
+    monkeypatch, objective, layout, schedule, seeds, block_rows
+):
+    # The default block holds each grid whole, so the default search marks
+    # with one expression; a patched block reaches the search's scan and
+    # narrowings and must change no result.
+    values = objective.batch(layout.all_points())
+    if layout.size > 1024 and block_rows == 1:
+        seeds = 1  # 65536 one-cell blocks per scan
+
+    def searches():
+        return [
+            adapted_grover_min(
+                objective, layout, Schedule.parse(schedule), StopRule(stall_window=6),
+                np.random.default_rng(seed), values=values, strict=strict,
+            )
+            for strict in (False, True)
+            for seed in range(seeds)
+        ]
+
+    assert layout.size <= encoding.BLOCK_ROWS
+    expected = searches()
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", block_rows)
+    blocks = []
+    real_under = minsearch._under
+
+    def spy(values, threshold, strict):
+        blocks.append(len(values))
+        return real_under(values, threshold, strict)
+
+    monkeypatch.setattr(minsearch, "_under", spy)
+    assert searches() == expected
+    assert max(blocks) <= block_rows < len(blocks)
+    if objective is LJ_TRIMER:
+        assert np.all(values[:16] == ENERGY_CAP)
+        assert any(
+            r.iterations and r.threshold_before == ENERGY_CAP
+            for result in expected
+            for r in result.trace.rounds
+        )
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 100])
+def test_block_helpers_match_the_whole_array_expressions(monkeypatch, block_rows):
+    values = GOLDSTEIN_PRICE.batch(GP_LAYOUT.all_points())
+    monkeypatch.setattr(encoding, "BLOCK_ROWS", block_rows)
+    marks = np.flatnonzero(values <= np.median(values))
+    for threshold in (values.min() - 1.0, values.min(), np.median(values), math.inf):
+        for strict in (False, True):
+            mask = values < threshold if strict else values <= threshold
+            scanned = minsearch._scan(values, threshold, strict)
+            assert scanned.dtype == np.int64
+            assert scanned.tolist() == np.flatnonzero(mask).tolist()
+            narrowed = minsearch._narrow(marks.copy(), values, threshold, strict)
+            assert narrowed.tolist() == marks[mask[marks]].tolist()
