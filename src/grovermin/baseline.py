@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import GridLayout
+from .encoding import GridLayout, check_qubits
 from .objectives import Box, Objective, check_box
 
 
@@ -78,6 +78,7 @@ def refine_min(
     for lo, hi in box:
         if lo == hi:
             raise ValueError(f"degenerate box axis [{lo}, {hi}]")
+    check_qubits((int(points_per_axis) ** len(box) - 1).bit_length())
 
     current = list(box)
     best_point: list | None = None

@@ -455,7 +455,7 @@ def cmd_ensemble(args, config: dict):
     if not args.out:  # nothing reads the detail that is not written
         yield [line], {}
         return
-    histogram = sorted(stats.rounds_histogram.items())
+    histogram = stats.rounds_histogram.items()
     payload = {
         "experiment": config["experiment"],
         "seed": seed,

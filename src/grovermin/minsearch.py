@@ -15,24 +15,22 @@ falls, so each marked set lies inside the last one: the search keeps the
 marked indices as one sorted array and narrows it to the cells still under
 the threshold, instead of rescanning the grid every round.  Both the first
 scan and each narrowing work one block of ``encoding.BLOCK_ROWS`` cells or
-marks at a time, in place: a search touches about 8 bytes per marked cell,
-not a grid-sized mask, marks array and gather.  On a 2**20-cell
-Goldstein-Price grid, between runs of the benchmark's calibration kernel, a
-search took a median of 1229.5 minor page faults with whole-grid
-temporaries and 266-587 with blocks.  Rounds record
-indices; the search decodes only its best point.  The round budget comes
-from a Schedule, walked once as ``Schedule.steps``; termination from a
-StopRule, whose limits the loop reads once per search.  ``round_states``
-replays a finished search's rounds as marked masks and class probabilities.
+marks at a time, in place.  Rounds record indices; the search decodes only
+its best point.  ``Schedule.steps()`` yields each round's ``(iterations,
+extended)``, walked once per search; termination comes from a StopRule,
+whose limits the loop reads once per search.  The round loop records each
+round once, and ``SearchResult`` carries the loop's own
+``total_iterations`` and ``iterations_to_best``.  ``round_states`` replays
+a finished search's rounds as marked masks and class probabilities.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -103,10 +101,6 @@ class Schedule:
             raise ValueError(f"round_index must be >= 1, got {round_index}")
         return next(islice(self.steps(), round_index - 1, None), (None,))[0]
 
-    def is_extended(self, round_index: int) -> bool:
-        """True when the round reuses the final list entry past its end."""
-        return self.kind == "baritompa" and round_index > len(BARITOMPA_ENTRIES)
-
     @classmethod
     def parse(cls, text) -> "Schedule":
         """Parse "baritompa", "incremental", "constant:K", or an entry list."""
@@ -175,14 +169,6 @@ class RoundRecord(NamedTuple):
 class SearchTrace:
     rounds: list[RoundRecord] = field(default_factory=list)
 
-    @property
-    def num_rounds(self) -> int:
-        return len(self.rounds)
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(map(attrgetter("iterations"), self.rounds))
-
 
 @dataclass
 class SearchResult:
@@ -194,14 +180,12 @@ class SearchResult:
     # Amplification steps spent up to and including the round that first
     # measured best_value; excludes the stall-confirmation tail.
     iterations_to_best: int
+    # Amplification steps spent over every round.
+    total_iterations: int
 
     @property
     def num_rounds(self) -> int:
-        return self.trace.num_rounds
-
-    @property
-    def total_iterations(self) -> int:
-        return self.trace.total_iterations
+        return len(self.trace.rounds)
 
 
 def _under(values: np.ndarray, threshold: float, strict: bool) -> np.ndarray:
@@ -269,8 +253,9 @@ def adapted_grover_min(
     """
     values = layout.objective_values(objective, values)
     value_at, size, draw, random = values.item, layout.size, sample, rng.random
-    # A rule left out never fires: no stall or round count reaches inf.
-    target = stop.target
+    # A rule left out never fires: no value reaches -inf and no stall or
+    # round count reaches inf.
+    target = -math.inf if stop.target is None else stop.target
     stall_window = stop.stall_window or math.inf
     max_rounds = stop.max_rounds or math.inf
 
@@ -302,17 +287,17 @@ def adapted_grover_min(
         idx = draw(marks, size, k, random())
         value = value_at(idx)
         total_iterations += k
+        after = value if value < threshold else threshold
+        record(RoundRecord(round_index, k, extended, idx, value, threshold, after))
         if value < threshold:
-            record(RoundRecord(round_index, k, extended, idx, value, threshold, value))
             threshold = value
             stall = 0
             best_index = idx
             iterations_to_best = total_iterations
-            if target is not None and threshold <= target:
+            if threshold <= target:
                 converged = True
                 break
         else:
-            record(RoundRecord(round_index, k, extended, idx, value, threshold, threshold))
             stall += 1
             if stall >= stall_window:
                 converged = True
@@ -327,6 +312,7 @@ def adapted_grover_min(
         trace=trace,
         converged=converged,
         iterations_to_best=iterations_to_best,
+        total_iterations=total_iterations,
     )
 
 
@@ -408,9 +394,6 @@ def run_ensemble(setup: SearchSetup, n_runs: int, base_seed: int) -> EnsembleSta
     totals = np.array([r.total_iterations for r in results])
     to_best = np.array([r.iterations_to_best for r in results])
     successes = sum(1 for r in results if r.best_value == reference)
-    hist: dict[int, int] = {}
-    for r in rounds:
-        hist[int(r)] = hist.get(int(r), 0) + 1
     return EnsembleStats(
         results=results,
         reference_value=reference,
@@ -421,5 +404,5 @@ def run_ensemble(setup: SearchSetup, n_runs: int, base_seed: int) -> EnsembleSta
         median_total_iterations=float(np.median(totals)),
         mean_iterations_to_best=float(to_best.mean()),
         median_iterations_to_best=float(np.median(to_best)),
-        rounds_histogram=dict(sorted(hist.items())),
+        rounds_histogram=dict(sorted(Counter(rounds.tolist()).items())),
     )

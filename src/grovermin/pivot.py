@@ -121,6 +121,7 @@ def generate_probes(
     box = check_box(box, objective.arity)
     if n < 2:
         raise ValueError(f"need at least 2 probes, got {n}")
+    check_qubits(int(n - 1).bit_length())
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     points = rng.uniform(lo, hi, size=(n, len(box)))
@@ -277,6 +278,7 @@ def resample(
     num_children = n - m if elitism else n
     if num_children < 0:
         raise ValueError(f"population {n} smaller than pivot count {m}")
+    check_qubits(int(n - 1).bit_length())
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (m,):
         raise ValueError(f"weights must have shape ({m},), got {weights.shape}")

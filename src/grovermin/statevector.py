@@ -82,6 +82,7 @@ class MarkedSet:
 
     @classmethod
     def from_indices(cls, num_qubits: int, indices: Iterable[int]) -> "MarkedSet":
+        check_qubits(num_qubits)
         mask = np.zeros(1 << num_qubits, dtype=bool)
         idx = np.asarray(list(indices), dtype=np.int64)
         if idx.size:

@@ -9,7 +9,13 @@ import pytest
 
 from grovermin import encoding
 from grovermin.baseline import RefinedMinimum, grid_brute_min, refine_min
-from grovermin.encoding import MAX_QUBITS, GridLayout, VariableSpec, square_layout
+from grovermin.encoding import (
+    MAX_QUBITS,
+    GridLayout,
+    RegisterTooLarge,
+    VariableSpec,
+    square_layout,
+)
 from grovermin.objectives import GOLDSTEIN_PRICE, LJ_TRIMER, SHUBERT, Objective, lj_pair
 from test_encoding import EVALUATE_CASES, EVALUATE_IDS
 
@@ -203,6 +209,21 @@ def test_grid_rejects_non_finite_values():
 def test_grid_refuses_oversized_register():
     with pytest.raises(ValueError, match=f"{MAX_QUBITS + 1} qubits exceeds the register cap"):
         GridLayout([VariableSpec("a", 0.0, 1.0, 13), VariableSpec("b", 0.0, 1.0, MAX_QUBITS - 12)])
+
+
+def test_refine_refuses_an_oversized_mesh_before_evaluation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the register check")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(Objective, "mesh", refuse)
+    line = Objective("line", 1, batch_fn=lambda t: t)
+    cells = (1 << MAX_QUBITS) + 1
+    with pytest.raises(RegisterTooLarge, match=f"{MAX_QUBITS + 1} qubits exceeds the register cap"):
+        refine_min(line, [(0.0, 1.0)], points_per_axis=cells)
+    # 4096 x 4096 cells fill the register exactly and reach the mesh.
+    with pytest.raises(AssertionError, match="allocated before"):
+        refine_min(GOLDSTEIN_PRICE, [(-2.0, 2.0), (-2.0, 2.0)], points_per_axis=4096)
 
 
 def test_refine_gp_reaches_global_minimum():

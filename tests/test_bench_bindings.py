@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from grovermin import baseline, cli, pivot
+from grovermin import baseline, cli, minsearch, pivot
 from grovermin.encoding import GridLayout, VariableSpec, square_layout
-from grovermin.minsearch import Schedule
+from grovermin.minsearch import Schedule, StopRule
 from grovermin.objectives import GOLDSTEIN_PRICE, SHUBERT, Objective
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -70,6 +70,35 @@ def test_grid_brute_min_takes_the_workload_calls():
     signature.bind(GOLDSTEIN_PRICE, layout, values=values)
     scanned = baseline.grid_brute_min(GOLDSTEIN_PRICE, layout)
     assert baseline.grid_brute_min(GOLDSTEIN_PRICE, layout, values=values) == scanned
+
+
+def test_descent_call_resolves(spans):
+    # descent-20q's search: positional objective, layout, schedule, stop and
+    # rng with values=, and the result fields that Descent.check and
+    # spans._search_counts read.
+    layout = square_layout(["x1", "x2"], -3.2, 3.0, 4)
+    values = GOLDSTEIN_PRICE.batch(layout.all_points())
+    schedule = Schedule("baritompa")
+    result = minsearch.adapted_grover_min(
+        GOLDSTEIN_PRICE, layout, schedule, StopRule(), np.random.default_rng(0), values=values
+    )
+    rounds = result.trace.rounds
+    assert type(result.total_iterations) is int
+    assert result.total_iterations == sum(r.iterations for r in rounds)
+    threshold = math.inf
+    for number, r in enumerate(rounds, 1):
+        assert r.round == number
+        assert r.iterations == schedule.iterations(r.round)
+        assert r.value == values[r.index]
+        assert r.threshold_before == threshold
+        assert r.threshold_after == min(threshold, r.value)
+        threshold = r.threshold_after
+    assert result.best_value == threshold == values[result.best_index]
+    improving = sum(r.value < r.threshold_before for r in rounds)
+    counts = spans._search_counts((), {}, result)
+    assert counts == {
+        "rounds": len(rounds), "oracle_calls": result.total_iterations, "improving_rounds": improving
+    }
 
 
 @pytest.mark.parametrize("experiment", ["gp", "lj-trimer"])

@@ -56,18 +56,17 @@ def test_baritompa_schedule_extension():
     assert sched.iterations(4) == 1
     assert sched.iterations(24) == 5
     assert sched.iterations(25) == 5  # reuses the last entry
-    assert not sched.is_extended(24)
-    assert sched.is_extended(25)
+    assert list(islice(sched.steps(), 23, 25)) == [(5, False), (5, True)]
     capped = Schedule.parse(list(BARITOMPA_ENTRIES))
     assert capped.iterations(24) == 5
     assert capped.iterations(25) is None
-    assert not capped.is_extended(25)
+    assert list(capped.steps()) == [(k, False) for k in BARITOMPA_ENTRIES]
 
 
 def test_incremental_schedule():
     sched = Schedule("incremental")
     assert [sched.iterations(r) for r in (1, 2, 3, 10)] == [1, 2, 3, 10]
-    assert not sched.is_extended(1000)
+    assert not any(extended for _, extended in islice(sched.steps(), 1000))
 
 
 def test_constant_schedule():
@@ -178,11 +177,11 @@ def test_trace_threshold_bookkeeping():
     rounds = result.trace.rounds
     assert rounds[0].round == 1
     assert rounds[0].threshold_before == math.inf
-    for i, rec in enumerate(rounds):
+    for i, (rec, step) in enumerate(zip(rounds, Schedule("baritompa").steps())):
         assert rec.round == i + 1
         assert rec.threshold_after == min(rec.threshold_before, rec.value)
         assert rec.iterations == Schedule("baritompa").iterations(rec.round)
-        assert rec.extended == Schedule("baritompa").is_extended(rec.round)
+        assert (rec.iterations, rec.extended) == step
         if i:
             assert rec.threshold_before == rounds[i - 1].threshold_after
     thresholds = [r.threshold_after for r in rounds]
@@ -463,7 +462,8 @@ def test_schedule_steps_are_its_rounds():
     ):
         steps = list(islice(schedule.steps(), 40))
         rounds = range(1, len(steps) + 1)
-        assert steps == [(schedule.iterations(r), schedule.is_extended(r)) for r in rounds]
+        assert [k for k, _ in steps] == [schedule.iterations(r) for r in rounds]
+        assert [e for _, e in steps] == [schedule.kind == "baritompa" and r > 24 for r in rounds]
         assert len(steps) == (3 if schedule.kind == "custom" else 40)
     assert list(islice(Schedule("baritompa").steps(), 23, 26)) == [(5, False), (5, True), (5, True)]
 
@@ -554,10 +554,7 @@ def dense_grover_min(values, layout, schedule, stop, rng, strict=False):
     measures it with ``rng.choice`` over its renormalized Born probabilities."""
     n = layout.total_qubits
     threshold, stall, trace = math.inf, 0, SearchTrace()
-    for round_index in range(1, 10_000):
-        k = schedule.iterations(round_index)
-        if k is None:
-            break
+    for round_index, (k, extended) in enumerate(schedule.steps(), 1):
         mask = values < threshold if strict else values <= threshold
         amps = iterate(uniform_superposition(n), MarkedSet(n, mask), k).amplitudes
         norm_sq = float(np.vdot(amps, amps).real)
@@ -567,10 +564,7 @@ def dense_grover_min(values, layout, schedule, stop, rng, strict=False):
         idx = int(rng.choice(layout.size, p=probs / probs.sum()))
         value = float(values[idx])
         trace.rounds.append(
-            RoundRecord(
-                round_index, k, schedule.is_extended(round_index), idx,
-                value, threshold, min(threshold, value),
-            )
+            RoundRecord(round_index, k, extended, idx, value, threshold, min(threshold, value))
         )
         stall = 0 if value < threshold else stall + 1
         threshold = min(threshold, value)
@@ -614,6 +608,7 @@ def test_closed_form_search_matches_dense_reference(schedule, strict):
                 values, layout, schedule, stop, np.random.default_rng(seed), strict=strict
             )
             assert result.trace == reference
+            assert result.total_iterations == sum(r.iterations for r in result.trace.rounds)
             tied_rounds += sum(
                 r.iterations > 0 and r.threshold_before == ENERGY_CAP for r in reference.rounds
             )
@@ -639,6 +634,7 @@ def test_closed_form_search_matches_dense_reference_on_target_and_round_cap(
         )
         reference = dense_grover_min(values, GP_LAYOUT, schedule, stop, np.random.default_rng(seed))
         assert result.trace == reference
+        assert result.total_iterations == sum(r.iterations for r in result.trace.rounds)
         assert result.converged is converged
         if converged:
             assert result.best_value == 3.0

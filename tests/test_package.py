@@ -11,6 +11,7 @@ import grovermin.grover as grover
 import grovermin.objectives as objectives
 import grovermin.statevector as statevector
 from grovermin.encoding import GridLayout, VariableSpec
+from grovermin.minsearch import Schedule, SearchTrace
 from grovermin.objectives import ClusterGeometry, Objective
 from grovermin.statevector import MarkedSet, Statevector
 
@@ -40,6 +41,8 @@ def test_removed_dense_api_is_gone():
     # maps every objective's axes one way (``map_axis``, ``mapped_mesh``).
     # A run's distributions are one row per round, which ``main`` writes.
     # ``Objective.batch`` works in blocks, so the Shubert factor keeps no block size.
+    # A search reports what its round loop counted: ``Schedule.steps`` is the
+    # one rule for extended rounds, and the trace re-sums nothing.
     gone = ["amplify", "measured_success_probability", "phase_flip", "diffusion"]
     gone += ["cluster_energy", "shubert_eval", "trimer_energy"]
     removed = [
@@ -77,6 +80,9 @@ def test_removed_dense_api_is_gone():
         (cli, "emit_distribution"),
         (cli, "CSV_BLOCK_ROWS"),
         (objectives, "SHUBERT_BLOCK"),
+        (Schedule, "is_extended"),
+        (SearchTrace, "num_rounds"),
+        (SearchTrace, "total_iterations"),
     ]
     present = [f"{owner.__name__}.{name}" for owner, name in removed if hasattr(owner, name)]
     assert present == []

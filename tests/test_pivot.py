@@ -410,6 +410,27 @@ def pivot_state_for_resampling(points, values, weights, sigma):
     return state, np.asarray(weights, dtype=float), np.asarray(sigma, dtype=float)
 
 
+class RefusingRng:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError("allocated before the register check")
+
+
+def test_probes_and_resampling_refuse_an_oversized_population(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the register check")
+
+    monkeypatch.setattr(Objective, "batch", refuse)
+    cells = (1 << 24) + 1
+    with pytest.raises(RegisterTooLarge, match="25 qubits exceeds the register cap of 24"):
+        generate_probes(GP_BOX, cells, RefusingRng(), SPHERE)
+    state, weights, sigma = pivot_state_for_resampling([[0.5, 0.5]], [0.5], [1.0], [0.1, 0.1])
+    for elitism in (True, False):
+        with pytest.raises(RegisterTooLarge, match="25 qubits exceeds the register cap of 24"):
+            resample(state, weights, sigma, cells, GP_BOX, RefusingRng(), SPHERE, elitism)
+
+
 def test_resample_elitism_keeps_pivots_first():
     state, weights, sigma = pivot_state_for_resampling(
         [[0.1, 0.2], [0.3, 0.4]], [1.0, 2.0], [0.5, 0.5], [0.01, 0.01]

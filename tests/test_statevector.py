@@ -1,5 +1,7 @@
 """The dense register: preparation, the amplification step and its matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,17 @@ def test_marked_set_rejects_out_of_range_index():
         MarkedSet.from_indices(2, [4])
     with pytest.raises(ValueError, match="out of range"):
         MarkedSet.from_indices(2, [-1])
+
+
+def test_marked_set_from_indices_refuses_qubits_past_the_cap():
+    tracemalloc.start()
+    try:
+        with pytest.raises(RegisterTooLarge, match=f"exceeds the register cap of {MAX_QUBITS}"):
+            MarkedSet.from_indices(MAX_QUBITS + 1, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_marked_set_rejects_wrong_mask_length():
