@@ -20,7 +20,6 @@ module's (``encoding.check_qubits``).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 
@@ -39,10 +38,12 @@ def sample(marked: np.ndarray, size: int, iterations: int, u: float) -> int:
     inverts one uniform on the cumulative sum of the dense probabilities, so
     both draw the same index from the same stream (the indices can differ
     only when the uniform lies within rounding of a CDF step).  A bisection
-    over the marked cells finds the step in O(log m); it reads them through
-    ``ndarray.item``, as Python ints, which costs less per probe than
-    indexing a numpy scalar and gives the same values.  With no steps
-    (k = 0) the state is uniform whatever ``marked`` holds.
+    over the marked ranks finds the step in O(log m): it is a plain loop that
+    computes the CDF just past each probed mark as it goes, with no function
+    call per probe, and reads the marks through ``ndarray.item``, as Python
+    ints, which costs less per probe than indexing a numpy scalar and gives
+    the same values.  With no steps (k = 0), or with none or all of the cells
+    marked (m = 0 or m = N), the state is uniform.
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
@@ -54,7 +55,13 @@ def sample(marked: np.ndarray, size: int, iterations: int, u: float) -> int:
     item = marked.item
     # CDF just past each marked cell i, with marked[i] - i unmarked cells
     # ahead of it; j marked cells lie wholly below target.
-    j = bisect.bisect_right(range(m), target, key=lambda i: a * (i + 1) + b * (item(i) - i))
+    j, hi = 0, m
+    while j < hi:
+        i = (j + hi) // 2
+        if target < a * (i + 1) + b * (item(i) - i):
+            hi = i
+        else:
+            j = i + 1
     if b == 0.0:
         return item(min(j, m - 1))
     # Unmarked cells wholly below target.  Rounding in the division can put q

@@ -1,27 +1,30 @@
 """Minimum search by repeated rounds of preparation, marking, amplification and measurement.
 
 A round's marked set is every index whose objective value is at or below
-the current threshold, the best value measured so far (round 1's threshold
-is inf, so it marks everything).  The round applies its scheduled number of
-amplification steps to the uniform superposition and measures once.  The
-measurement is drawn in closed form (``grover.sample``, from the round's
-one ``rng.random()``): from the uniform state every marked cell ends with
-the same probability and so does every unmarked cell, so the search builds
-no 2**n register.  Those two probabilities come from the bounded memo of
-``grover.class_probabilities``, which every run of an ensemble and
-``round_states`` share, so a round whose (m, N, k) an earlier round or run
-met finds the pair there while the memo still holds it.  The threshold only
-falls, so each marked set lies inside the last one: the search keeps the
-marked indices as one sorted array and narrows it to the cells still under
-the threshold, instead of rescanning the grid every round.  Both the first
-scan and each narrowing work one block of ``encoding.BLOCK_ROWS`` cells or
-marks at a time, in place.  Rounds record indices; the search decodes only
-its best point.  ``Schedule.steps()`` yields each round's ``(iterations,
-extended)``, walked once per search; termination comes from a StopRule,
-whose limits the loop reads once per search.  The round loop records each
-round once, and ``SearchResult`` carries the loop's own
-``total_iterations`` and ``iterations_to_best``.  ``round_states`` replays
-a finished search's rounds as marked masks and class probabilities.
+the current threshold, the best value measured so far.  Round 1's threshold
+is inf, so it marks everything, yet the search lists no cell for it: a draw
+from m = 0 is the same uniform draw as from m = N.  The round applies its
+scheduled number of amplification steps to the uniform superposition and
+measures once.  The measurement is drawn in closed form (``grover.sample``,
+from the round's one ``rng.random()``): from the uniform state every marked
+cell ends with the same probability and so does every unmarked cell, so the
+search builds no 2**n register.  Those two probabilities come from the
+bounded memo of ``grover.class_probabilities``, which every run of an
+ensemble and ``round_states`` share, so a round whose (m, N, k) an earlier
+round or run met finds the pair there while the memo still holds it.  The
+threshold only falls, so each marked set lies inside the last one: the
+search scans the grid for the first finite threshold an amplified round
+meets, keeps those marked indices as one sorted array and narrows it to the
+cells still under the threshold, instead of rescanning the grid every
+round.  Both the scan and each narrowing work one block of
+``encoding.BLOCK_ROWS`` cells or marks at a time, in place.  Rounds record
+indices; the search decodes only its best point.  ``Schedule.steps()``
+yields each round's ``(iterations, extended)``, walked once per search;
+termination comes from a StopRule, whose limits the loop reads once per
+search.  The round loop records each round once, and ``SearchResult``
+carries the loop's own ``total_iterations`` and ``iterations_to_best``.
+``round_states`` replays a finished search's rounds as marked masks and
+class probabilities.
 """
 
 from __future__ import annotations
@@ -245,10 +248,12 @@ def adapted_grover_min(
     ``values``: optional precomputed objective values for all indices (they
     are computed once here otherwise).  ``strict`` marks f < M instead of
     f <= M.  Each round's index is drawn by ``grover.sample`` without a
-    register, from the sorted marked indices; the grid is scanned once for
-    the first amplified round (``_scan``), and later rounds narrow that
-    array in place (``_narrow``), both one block of ``encoding.BLOCK_ROWS``
-    at a time.  A grid or marked set that fits in one block is marked by
+    register, from the sorted marked indices.  Nothing is listed at the
+    infinite threshold, where ``sample`` draws from m = 0 as it would from
+    m = N; the grid is scanned once for the first finite threshold an
+    amplified round meets (``_scan``), and later rounds narrow that array in
+    place (``_narrow``), both one block of ``encoding.BLOCK_ROWS`` at a
+    time.  A grid or marked set that fits in one block is marked by
     one whole-array expression.  The threshold is the best value measured.
     """
     values = layout.objective_values(objective, values)
@@ -267,19 +272,19 @@ def adapted_grover_min(
     trace = SearchTrace()
     record = trace.rounds.append
     converged = False
-    # ``marks``: sorted indices of the cells marked at ``marks_threshold``,
-    # which stays None until the first amplified round scans the grid.
-    # Round 1's threshold is inf, so it marks every (finite) value.
+    # ``marks``: sorted indices of the cells marked at ``marks_threshold``.
+    # At inf every cell is marked, but none is listed: ``sample`` draws from
+    # m = 0 exactly as from m = N, so the first finite threshold is scanned.
     marks = np.empty(0, dtype=np.int64)
-    marks_threshold = None
+    marks_threshold = math.inf
 
     for round_index, (k, extended) in enumerate(schedule.steps(), 1):
         # A k = 0 round measures the uniform state whatever is marked, so the
         # marked set is brought up to date only before a round that amplifies.
         # The threshold only falls: the new set is the part of the last one
-        # still under it, and only the first build scans the grid.
+        # still under it, and only the first finite threshold scans the grid.
         if k > 0 and threshold != marks_threshold:
-            if marks_threshold is None:
+            if marks_threshold == math.inf:
                 marks = _scan(values, threshold, strict)
             else:
                 marks = _narrow(marks, values, threshold, strict)

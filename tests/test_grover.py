@@ -1,12 +1,13 @@
 """Amplification steps against the closed-form success probability."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy.special import chdtrc
 
 import grovermin.grover as grover
 import grovermin.statevector as statevector
@@ -246,6 +247,44 @@ def test_sample_inverts_the_cdf_at_its_steps():
             assert lower[i] - 1e-12 <= u <= cdf[i] + 1e-12
 
 
+def bisect_sample(marked, size, iterations, u):
+    """``sample`` as first written: ``bisect.bisect_right`` with a ``key`` per probe."""
+    m = len(marked)
+    if iterations == 0 or m == 0 or m == size:
+        return int(u * size)
+    a, b = class_probabilities(m, size, iterations)
+    target = u * (a * m + b * (size - m))
+    item = marked.item
+    j = bisect.bisect_right(range(m), target, key=lambda i: a * (i + 1) + b * (item(i) - i))
+    if b == 0.0:
+        return item(min(j, m - 1))
+    q = max(math.floor((target - a * j) / b), item(j - 1) - (j - 1) if j else 0)
+    if j < m and q >= item(j) - j:
+        return item(j)
+    return j + min(q, size - m - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 40])
+def test_long_bisections_draw_what_bisect_right_draws(k):
+    # 16 qubits and up to N - 1 marks: up to 16 probes per draw, where the
+    # dense comparison above stops at 10.  Uniforms on and one ulp beside
+    # CDF steps, half of them just past a marked cell, are where a probe's
+    # comparison decides the draw.
+    size = 1 << 16
+    for m in (1, 2, 3, 1000, 40000, size - 1):
+        rng = np.random.default_rng([m, k])
+        marked = np.sort(rng.choice(size, size=m, replace=False))
+        a, b = class_probabilities(m, size, k)
+        mask = np.zeros(size, dtype=bool)
+        mask[marked] = True
+        cdf = np.cumsum(np.where(mask, a, b))
+        cells = np.concatenate((rng.choice(marked[marked < size - 1], 10), rng.choice(size - 1, 10)))
+        steps = cdf[cells]
+        near = np.concatenate((np.nextafter(steps, 0), steps, np.nextafter(steps, 1)))
+        for u in rng.random(2000).tolist() + near.tolist():
+            assert sample(marked, size, k, u) == bisect_sample(marked, size, k, u), (m, u)
+
+
 def test_sample_follows_born_rule():
     # one amplified round on 3 qubits, then chi-square against |a_i|^2
     marked = MarkedSet.from_indices(3, [5])
@@ -255,7 +294,9 @@ def test_sample_follows_born_rule():
     counts = np.zeros(8)
     for _ in range(draws):
         counts[sample(marked.indices(), 8, 1, rng.random())] += 1
-    assert stats.chisquare(counts, probs * draws).pvalue > 0.001
+    expected = probs * draws
+    statistic = np.sum((counts - expected) ** 2 / expected)  # Pearson's
+    assert chdtrc(len(counts) - 1, statistic) > 0.001
 
 
 def test_sample_validation():

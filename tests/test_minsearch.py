@@ -7,7 +7,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy.special import chdtrc
 
 import grovermin.grover as grover
 import grovermin.minsearch as minsearch
@@ -163,7 +163,8 @@ def test_zero_iteration_rounds_sample_uniformly():
             objective, layout, schedule, stop, np.random.default_rng(seed)
         )
         counts[result.best_index] += 1
-    assert stats.chisquare(counts).pvalue > 0.001
+    statistic = np.sum((counts - counts.mean()) ** 2 / counts.mean())  # Pearson's
+    assert chdtrc(len(counts) - 1, statistic) > 0.001
 
 
 def test_trace_threshold_bookkeeping():
@@ -748,7 +749,9 @@ def test_rounds_allocate_nothing_grid_sized_after_the_first_scan(monkeypatch, sc
             tracemalloc.stop()
         refreshed_at = None
         for r, grew in zip(result.trace.rounds, growth):
-            if r.iterations > 0 and r.threshold_before != refreshed_at:
+            # Nothing is listed at the infinite threshold, so the first
+            # refresh is the grid scan at the first finite one.
+            if r.iterations > 0 and r.threshold_before not in (refreshed_at, math.inf):
                 if refreshed_at is not None:
                     last_count = np.count_nonzero(values <= refreshed_at)
                     assert grew < 17 * min(last_count, 256) + 4096, (r, grew, last_count)
@@ -769,12 +772,59 @@ GP_8_8 = square_layout(["x", "y"], -3.2, 3.0, 8)
 TIED_TRIMER_9 = GridLayout([VariableSpec("B", 0.0, 2.0, 5), VariableSpec("A", 0.0, math.pi, 4)])
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "schedule", ["incremental", "constant:1", [1, 0, 2]], ids=["incremental", "constant", "custom"]
+)
+def test_infinite_threshold_lists_no_cell(monkeypatch, schedule, strict):
+    # Round 1 amplifies at the infinite threshold, where every cell is marked
+    # and the draw from m = 0 is the uniform one m = N gives: neither helper
+    # sees inf, and nothing of a byte per grid cell is allocated before the
+    # first draw (a list of every cell is 8 bytes per cell).
+    values = GOLDSTEIN_PRICE.batch(GP_8_8.all_points())
+    thresholds, before_first_draw = [], []
+    real_scan, real_narrow, real_sample = minsearch._scan, minsearch._narrow, minsearch.sample
+
+    def scan(values, threshold, strict):
+        thresholds.append(threshold)
+        return real_scan(values, threshold, strict)
+
+    def narrow(marks, values, threshold, strict):
+        thresholds.append(threshold)
+        return real_narrow(marks, values, threshold, strict)
+
+    def sample(*args):
+        if not before_first_draw:
+            before_first_draw.append(tracemalloc.get_traced_memory()[1])
+        return real_sample(*args)
+
+    monkeypatch.setattr(minsearch, "_scan", scan)
+    monkeypatch.setattr(minsearch, "_narrow", narrow)
+    monkeypatch.setattr(minsearch, "sample", sample)
+    schedule = Schedule.parse(schedule)
+    for seed in range(4):
+        before_first_draw.clear()
+        rng = np.random.default_rng(seed)
+        tracemalloc.start()
+        try:
+            result = adapted_grover_min(
+                GOLDSTEIN_PRICE, GP_8_8, schedule, StopRule(stall_window=6), rng,
+                values=values, strict=strict,
+            )
+        finally:
+            tracemalloc.stop()
+        first = result.trace.rounds[0]
+        assert first.iterations > 0 and first.threshold_before == math.inf
+        assert before_first_draw[0] < GP_8_8.size, before_first_draw
+    assert thresholds and math.inf not in thresholds
+
+
 @pytest.mark.parametrize("block_rows", [1, 7, 100])
 @pytest.mark.parametrize(
     "objective, layout, schedule, seeds",
     [
         (GOLDSTEIN_PRICE, GP_8_8, "baritompa", 2),
-        (GOLDSTEIN_PRICE, GP_8_8, "incremental", 2),  # round 1 marks every cell
+        (GOLDSTEIN_PRICE, GP_8_8, "incremental", 2),  # round 1 lists no cell
         (GOLDSTEIN_PRICE, GP_8_8, "constant:1", 2),
         (LJ_TRIMER, TIED_TRIMER_9, "incremental", 8),
     ],
