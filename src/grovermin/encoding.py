@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import check_finite
+from .objectives import _is_real, check_finite
 
 #: Largest register or grid accepted (16M cells).
 MAX_QUBITS = 24
@@ -70,7 +70,7 @@ class VariableSpec:
             raise ValueError(f"{self.name}: qubits must be an integer >= 1, got {self.qubits!r}")
         for bound in ("lo", "hi"):
             value = getattr(self, bound)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise ValueError(f"{self.name}: {bound} must be a real number, got {value!r}")
         if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
             raise ValueError(f"{self.name}: bounds must be finite")
@@ -151,12 +151,13 @@ class GridLayout:
         return len(self.variables)
 
     def levels(self, index: int) -> tuple[int, ...]:
-        """Each variable's level at a basis index; refuses what ``decode`` refuses."""
+        """Each variable's level at a basis index; the one check of a scalar index."""
         if not _is_int(index):
             raise ValueError(f"index must be an integer, got {index!r}")
+        index = int(index)
         if not 0 <= index < self.size:
-            raise ValueError(f"index {index} outside [0, {self.size})")
-        return tuple(self.level_fields(int(index)))
+            raise ValueError("index outside register range")
+        return tuple(self.level_fields(index))
 
     def level_fields(self, indices) -> Iterator:
         """Each variable's level field of ``indices`` (an int or an int array), in turn.
@@ -170,12 +171,7 @@ class GridLayout:
 
     def decode(self, index: int) -> tuple[float, ...]:
         """Grid point for a basis index: the row ``decode_batch`` gives it, bit for bit."""
-        if not _is_int(index):
-            raise ValueError(f"index must be an integer, got {index!r}")
-        index = int(index)
-        if not 0 <= index < self.size:
-            raise ValueError("index outside register range")
-        return tuple(map(VariableSpec.level_to_value, self.variables, self.level_fields(index)))
+        return tuple(map(VariableSpec.level_to_value, self.variables, self.levels(index)))
 
     def decode_batch(self, indices: np.ndarray) -> np.ndarray:
         """Grid points for an int array of indices, shape (len(indices), arity)."""
@@ -201,25 +197,20 @@ class GridLayout:
         return points
 
     def objective_values(self, objective, values: np.ndarray | None = None) -> np.ndarray:
-        """``objective`` at every index: ``values`` if given, checked, else ``evaluate``."""
-        if values is None:
-            return self.evaluate(objective)
+        """``objective`` at every index, shape (size,): ``values`` if given, checked, else
+        ``objective.batch(self.all_points())`` filled in from ``slabs``, which keeps
+        only the values, besides one slab at a time."""
         self._check_arity(objective)
+        if values is None:
+            values = np.empty(self.size)
+            for start, slab in self.slabs(objective):
+                values[start : start + len(slab)] = slab
+                del slab  # not held while the next slab is computed
+            return values
         values = np.asarray(values, dtype=float)
         if values.shape != (self.size,):
             raise ValueError(f"values must have shape ({self.size},), got {values.shape}")
         return check_finite(objective.name, values)
-
-    def evaluate(self, objective) -> np.ndarray:
-        """``objective.batch(self.all_points())``, filled in from ``slabs``.
-
-        Only the values, shape (size,), are kept, besides one slab at a time.
-        """
-        values = np.empty(self.size)
-        for start, slab in self.slabs(objective):
-            values[start : start + len(slab)] = slab
-            del slab  # not held while the next slab is computed
-        return values
 
     def slabs(self, objective) -> Iterator[tuple[int, np.ndarray]]:
         """``(start, values)`` for consecutive runs of indices, in index order.

@@ -13,6 +13,7 @@ but still representable; only genuine coincidence is capped).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import partial, reduce
@@ -88,7 +89,7 @@ class Objective:
                 else:
                     out = self.batch_fn(*block.T)
                 values[start : start + len(block)] = self._shaped(out, block.shape[:1])
-            return _check_finite(self.name, values)
+        return check_finite(self.name, values)
 
     def mesh(self, axes: list[np.ndarray]) -> np.ndarray:
         """Values on the C-order grid of 1-D ``axes``, one per variable, flattened.
@@ -112,7 +113,7 @@ class Objective:
         with np.errstate(all="ignore"):
             values = reduce(operator.mul, grid) if self.factor is not None else self.batch_fn(*grid)
             values = self._shaped(values, np.broadcast(*grid).shape)
-            return _check_finite(self.name, values).reshape(-1)
+        return check_finite(self.name, values).reshape(-1)
 
     def _shaped(self, values, shape: tuple[int, ...]) -> np.ndarray:
         """``values`` as a float array; ValueError unless it has ``shape``."""
@@ -133,38 +134,52 @@ def check_finite(name: str, values: np.ndarray) -> np.ndarray:
     NaN sum are silenced.
     """
     with np.errstate(all="ignore"):
-        return _check_finite(name, values)
-
-
-def _check_finite(name: str, values: np.ndarray) -> np.ndarray:
-    """``check_finite``, under the caller's ``np.errstate``."""
-    if (
-        values.size
-        and not math.isfinite(np.add.reduce(values, axis=None))
-        and not (math.isfinite(values.min()) and math.isfinite(values.max()))
-    ):
-        bad = values.size - np.count_nonzero(np.isfinite(values))
-        raise ValueError(f"objective {name!r} gave {bad} non-finite values")
+        if (
+            values.size
+            and not math.isfinite(np.add.reduce(values, axis=None))
+            and not (math.isfinite(values.min()) and math.isfinite(values.max()))
+        ):
+            bad = values.size - np.count_nonzero(np.isfinite(values))
+            raise ValueError(f"objective {name!r} gave {bad} non-finite values")
     return values
 
 
 Box = list[tuple[float, float]]
 
 
+def _is_real(value) -> bool:
+    """True for a Python or numpy real number, False for a bool (JSON true/false)."""
+    if type(value) is float:  # the common case, without the ABC check
+        return True
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_box(box: Box, arity: int) -> Box:
-    """``box`` as float ``(lo, hi)`` pairs, one per variable, finite and lo <= hi."""
+    """``box`` as float ``(lo, hi)`` pairs, one per variable, under the bound rule of
+    ``encoding.VariableSpec``: each bound a real number (not a bool) and finite, lo <= hi,
+    and a width hi - lo that does not overflow."""
     try:
-        box = [(float(lo), float(hi)) for lo, hi in box]
+        pairs = [(lo, hi) for lo, hi in box]
     except (TypeError, ValueError):
         raise ValueError(f"box must be a list of [lo, hi] pairs, got {box!r}") from None
-    if len(box) != arity:
-        raise ValueError(f"box has {len(box)} axes, objective takes {arity}")
-    for lo, hi in box:
+    if len(pairs) != arity:
+        raise ValueError(f"box has {len(pairs)} axes, objective takes {arity}")
+    checked = []
+    for lo, hi in pairs:
+        if not (_is_real(lo) and _is_real(hi)):
+            raise ValueError(f"box must be a list of [lo, hi] pairs of real numbers, got {box!r}")
+        try:
+            lo, hi = float(lo), float(hi)
+        except OverflowError:  # an integer past the float range
+            raise ValueError("box bounds must be finite, got an integer too large") from None
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"box bounds must be finite, got [{lo}, {hi}]")
         if hi < lo:
             raise ValueError(f"empty box axis [{lo}, {hi}]")
-    return box
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"box width hi - lo overflows, got [{lo}, {hi}]")
+        checked.append((lo, hi))
+    return checked
 
 
 def gp_eval(x1, x2):
@@ -264,7 +279,10 @@ class ClusterGeometry:
         energy = 0.0
         for i in range(len(atoms)):
             for j in range(i + 1, len(atoms)):
-                r = float(np.linalg.norm(atoms[i] - atoms[j]))
+                with np.errstate(over="ignore"):  # an overflowing distance is refused below
+                    r = float(np.linalg.norm(atoms[i] - atoms[j]))
+                if math.isinf(r):
+                    raise ValueError(f"fixed atoms {i} and {j}: distance overflows")
                 if r <= CONTACT_EPS:
                     raise ValueError(f"fixed atoms {i} and {j} coincide (r = {r})")
                 energy += lj_pair(r)

@@ -70,7 +70,7 @@ def test_grid_ties_break_to_index_zero_across_blocks(monkeypatch):
 @pytest.mark.parametrize("objective, layout, block_rows", EVALUATE_CASES, ids=EVALUATE_IDS)
 def test_streaming_minimum_is_the_argmin_of_evaluate(monkeypatch, objective, layout, block_rows):
     monkeypatch.setattr(encoding, "BLOCK_ROWS", block_rows)
-    values = layout.evaluate(objective)
+    values = layout.objective_values(objective)
     i = int(np.argmin(values))
     out = grid_brute_min(objective, layout)
     assert (out.index, out.value.hex(), out.point) == (i, values[i].hex(), layout.decode(i))
@@ -105,7 +105,7 @@ def test_streaming_minimum_rejects_a_non_finite_later_slab(monkeypatch):
     table = np.arange(LINE.size, dtype=float)
     table[[700, 750]] = [np.nan, np.inf]
     with pytest.raises(ValueError) as evaluated:
-        LINE.evaluate(_lookup(table))
+        LINE.objective_values(_lookup(table))
     with pytest.raises(ValueError, match="objective 'lookup' gave 2 non-finite values") as scanned:
         grid_brute_min(_lookup(table), LINE)
     assert str(scanned.value) == str(evaluated.value)
@@ -141,7 +141,7 @@ def brute_keeps_no_values(objective, layout):
 #: Each scan, returning the bytes of values it keeps.
 SCANS = {
     "grid_brute_min": brute_keeps_no_values,
-    "evaluate": lambda objective, layout: layout.evaluate(objective).nbytes,
+    "evaluate": lambda objective, layout: layout.objective_values(objective).nbytes,
 }
 
 

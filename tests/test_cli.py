@@ -888,6 +888,22 @@ def test_oversized_register_exits_2_before_allocating(
             "objective 'gp' gave 8 non-finite values",
             id="gp-overflow",
         ),
+        ("lj-grow", {"growth": {"bond": 1e200}}, "fixed atoms 0 and 1: distance overflows"),
+        (
+            "shubert-pivot",
+            {"box": [["-10", "10"], [True, 10]]},
+            "box must be a list of [lo, hi] pairs of real numbers, got [['-10', '10'], [True, 10]]",
+        ),
+        (
+            "shubert-pivot",
+            {"box": [[-1e308, 1e308], [0, 1]]},
+            "box width hi - lo overflows, got [-1e+308, 1e+308]",
+        ),
+        (
+            "shubert-pivot",
+            {"box": [[-(10**400), 10], [-10, 10]]},
+            "box bounds must be finite, got an integer too large",
+        ),
     ],
 )
 def test_bad_config_value_exits_2_with_one_line(
@@ -897,8 +913,8 @@ def test_bad_config_value_exits_2_with_one_line(
     config.write_text(json.dumps(override))
     argv = ["run", experiment, "--config", str(config), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "out").exists()
 

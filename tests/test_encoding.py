@@ -134,6 +134,10 @@ def test_decode_batch_matches_scalar_decode():
         for index in (-1, layout.size, np.int64(layout.size)):
             with pytest.raises(ValueError, match="^index outside register range$"):
                 layout.decode(index)
+            with pytest.raises(ValueError, match="^index outside register range$"):
+                layout.levels(index)
+            with pytest.raises(ValueError, match="^index outside register range$"):
+                layout.decode_batch(np.array([0, index]))
 
 
 def test_level_fields_of_an_index_array_are_each_index_levels():
@@ -215,7 +219,7 @@ EVALUATE_IDS = [
 def test_evaluate_in_blocks_is_bitwise_the_whole_batch(monkeypatch, objective, layout, block_rows):
     monkeypatch.setattr(encoding, "BLOCK_ROWS", block_rows)
     assert layout.size == 1024
-    values = layout.evaluate(objective)
+    values = layout.objective_values(objective)
     assert values.tobytes() == objective.batch(layout.all_points()).tobytes()
 
 
@@ -237,7 +241,7 @@ def test_evaluate_hands_the_objective_per_axis_vectors(monkeypatch, objective, l
             return objective.batch_fn(*coords)
         return math.prod(map(objective.factor, coords))
 
-    values = layout.evaluate(Objective(objective.name, objective.arity, batch_fn=spy))
+    values = layout.objective_values(Objective(objective.name, objective.arity, batch_fn=spy))
     assert values.tobytes() == expected.tobytes()
     assert len(sizes) >= layout.size // block_rows
     for call in sizes:
@@ -260,7 +264,7 @@ def test_product_objective_maps_each_axis_once(monkeypatch, layout, block_rows):
 
     spied = Objective("shubert", layout.arity, factor=spy)
     expected = Objective("shubert", layout.arity, factor=shubert_axis).batch(layout.all_points())
-    values = layout.evaluate(spied)
+    values = layout.objective_values(spied)
     assert values.tobytes() == expected.tobytes()
     assert calls == [v.levels for v in layout.variables]
     calls.clear()
@@ -278,7 +282,7 @@ def test_product_objective_maps_an_axis_longer_than_a_block_by_slab(monkeypatch)
         calls.append(len(x))
         return shubert_axis(x)
 
-    values = GRID_1_9.evaluate(Objective("shubert", 2, factor=spy))
+    values = GRID_1_9.objective_values(Objective("shubert", 2, factor=spy))
     assert values.tobytes() == SHUBERT.batch(GRID_1_9.all_points()).tobytes()
     assert calls == [2] + [100, 100, 100, 100, 100, 12] * 2
 
@@ -289,7 +293,7 @@ def test_evaluate_holds_the_values_and_a_few_blocks(objective):
     assert layout.size > encoding.BLOCK_ROWS
     tracemalloc.start()
     try:
-        values = layout.evaluate(objective)
+        values = layout.objective_values(objective)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

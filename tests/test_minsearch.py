@@ -836,9 +836,9 @@ def test_marking_in_blocks_leaves_every_search_unchanged(
     # The default block holds each grid whole, so the default search marks
     # with one expression; a patched block reaches the search's scan and
     # narrowings and must change no result.
+    if layout is GP_8_8 and block_rows == 1:
+        layout = GP_LAYOUT  # 1024 one-cell blocks per scan, not 65536
     values = objective.batch(layout.all_points())
-    if layout.size > 1024 and block_rows == 1:
-        seeds = 1  # 65536 one-cell blocks per scan
 
     def searches():
         return [

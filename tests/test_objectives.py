@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grovermin import objectives
+from grovermin.encoding import VariableSpec
 from grovermin.objectives import (
     CONTACT_EPS,
     ENERGY_CAP,
@@ -19,6 +20,7 @@ from grovermin.objectives import (
     ClusterGeometry,
     Objective,
     build_fixed_core,
+    check_box,
     check_finite,
     free_atom_objective,
     get_objective,
@@ -217,6 +219,39 @@ def test_cluster_geometry_rejects_coincident_atoms():
         atoms = [[hole, 0.0, 0.0], [1.0, 0.0, 0.0]]
         with pytest.raises(ValueError, match=r"^fixed_atoms must be finite, got \[\["):
             ClusterGeometry(atoms)
+    # Finite atoms 1e200 apart: the distance overflows, and no numpy warning leaks.
+    with pytest.raises(ValueError, match="^fixed atoms 0 and 1: distance overflows$"):
+        build_fixed_core(3, 1e200)
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        (("-10", "10"), r"box must be a list of \[lo, hi\] pairs of real numbers, got "),
+        ((True, 10), r"box must be a list of \[lo, hi\] pairs of real numbers, got "),
+        ((None, 1.0), r"box must be a list of \[lo, hi\] pairs of real numbers, got "),
+        ((-1e308, 1e308), r"^box width hi - lo overflows, got \[-1e\+308, 1e\+308\]$"),
+        ((-math.inf, 0.0), r"^box bounds must be finite, got \[-inf, 0.0\]$"),
+        ((1.0, 0.0), r"^empty box axis \[1.0, 0.0\]$"),
+    ],
+    ids=["string", "bool", "none", "overflowing-width", "infinite", "empty"],
+)
+def test_check_box_refuses_what_a_grid_variable_refuses(pair, message):
+    with pytest.raises(ValueError, match=message):
+        check_box([(0.0, 1.0), pair], 2)
+    with pytest.raises(ValueError):
+        VariableSpec("x", *pair, 2)
+
+
+def test_check_box_refuses_an_integer_past_the_float_range():
+    with pytest.raises(ValueError, match="^box bounds must be finite, got an integer too large$"):
+        check_box([(0.0, 1.0), (-(10**400), 0)], 2)
+
+
+def test_check_box_takes_real_numbers_of_any_kind():
+    box = check_box([(np.int64(-1), np.float32(0.5)), (0, 1e308)], 2)
+    assert box == [(-1.0, 0.5), (0.0, 1e308)]
+    assert all(type(b) is float for pair in box for b in pair)
 
 
 def test_free_atom_objective_arities():

@@ -42,7 +42,9 @@ def test_removed_dense_api_is_gone():
     # A run's distributions are one row per round, which ``main`` writes.
     # ``Objective.batch`` works in blocks, so the Shubert factor keeps no block size.
     # A search reports what its round loop counted: ``Schedule.steps`` is the
-    # one rule for extended rounds, and the trace re-sums nothing.
+    # one rule for extended rounds, and the trace re-sums nothing.  Each grid
+    # rule has one home: ``objective_values`` fills the grid's values and
+    # ``check_finite`` is the one finiteness check.
     gone = ["amplify", "measured_success_probability", "phase_flip", "diffusion"]
     gone += ["cluster_energy", "shubert_eval", "trimer_energy"]
     removed = [
@@ -83,6 +85,8 @@ def test_removed_dense_api_is_gone():
         (Schedule, "is_extended"),
         (SearchTrace, "num_rounds"),
         (SearchTrace, "total_iterations"),
+        (GridLayout, "evaluate"),
+        (objectives, "_check_finite"),
     ]
     present = [f"{owner.__name__}.{name}" for owner, name in removed if hasattr(owner, name)]
     assert present == []
