@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import GridLayout, check_qubits
+from .encoding import GridLayout, _is_int, check_qubits
 from .objectives import Box, Objective, check_box
 
 
@@ -68,6 +68,9 @@ def refine_min(
     and repeats.  The incumbent carries across levels, so the reported value
     never increases with more levels.
     """
+    for name, count in (("levels", levels), ("points_per_axis", points_per_axis)):
+        if not _is_int(count):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
     if points_per_axis < 2:

@@ -72,11 +72,16 @@ class VariableSpec:
             value = getattr(self, bound)
             if not _is_real(value):
                 raise ValueError(f"{self.name}: {bound} must be a real number, got {value!r}")
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        try:
+            lo, hi = float(self.lo), float(self.hi)
+        except OverflowError:  # an integer past the float range
+            message = f"{self.name}: bounds must be finite, got an integer too large"
+            raise ValueError(message) from None
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError(f"{self.name}: bounds must be finite")
         if self.hi <= self.lo:
             raise ValueError(f"{self.name}: hi must exceed lo, got [{self.lo}, {self.hi}]")
-        if not np.isfinite(float(self.hi) - float(self.lo)):
+        if not np.isfinite(hi - lo):
             raise ValueError(f"{self.name}: width hi - lo overflows, got [{self.lo}, {self.hi}]")
         # A variable past the cap fits no layout, and its level count may not
         # convert to a float for ``step``.

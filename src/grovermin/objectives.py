@@ -126,17 +126,19 @@ class Objective:
 def check_finite(name: str, values: np.ndarray) -> np.ndarray:
     """``values``, or ValueError naming objective ``name`` if any is NaN or infinite.
 
-    One ``np.add.reduce`` pass decides: a NaN or an infinity makes the sum
-    non-finite.  Only then are ``min`` and ``max`` taken, which propagate
-    NaN and expose an infinity, so finite values whose sum overflows still
+    One BLAS dot product, the sum of squares ``np.vdot(values, values)``,
+    decides: a NaN or an infinity makes it non-finite.  It reads the values
+    once, a strided 1-D view in place.  Only when it is not finite are
+    ``min`` and ``max`` taken, which propagate NaN and expose an infinity,
+    so finite values whose squares overflow (|v| above about 1.3e154) still
     pass.  No path that passes builds a mask; the non-finite values are
-    counted only for the error.  numpy's warnings for the overflowing or
-    NaN sum are silenced.
+    counted only for the error.  numpy's warnings for the overflowing or NaN
+    sum are silenced.
     """
     with np.errstate(all="ignore"):
         if (
             values.size
-            and not math.isfinite(np.add.reduce(values, axis=None))
+            and not math.isfinite(np.vdot(values, values))
             and not (math.isfinite(values.min()) and math.isfinite(values.max()))
         ):
             bad = values.size - np.count_nonzero(np.isfinite(values))

@@ -119,6 +119,8 @@ def generate_probes(
 ) -> ProbeSet:
     """N points drawn independently and uniformly from the box."""
     box = check_box(box, objective.arity)
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 probes, got {n}")
     check_qubits(int(n - 1).bit_length())
@@ -358,13 +360,17 @@ def pivot_grover_search(
     converged=False.
     """
     box = check_box(box, objective.arity)
+    if not (_is_int(qubits) and qubits >= 1):
+        raise ValueError(f"qubits must be an integer >= 1, got {qubits!r}")
     check_qubits(qubits)
+    sigma = np.array([(hi - lo) / config.sigma_scale for lo, hi in box])
+    if not np.isfinite(sigma).all():
+        raise ValueError(f"initial sigma (hi - lo) / sigma_scale overflows, got {sigma.tolist()}")
     n = 1 << qubits
     probes = generate_probes(box, n, rng, objective)
     i = int(probes.values.argmin())
     best_value = float(probes.values[i])
     best_point = probes.points[i].copy()
-    sigma = np.array([(hi - lo) / config.sigma_scale for lo, hi in box])
 
     records: list[GenerationRecord] = []
     total_iterations = 0
@@ -468,8 +474,8 @@ def lj_growth(
     qubits_per_axis qubits each; method 1 frees X, Y, Z on a 10-qubit probe
     register, since a continuous pivot search does not split qubits by axis.
     """
-    if target_atoms not in (4, 5):
-        raise ValueError(f"target_atoms must be 4 or 5, got {target_atoms}")
+    if not (_is_int(target_atoms) and target_atoms in (4, 5)):
+        raise ValueError(f"target_atoms must be 4 or 5, got {target_atoms!r}")
     stages: list[GrowthStage] = []
     total_iterations = 0
 

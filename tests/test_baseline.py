@@ -318,6 +318,10 @@ def test_refine_validation():
         refine_min(GOLDSTEIN_PRICE, box, levels=0)
     with pytest.raises(ValueError, match="points_per_axis"):
         refine_min(GOLDSTEIN_PRICE, box, points_per_axis=1)
+    for name in ("levels", "points_per_axis"):
+        for count in (2.5, 4.0, True):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {count!r}$"):
+                refine_min(GOLDSTEIN_PRICE, box, **{name: count})
     with pytest.raises(ValueError, match="zoom"):
         refine_min(GOLDSTEIN_PRICE, box, zoom=1.0)
     with pytest.raises(ValueError, match="axes"):

@@ -347,6 +347,10 @@ def test_variable_validation():
         VariableSpec("v", 1.0, 1.0, 2)
     with pytest.raises(ValueError, match="finite"):
         VariableSpec("v", 0.0, float("inf"), 2)
+    # An integer bound past the float range, as ``check_box`` refuses it.
+    for lo, hi in ((-(10**400), 0), (0, 10**400)):
+        with pytest.raises(ValueError, match="^v: bounds must be finite, got an integer too large$"):
+            VariableSpec("v", lo, hi, 2)
     with pytest.raises(ValueError, match=r"v: width hi - lo overflows, got \[-1e\+308, 1e\+308\]"):
         VariableSpec("v", -1e308, 1e308, 2)
     # Levels that round together: a zero step, then 6 distinct levels of 1024.

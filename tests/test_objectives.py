@@ -651,18 +651,19 @@ def test_batch_rejects_non_finite_values():
 
 
 @pytest.mark.parametrize(
-    "holes, count",
+    "shape, holes, count",
     [
-        ({0: np.nan}, 1),
-        ({-1: np.inf}, 1),
-        ({5: -np.inf}, 1),
-        ({3: np.nan, 4: np.inf, 7: -np.inf}, 3),
-        ({i: np.nan for i in range(10)}, 10),
+        ((10,), {0: np.nan}, 1),
+        ((10,), {-1: np.inf}, 1),
+        ((10,), {5: -np.inf}, 1),
+        ((10,), {3: np.nan, 4: np.inf, 7: -np.inf}, 3),
+        ((10,), {i: np.nan for i in range(10)}, 10),
+        ((16, 4096), {(3, 17): np.nan, (15, 4095): np.inf}, 2),  # one scan slab
     ],
-    ids=["nan", "inf", "-inf", "mixed", "all-nan"],
+    ids=["nan", "inf", "-inf", "mixed", "all-nan", "slab"],
 )
-def test_check_finite_counts_every_non_finite_value(holes, count):
-    values = np.linspace(-1.0, 1.0, 10)
+def test_check_finite_counts_every_non_finite_value(shape, holes, count):
+    values = np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
     for i, hole in holes.items():
         values[i] = hole
     with pytest.raises(ValueError, match=rf"^objective 'f' gave {count} non-finite values$"):
@@ -676,7 +677,9 @@ def test_check_finite_passes_finite_values_without_a_mask():
     values[[0, -1]] = np.finfo(float).max, -np.finfo(float).max
     # The sum of these overflows, so the check falls back to min and max.
     overflowing = np.full(1 << 20, np.finfo(float).max)
-    for finite in (values, overflowing):
+    # A strided view is read in place, not copied.
+    strided = np.random.default_rng(62).uniform(-1.0, 1.0, size=1 << 21)[::2]
+    for finite in (values, overflowing, strided):
         tracemalloc.start()
         try:
             assert check_finite("f", finite) is finite
@@ -688,12 +691,20 @@ def test_check_finite_passes_finite_values_without_a_mask():
 
 @pytest.mark.parametrize(
     "values, count",
-    [([1e308, 1e308], 0), ([np.inf, -np.inf], 2), ([np.nan, 1e308, 1e308], 1), ([-np.inf], 1)],
-    ids=["sum-overflows", "sum-is-nan", "nan-beside-overflow", "one-inf"],
+    [
+        ([1e308, 1e308], 0),
+        ([1e200, -1e200], 0),
+        ([np.inf, -np.inf], 2),
+        ([np.nan, 1e308, 1e308], 1),
+        ([-np.inf], 1),
+    ],
+    ids=["sum-overflows", "squares-overflow", "sum-is-nan", "nan-beside-overflow", "one-inf"],
 )
 def test_check_finite_reads_a_non_finite_sum_by_min_and_max(values, count):
-    # Under the suite's ``filterwarnings = error`` any RuntimeWarning of the
-    # overflowing or NaN sum would fail here.
+    # The deciding sum is of squares, so finite values past about 1.3e154
+    # take the min and max path too.  Under the suite's
+    # ``filterwarnings = error`` any RuntimeWarning of the overflowing or
+    # NaN sum would fail here.
     values = np.array(values)
     if not count:
         assert check_finite("f", values) is values

@@ -97,6 +97,9 @@ def test_generate_probes_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="at least 2 probes"):
         generate_probes(GP_BOX, 1, rng, GOLDSTEIN_PRICE)
+    for n in (2.5, 8.0, True):
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {n!r}$"):
+            generate_probes(GP_BOX, n, RefusingRng(), GOLDSTEIN_PRICE)
     with pytest.raises(ValueError, match="axes"):
         generate_probes([(0.0, 1.0)], 8, rng, GOLDSTEIN_PRICE)
     with pytest.raises(ValueError, match="empty box"):
@@ -225,7 +228,7 @@ class RefusingRng:
     """A generator stand-in whose every method fails the test."""
 
     def __getattr__(self, name):
-        raise AssertionError(f"select_pivots called rng.{name}")
+        raise AssertionError(f"called rng.{name}")
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -408,13 +411,6 @@ def pivot_state_for_resampling(points, values, weights, sigma):
         rejected_draws=0,
     )
     return state, np.asarray(weights, dtype=float), np.asarray(sigma, dtype=float)
-
-
-class RefusingRng:
-    """A generator stand-in that fails on any draw."""
-
-    def __getattr__(self, name):
-        raise AssertionError("allocated before the register check")
 
 
 def test_probes_and_resampling_refuse_an_oversized_population(monkeypatch):
@@ -723,6 +719,27 @@ def test_search_box_arity_checked():
         )
 
 
+@pytest.mark.parametrize(
+    "qubits, config, message",
+    [
+        (-1, PivotConfig(), "qubits must be an integer >= 1, got -1"),
+        (0, PivotConfig(), "qubits must be an integer >= 1, got 0"),
+        (1.5, PivotConfig(), "qubits must be an integer >= 1, got 1.5"),
+        (True, PivotConfig(), "qubits must be an integer >= 1, got True"),
+        (
+            20,
+            PivotConfig(sigma_scale=1e-310),
+            "initial sigma (hi - lo) / sigma_scale overflows, got [inf, inf]",
+        ),
+    ],
+    ids=["qubits-negative", "qubits-0", "qubits-float", "qubits-bool", "sigma-overflows"],
+)
+def test_search_checks_its_arguments_before_drawing(qubits, config, message):
+    # The generator refuses every call, so nothing was drawn or evaluated.
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        pivot_grover_search(SPHERE, GP_BOX, qubits, config, RefusingRng())
+
+
 def test_search_refuses_oversized_register_before_probing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the register check")
@@ -785,10 +802,10 @@ def test_growth_config_validation():
 
 
 def test_growth_rejects_bad_target():
-    with pytest.raises(ValueError, match="target_atoms"):
-        lj_growth(3, GrowthConfig(), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="target_atoms"):
-        lj_growth(6, GrowthConfig(), np.random.default_rng(0))
+    # Refused before the trimer search draws anything.
+    for target in (3, 6, 4.0, True):
+        with pytest.raises(ValueError, match=rf"^target_atoms must be 4 or 5, got {target!r}$"):
+            lj_growth(target, GrowthConfig(), RefusingRng())
 
 
 def test_growth_with_given_bond_skips_trimer_search():
